@@ -7,8 +7,10 @@ report (JSON by default, CSV summary with --format csv) to stdout;
 variable GLEASON_LAB_SEED supplies a default seed.
 
 Exit codes: 0 success (or verdict Marginal / all checks passed),
-1 I/O failure, 2 parse or domain failure, 3 verdict NonMarginal or
-failed checks, 4 verdict Inconclusive.
+1 I/O failure, 2 parse or domain failure (including malformed JSON
+input, and verify-suite with no dims or zero trials, which would check
+nothing), 3 verdict NonMarginal or failed checks, 4 verdict
+Inconclusive.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .measurements import (
     random_rank_partition,
 )
 from .operators import (
-    frobenius,
     haar_unitary,
     identity,
     partial_trace_b,
@@ -167,15 +168,6 @@ def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
     return Tolerances.from_overrides(overrides)
 
 
-def _pvm_residuals(m: PVM) -> tuple[float, float]:
-    max_orth = 0.0
-    for x in range(len(m.elements)):
-        for y in range(x + 1, len(m.elements)):
-            max_orth = max(max_orth, frobenius(m.elements[x].matrix @ m.elements[y].matrix))
-    total = sum(e.matrix for e in m.elements)
-    return max_orth, frobenius(total - identity(m.dim))
-
-
 def _load_json(path: str):
     with open(path, "r") as handle:
         return json.load(handle)
@@ -196,7 +188,7 @@ def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, in
     ranks = args.ranks if args.ranks is not None else [1] * args.dim
     u = random_unitary(args.dim, seed)
     pvm = pvm_from_unitary(u, ranks, tol)
-    max_orth, completeness = _pvm_residuals(pvm)
+    max_orth, completeness = pvm.max_orthogonality_residual, pvm.completeness_residual
     pvm_json = pvm_to_json(pvm)
     config = _config_echo(args, seed, tol, {"dim": args.dim, "ranks": ranks})
     results = {
@@ -340,10 +332,10 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> tuple[dict, str | 
     qubit_pvms = [
         pvm_from_unitary(haar_unitary(2, rng), [1, 1], tol) for _ in range(n)
     ]
-    qubit_graph = intertwine_graph(qubit_pvms, tol.key)
+    qubit_graph = intertwine_graph(qubit_pvms, tol)
     composite = family + [embed_pvm(m, 2, tol) for m in qubit_pvms]
-    graph = intertwine_graph(composite, tol.key)
-    pi_key = projector_key(family[0].elements[0], tol.key)
+    graph = intertwine_graph(composite, tol)
+    pi_key = projector_key(family[0].elements[0], tol)
     pi_degree = graph.degree(pi_key)
     other_max = max((node.degree for node in graph.nodes if node.key != pi_key), default=0)
     ok = pi_degree == n and qubit_graph.max_degree() <= 1 and other_max <= 1
@@ -364,135 +356,95 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> tuple[dict, str | 
     return report, None, EXIT_OK if ok else EXIT_NON_MARGINAL
 
 
-def _battery_normalization(dims, trials, rng, tol, perturb):
+def _normalization_trial(rng, d, tol, perturb) -> float:
+    rho = random_density_matrix(d, rng, tol)
+    pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng), tol)
+    frame = born_backed(rho, tol)
+    total = sum(frame(e) for e in pvm.elements) + perturb
+    return abs(total - 1.0)
+
+
+def _trace_identity_trial(rng, d, tol) -> float:
+    rho_ab = random_density_matrix(d * 2, rng, tol)
+    ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    p = projector_from_ket(ket, tol)
+    full = np.trace(np.kron(p.matrix, identity(2)) @ rho_ab.matrix).real
+    reduced = np.trace(p.matrix @ partial_trace_b(rho_ab, d, 2, tol).matrix).real
+    return abs(full - reduced)
+
+
+def _extension_trial(rng, d, tol) -> float:
+    rho_f = random_density_matrix(d, rng, tol)
+    sigma = random_density_matrix(2, rng, tol)
+    projectors = []
+    for _ in range(10):
+        ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        projectors.append(projector_from_ket(ket, tol))
+    pt_err, dev = verify_extension(rho_f, sigma, projectors, tol)
+    return max(pt_err, dev)
+
+
+def _soundness_trial(rng, spanning, tol) -> tuple[float, bool]:
+    rho = random_density_matrix(spanning.dim, rng, tol)
+    cert = certify_marginal(born_backed(rho, tol), spanning, tol)
+    err = float(np.linalg.norm(cert.rho_hat - rho.matrix, "fro"))
+    return err, cert.verdict is Verdict.MARGINAL
+
+
+def _run_batteries(dims, trials, rng, tol, perturb) -> list[dict]:
+    """Run every battery on every dim, in that order, so the RNG draws
+    (battery, then dim, then trial) replay exactly for a fixed seed.
+
+    A trial returns (residual, marginal); it fails when its certificate
+    is not marginal or its residual exceeds the battery's bound.
+    """
+    spanning = {d: spanning_projectors(d, tol) for d in dims}
+    table = (
+        ("normalization", tol.frame,
+         lambda d: (_normalization_trial(rng, d, tol, perturb), True)),
+        ("embed_trace_identity", 1e-12, lambda d: (_trace_identity_trial(rng, d, tol), True)),
+        ("composite_extension", 1e-12, lambda d: (_extension_trial(rng, d, tol), True)),
+        ("reconstruction_soundness", 1e-9, lambda d: _soundness_trial(rng, spanning[d], tol)),
+    )
     batteries = []
-    for d in dims:
-        failures = 0
-        max_residual = 0.0
-        for _ in range(trials):
-            rho = random_density_matrix(d, rng, tol)
-            pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng), tol)
-            frame = born_backed(rho, tol)
-            total = sum(frame(e) for e in pvm.elements) + perturb
-            residual = abs(total - 1.0)
-            max_residual = max(max_residual, residual)
-            if residual > tol.frame:
-                failures += 1
-        batteries.append({
-            "name": "normalization",
-            "dim": d,
-            "trials": trials,
-            "failures": failures,
-            "max_residual": max_residual,
-            "tolerance": tol.frame,
-            "pass": failures == 0,
-        })
-    return batteries
-
-
-def _battery_adjunction(dims, trials, rng, tol):
-    batteries = []
-    bound = 1e-12
-    for d in dims:
-        failures = 0
-        max_dev = 0.0
-        for _ in range(trials):
-            rho_ab = random_density_matrix(d * 2, rng, tol)
-            ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            p = projector_from_ket(ket, tol)
-            full = np.trace(np.kron(p.matrix, identity(2)) @ rho_ab.matrix).real
-            reduced = np.trace(p.matrix @ partial_trace_b(rho_ab, d, 2, tol).matrix).real
-            dev = abs(full - reduced)
-            max_dev = max(max_dev, dev)
-            if dev > bound:
-                failures += 1
-        batteries.append({
-            "name": "embed_trace_identity",
-            "dim": d,
-            "trials": trials,
-            "failures": failures,
-            "max_residual": max_dev,
-            "tolerance": bound,
-            "pass": failures == 0,
-        })
-    return batteries
-
-
-def _battery_extension(dims, trials, rng, tol):
-    batteries = []
-    bound = 1e-12
-    for d in dims:
-        failures = 0
-        max_dev = 0.0
-        for _ in range(trials):
-            rho_f = random_density_matrix(d, rng, tol)
-            sigma = random_density_matrix(2, rng, tol)
-            projectors = []
-            for _ in range(10):
-                ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                projectors.append(projector_from_ket(ket, tol))
-            pt_err, dev = verify_extension(rho_f, sigma, projectors, tol)
-            worst = max(pt_err, dev)
-            max_dev = max(max_dev, worst)
-            if worst > bound:
-                failures += 1
-        batteries.append({
-            "name": "composite_extension",
-            "dim": d,
-            "trials": trials,
-            "failures": failures,
-            "max_residual": max_dev,
-            "tolerance": bound,
-            "pass": failures == 0,
-        })
-    return batteries
-
-
-def _battery_soundness(dims, trials, rng, tol):
-    batteries = []
-    bound = 1e-9
-    for d in dims:
-        failures = 0
-        non_marginal = 0
-        max_err = 0.0
-        spanning = spanning_projectors(d, tol)
-        for _ in range(trials):
-            rho = random_density_matrix(d, rng, tol)
-            cert = certify_marginal(born_backed(rho, tol), spanning, tol)
-            err = float(np.linalg.norm(cert.rho_hat - rho.matrix, "fro"))
-            max_err = max(max_err, err)
-            if cert.verdict is not Verdict.MARGINAL:
-                non_marginal += 1
-                failures += 1
-            elif err > bound:
-                failures += 1
-        batteries.append({
-            "name": "reconstruction_soundness",
-            "dim": d,
-            "trials": trials,
-            "failures": failures,
-            "non_marginal_count": non_marginal,
-            "max_residual": max_err,
-            "tolerance": bound,
-            "pass": failures == 0,
-        })
+    for name, bound, trial in table:
+        for d in dims:
+            failures = 0
+            non_marginal = 0
+            max_residual = 0.0
+            for _ in range(trials):
+                residual, marginal = trial(d)
+                max_residual = max(max_residual, residual)
+                if not marginal:
+                    non_marginal += 1
+                if not marginal or residual > bound:
+                    failures += 1
+            battery = {
+                "name": name,
+                "dim": d,
+                "trials": trials,
+                "failures": failures,
+                "max_residual": max_residual,
+                "tolerance": bound,
+                "pass": failures == 0,
+            }
+            if name == "reconstruction_soundness":
+                battery["non_marginal_count"] = non_marginal
+            batteries.append(battery)
     return batteries
 
 
 def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
     dims = args.dims
     trials = args.trials
-    if trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {trials}")
+    if not dims:
+        raise ValueError("--dims must name at least one dimension")
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     for d in dims:
         if not 2 <= d <= 8:
             raise ValueError(f"--dims entries must be in 2..8, got {d}")
-    rng = np.random.default_rng(seed)
-    batteries = []
-    batteries += _battery_normalization(dims, trials, rng, tol, args.perturb)
-    batteries += _battery_adjunction(dims, trials, rng, tol)
-    batteries += _battery_extension(dims, trials, rng, tol)
-    batteries += _battery_soundness(dims, trials, rng, tol)
+    batteries = _run_batteries(dims, trials, np.random.default_rng(seed), tol, args.perturb)
     failures = sum(b["failures"] for b in batteries)
     total = sum(b["trials"] for b in batteries)
     config = _config_echo(args, seed, tol, {

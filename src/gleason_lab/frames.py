@@ -109,7 +109,7 @@ class TabulatedFrameFunction(FrameFunction):
     def __init__(
         self,
         entries: list[tuple[Projector, float]],
-        eps_key: float = DEFAULT_TOLERANCES.key,
+        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
         if not entries:
             raise ValueOutOfRange("a tabulated frame function needs at least one entry")
@@ -117,14 +117,14 @@ class TabulatedFrameFunction(FrameFunction):
         if len(dims) > 1:
             raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
         self.dim = entries[0][0].dim
-        self.eps_key = eps_key
+        self._tol = tol
         self._values: dict[str, float] = {}
         self._entries: list[tuple[Projector, float]] = []
         for p, v in entries:
             v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueOutOfRange(f"tabulated value {v} outside [0, 1]")
-            k = projector_key(p, eps_key)
+            k = projector_key(p, tol)
             if k in self._values:
                 if self._values[k] != v:
                     raise ContextualConflict(k, self._values[k], v)
@@ -137,7 +137,7 @@ class TabulatedFrameFunction(FrameFunction):
         return tuple(self._entries)
 
     def __call__(self, p: Projector) -> float:
-        k = projector_key(p, self.eps_key)
+        k = projector_key(p, self._tol)
         try:
             return self._values[k]
         except KeyError:
@@ -176,9 +176,9 @@ def deterministic_qubit(rule: HemisphereRule = LEX_ZXY_RULE) -> DeterministicFra
 
 def tabulated(
     entries: list[tuple[Projector, float]],
-    eps_key: float = DEFAULT_TOLERANCES.key,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> TabulatedFrameFunction:
-    return TabulatedFrameFunction(entries, eps_key)
+    return TabulatedFrameFunction(entries, tol)
 
 
 def induce(f_composite: FrameFunction, d_a: int, d_b: int) -> InducedFrameFunction:
@@ -215,7 +215,6 @@ def axis_projector(axis: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector
 
 def axis_table(
     values: dict[str, float],
-    eps_key: float = DEFAULT_TOLERANCES.key,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> TabulatedFrameFunction:
     """Tabulated qubit frame function keyed by signed Pauli axes.
@@ -225,13 +224,10 @@ def axis_table(
     a normalized assignment; that is the caller's responsibility.
     """
     entries = [(axis_projector(axis, tol), v) for axis, v in values.items()]
-    return tabulated(entries, eps_key)
+    return tabulated(entries, tol)
 
 
-def definite_xz_table(
-    eps_key: float = DEFAULT_TOLERANCES.key,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> TabulatedFrameFunction:
+def definite_xz_table(tol: Tolerances = DEFAULT_TOLERANCES) -> TabulatedFrameFunction:
     """The classic impossible qubit assignment: definite +x and +z.
 
     Assigns 1 to the +x and +z outcomes, 0 to their antipodes and 1/2 on
@@ -240,9 +236,7 @@ def definite_xz_table(
     implied Bloch vector (1, 0, 1) has norm sqrt(2) > 1.
     """
     return axis_table(
-        {"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0},
-        eps_key,
-        tol,
+        {"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0}, tol
     )
 
 

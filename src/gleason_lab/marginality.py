@@ -36,13 +36,7 @@ from .operators import (
     projector_from_ket,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, MAX_COMPOSITE_DIM, Tolerances
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    out.setflags(write=False)
-    return out
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 class Verdict(str, enum.Enum):
@@ -125,9 +119,9 @@ def _spanning_from_projectors(
         labels=tuple(labels),
         condition_number=cond,
         set_id=set_id,
-        design=_freeze(design),
-        basis=_freeze(basis),
-        basis_design=_freeze(basis_design),
+        design=frozen_matrix(design),
+        basis=frozen_matrix(basis),
+        basis_design=frozen_matrix(basis_design),
     )
 
 
@@ -242,7 +236,7 @@ def _non_marginal_witness(
         values = np.array([f(p) for p in s.projectors], dtype=float)
         worst = int(np.argmax(np.abs(values - fits)))
         return ResidualWitness(
-            projector_key=projector_key(s.projectors[worst], tol.key),
+            projector_key=projector_key(s.projectors[worst], tol),
             label=s.labels[worst],
             residual=float(abs(values[worst] - fits[worst])),
         )
@@ -250,7 +244,7 @@ def _non_marginal_witness(
         b = bloch_of_matrix(rho_hat)
         return BlochWitness(bloch=b.as_tuple(), norm=b.norm())
     eigvals, eigvecs = np.linalg.eigh(hermitize(rho_hat))
-    return EigenWitness(min_eig=float(eigvals[0]), eigenvector=_freeze(eigvecs[:, 0]))
+    return EigenWitness(min_eig=float(eigvals[0]), eigenvector=frozen_matrix(eigvecs[:, 0]))
 
 
 def certify_marginal(
@@ -295,7 +289,6 @@ def extend_to_composite(
     rho_f: DensityMatrix,
     sigma_b: DensityMatrix,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    max_dim: int = MAX_COMPOSITE_DIM,
 ) -> DensityMatrix:
     """Product extension rho x sigma on the composite space.
 
@@ -303,7 +296,7 @@ def extend_to_composite(
     Born frame function it induces restricts to the one of rho; this is
     the constructive existence half of the marginality decision.
     """
-    return make_density(tensor(rho_f.matrix, sigma_b.matrix, max_dim=max_dim), tol)
+    return make_density(tensor(rho_f.matrix, sigma_b.matrix), tol)
 
 
 def marginality_witness(cert: MarginalityCertificate) -> str:

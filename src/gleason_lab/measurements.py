@@ -30,7 +30,7 @@ from .operators import (
     make_projector,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, MAX_COMPOSITE_DIM, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +38,16 @@ class PVM:
     """Ordered set of mutually orthogonal projectors summing to identity.
 
     Element order and labels are part of the operational description and
-    are preserved as given; no canonical sorting is applied.
+    are preserved as given; no canonical sorting is applied. The two
+    residuals are the Frobenius norms validate_pvm measured: the largest
+    pairwise product P_x P_y and the distance of the sum from I.
     """
 
     dim: int
     elements: tuple[Projector, ...]
     labels: tuple[str, ...]
+    max_orthogonality_residual: float
+    completeness_residual: float
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -72,26 +76,34 @@ def validate_pvm(
     if len(dims) > 1:
         raise DimensionMismatch(f"projectors live on mixed dimensions {sorted(dims)}")
     d = elems[0].dim
+    max_orth = 0.0
     for x in range(len(elems)):
         for y in range(x + 1, len(elems)):
             res = frobenius(elems[x].matrix @ elems[y].matrix)
             if res > tol.pvm:
                 raise NotOrthogonal(x, y, res)
+            max_orth = max(max_orth, res)
     total = np.zeros((d, d), dtype=complex)
     for e in elems:
         total = total + e.matrix
-    res = frobenius(total - identity(d))
-    if res > tol.pvm:
-        raise Incomplete(res)
+    completeness = frobenius(total - identity(d))
+    if completeness > tol.pvm:
+        raise Incomplete(completeness)
     if sum(e.rank for e in elems) != d:
-        raise Incomplete(res)
+        raise Incomplete(completeness)
     if labels is None:
         labels = tuple(str(i) for i in range(len(elems)))
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(elems):
             raise ValueError(f"{len(labels)} labels for {len(elems)} elements")
-    return PVM(dim=d, elements=elems, labels=labels)
+    return PVM(
+        dim=d,
+        elements=elems,
+        labels=labels,
+        max_orthogonality_residual=max_orth,
+        completeness_residual=completeness,
+    )
 
 
 def pvm_from_unitary(
@@ -172,7 +184,7 @@ def measurement_family_mpsi(psi, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
     return validate_pvm(elements, labels=("pi", "one_psi", "one_perp"), tol=tol)
 
 
-def embed(p: Projector, d_b: int, max_dim: int = MAX_COMPOSITE_DIM) -> Projector:
+def embed(p: Projector, d_b: int) -> Projector:
     """Represent a subsystem outcome on the composite space: P -> P x I_b.
 
     Tensoring with the identity is the trivial measurement on the second
@@ -180,31 +192,26 @@ def embed(p: Projector, d_b: int, max_dim: int = MAX_COMPOSITE_DIM) -> Projector
     """
     if d_b < 2:
         raise DimensionMismatch(f"ancilla dimension must be >= 2, got {d_b}")
-    m = tensor(p.matrix, identity(d_b), max_dim=max_dim)
+    m = tensor(p.matrix, identity(d_b))
     # Rank scales exactly; residuals are inherited from the validated input.
     return Projector(dim=p.dim * d_b, matrix=frozen_matrix(m), rank=p.rank * d_b)
 
 
-def embed_pvm(
-    m: PVM,
-    d_b: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    max_dim: int = MAX_COMPOSITE_DIM,
-) -> PVM:
+def embed_pvm(m: PVM, d_b: int, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
     """Element-wise embedding; the outcome count is unchanged."""
-    elements = tuple(embed(e, d_b, max_dim) for e in m.elements)
+    elements = tuple(embed(e, d_b) for e in m.elements)
     return validate_pvm(elements, labels=m.labels, tol=tol)
 
 
-def projector_key(p: Projector, eps_key: float = DEFAULT_TOLERANCES.key) -> str:
+def projector_key(p: Projector, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
     """Stable canonical key for a projector, robust to round-off.
 
-    Entries are Hermitized, snapped to a grid of size eps_key and hashed;
-    projectors within Frobenius distance eps_key/10 collide on generic
+    Entries are Hermitized, snapped to a grid of size tol.key and hashed;
+    projectors within Frobenius distance tol.key/10 collide on generic
     inputs. Near-boundary adversarial inputs are out of contract.
     """
     m = hermitize(p.matrix)
-    scaled = m / eps_key
+    scaled = m / tol.key
     grid_re = np.round(scaled.real).astype(np.int64)
     grid_im = np.round(scaled.imag).astype(np.int64)
     payload = grid_re.tobytes() + grid_im.tobytes()
@@ -244,7 +251,7 @@ class IntertwineGraph:
 
 
 def intertwine_graph(
-    pvms: Iterable[PVM], eps_key: float = DEFAULT_TOLERANCES.key
+    pvms: Iterable[PVM], tol: Tolerances = DEFAULT_TOLERANCES
 ) -> IntertwineGraph:
     """Build the projector/measurement incidence graph for a PVM list.
 
@@ -261,7 +268,7 @@ def intertwine_graph(
     members: dict[str, set[int]] = {}
     for idx, m in enumerate(pvm_list):
         for e in m.elements:
-            k = projector_key(e, eps_key)
+            k = projector_key(e, tol)
             incidence.append((k, idx))
             ranks.setdefault(k, e.rank)
             members.setdefault(k, set()).add(idx)

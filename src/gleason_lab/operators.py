@@ -34,8 +34,9 @@ for _p in (PAULI_X, PAULI_Y, PAULI_Z):
 
 
 def frozen_matrix(m: np.ndarray) -> np.ndarray:
-    """Defensive complex copy with the write flag cleared."""
-    out = np.array(m, dtype=complex, order="C", copy=True)
+    """Defensive C-contiguous copy with the write flag cleared; the dtype
+    is kept, so real arrays stay real."""
+    out = np.array(m, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -160,15 +161,16 @@ def make_density(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
     return DensityMatrix(dim=d, matrix=frozen_matrix(m))
 
 
-def tensor(a, b, max_dim: int = MAX_COMPOSITE_DIM) -> np.ndarray:
+def tensor(a, b) -> np.ndarray:
     """Kronecker product with subsystem-A-major index convention:
-    row (i_a, i_b) maps to i_a * rows_b + i_b."""
+    row (i_a, i_b) maps to i_a * rows_b + i_b. Results larger than
+    MAX_COMPOSITE_DIM raise DimensionOverflow."""
     ma = as_complex_matrix(a, "tensor operand a")
     mb = as_complex_matrix(b, "tensor operand b")
     rows = ma.shape[0] * mb.shape[0]
     cols = ma.shape[1] * mb.shape[1]
-    if max(rows, cols) > max_dim:
-        raise DimensionOverflow(max(rows, cols), max_dim)
+    if max(rows, cols) > MAX_COMPOSITE_DIM:
+        raise DimensionOverflow(max(rows, cols), MAX_COMPOSITE_DIM)
     return np.kron(ma, mb)
 
 
@@ -221,14 +223,7 @@ def bloch_to_density(
 
 
 def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    if rho.dim != 2:
-        raise DimensionMismatch(f"Bloch coordinates need dim 2, got {rho.dim}")
-    m = rho.matrix
-    return BlochVector(
-        x=float(np.trace(m @ PAULI_X).real),
-        y=float(np.trace(m @ PAULI_Y).real),
-        z=float(np.trace(m @ PAULI_Z).real),
-    )
+    return bloch_of_matrix(rho.matrix)
 
 
 def bloch_of_matrix(m: np.ndarray) -> BlochVector:

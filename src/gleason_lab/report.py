@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
 
 
@@ -53,12 +52,20 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def write_atomic(text: str, path: str) -> None:
-    """Write-then-rename so failures never leave a partial file."""
+    """Write-then-rename so failures never leave a partial file.
+
+    The temporary file is created with mode 0o666 filtered by the umask,
+    as open(path, "w") would create it, and is fsynced before the rename
+    so the artifact never becomes visible ahead of its data.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".gleason-lab-")
+    tmp_path = os.path.join(directory, f".gleason-lab-{os.urandom(8).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -50,9 +50,15 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(data)
+    except ValueError as exc:
         raise SerializationError(f"{name} is not a nested [re, im] array: {exc}") from None
+    # Strings, nulls, objects and integers beyond 64 bits give non-numeric
+    # dtypes here; a direct float conversion would accept numeric strings
+    # and raise OverflowError on huge integers.
+    if arr.dtype.kind not in "iuf":
+        raise SerializationError(f"{name} entries must be numbers in float range")
+    arr = arr.astype(float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise SerializationError(
             f"{name} must be rows x cols x [re, im], got shape {arr.shape}"
@@ -75,11 +81,34 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return operator_to_json(rho.matrix, "density")
 
 
+def _number(value: Any, name: str) -> float:
+    """A JSON number as a float; booleans and out-of-range integers are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SerializationError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SerializationError(f"{name} is out of float range") from None
+
+
+def _list(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise SerializationError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: Any, key: str, name: str) -> Any:
+    if not isinstance(obj, dict) or key not in obj:
+        raise SerializationError(f"{name} needs the field {key!r}")
+    return obj[key]
+
+
 def operator_from_json(obj: Any) -> tuple[str, np.ndarray]:
     if not isinstance(obj, dict) or "kind" not in obj or "matrix" not in obj:
         raise SerializationError("operator object needs 'dim', 'kind' and 'matrix'")
     m = matrix_from_json(obj["matrix"])
-    if "dim" in obj and int(obj["dim"]) != m.shape[0]:
+    if "dim" in obj and _number(obj["dim"], "dim") != m.shape[0]:
         raise SerializationError(
             f"declared dim {obj['dim']} does not match matrix shape {m.shape}"
         )
@@ -95,13 +124,13 @@ def pvm_to_json(m: PVM) -> dict:
 
 
 def pvm_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
-    if not isinstance(obj, dict) or "elements" not in obj:
-        raise SerializationError("PVM object needs 'dim', 'elements' and 'labels'")
     elements = [
         make_projector(matrix_from_json(e, f"elements[{i}]"), tol)
-        for i, e in enumerate(obj["elements"])
+        for i, e in enumerate(_list(_field(obj, "elements", "PVM object"), "elements"))
     ]
     labels = obj.get("labels")
+    if labels is not None:
+        _list(labels, "labels")
     return validate_pvm(elements, labels=labels, tol=tol)
 
 
@@ -123,11 +152,9 @@ def frame_to_json(f: FrameFunction) -> dict:
 
 
 def frame_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> FrameFunction:
-    if not isinstance(obj, dict) or "repr" not in obj:
-        raise SerializationError("frame object needs a 'repr' field")
-    kind = obj["repr"]
+    kind = _field(obj, "repr", "frame object")
     if kind == "born":
-        rho = make_density(matrix_from_json(obj["rho"], "rho"), tol)
+        rho = make_density(matrix_from_json(_field(obj, "rho", "born frame"), "rho"), tol)
         return born_backed(rho, tol)
     if kind == "deterministic":
         rule = obj.get("rule", LEX_ZXY_RULE.name)
@@ -135,17 +162,20 @@ def frame_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> FrameFunc
             raise SerializationError(f"unknown hemisphere rule {rule!r}")
         return deterministic_qubit()
     if kind == "table":
-        entries = obj.get("entries")
+        entries = _list(obj.get("entries"), "entries")
         if not entries:
             raise SerializationError("tabulated frame needs non-empty 'entries'")
         pairs = [
             (
-                make_projector(matrix_from_json(e["projector"], f"entries[{i}]"), tol),
-                float(e["value"]),
+                make_projector(
+                    matrix_from_json(_field(e, "projector", f"entries[{i}]"), f"entries[{i}]"),
+                    tol,
+                ),
+                _number(_field(e, "value", f"entries[{i}]"), f"entries[{i}].value"),
             )
             for i, e in enumerate(entries)
         ]
-        return tabulated(pairs, tol.key)
+        return tabulated(pairs, tol)
     raise SerializationError(f"unknown frame repr {kind!r}")
 
 

@@ -32,9 +32,11 @@ from gleason_lab.operators import (
     make_density,
     make_projector,
     partial_trace_b,
+    projector_from_ket,
     random_density_matrix,
     tensor,
 )
+from gleason_lab.tolerances import Tolerances
 
 from conftest import rank1_projector
 
@@ -120,6 +122,13 @@ class TestTabulated:
         f = axis_table({a: 0.5 for a in ("+x", "-x", "+y", "-y", "+z", "-z")})
         assert f(axis_projector("+x")) == 0.5
         assert f.dim == 2
+
+    def test_lookup_uses_the_key_grid_of_tol(self):
+        # An off-diagonal of 1e-7 lies on another cell of the default 1e-8
+        # grid, but on the same cell of a 1e-6 grid as +z.
+        tol = Tolerances(key=1e-6)
+        f = axis_table({"+z": 1.0, "-z": 0.0}, tol=tol)
+        assert f(projector_from_ket([1.0, 1e-7])) == 1.0
 
     def test_contextual_conflict(self):
         with pytest.raises(ContextualConflict):

@@ -78,6 +78,20 @@ class TestValidatePvm:
         pvm = validate_pvm([make_projector(identity(3))])
         assert pvm.ranks() == (3,)
 
+    @pytest.mark.parametrize("ranks", [None, [1, 2], [1, 1, 1]], ids=["identity", "1-2", "1-1-1"])
+    def test_records_its_residuals(self, rng, ranks):
+        if ranks is None:
+            pvm = validate_pvm([make_projector(identity(3))])
+        else:
+            pvm = pvm_from_unitary(haar_unitary(3, rng), ranks)
+        mats = [e.matrix for e in pvm.elements]
+        orth = [
+            np.linalg.norm(mats[x] @ mats[y], "fro")
+            for x in range(len(mats)) for y in range(x + 1, len(mats))
+        ]
+        assert pvm.max_orthogonality_residual == max(orth, default=0.0)
+        assert pvm.completeness_residual == np.linalg.norm(sum(mats) - np.eye(3), "fro")
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             validate_pvm([P0, P1], labels=["only-one"])

@@ -149,6 +149,28 @@ class TestFrameEncoding:
             frame_from_json({"dim": 2, "repr": "table", "entries": []})
 
 
+P0_JSON = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+P1_JSON = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize("decode, obj", [
+    (frame_from_json, {"repr": "table", "entries": 5}),
+    (frame_from_json, {"repr": "table", "entries": "ab"}),
+    (frame_from_json, {"repr": "table", "entries": [1, 2]}),
+    (frame_from_json, {"repr": "table", "entries": [{"projector": P0_JSON, "value": [1]}]}),
+    (pvm_from_json, {"dim": 2, "elements": 5}),
+    (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": 5}),
+    (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": {"a": 1}}),
+    (frame_from_json, {"repr": "born", "rho": [[[10**400, 0.0]]]}),
+], ids=[
+    "entries-int", "entries-str", "entries-of-ints", "value-list",
+    "elements-int", "labels-int", "labels-object", "huge-int",
+])
+def test_malformed_containers_and_scalars_rejected(decode, obj):
+    with pytest.raises(SerializationError):
+        decode(obj)
+
+
 class TestGraphEncoding:
     def test_nodes_and_incidence(self, rng):
         family = [measurement_family_mpsi(random_ket(2, rng)) for _ in range(3)]
