@@ -37,9 +37,7 @@ from .frames import (
     BornFrameFunction,
     DeterministicFrameFunction,
     FrameFunction,
-    HemisphereRule,
     InducedFrameFunction,
-    LEX_ZXY_RULE,
     TabulatedFrameFunction,
     axis_projector,
     axis_table,
@@ -48,6 +46,7 @@ from .frames import (
     definite_xz_table,
     deterministic_qubit,
     induce,
+    lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
 )
@@ -89,9 +88,7 @@ from .operators import (
     min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
-    random_density,
     random_density_matrix,
-    random_unitary,
     tensor,
 )
 from .tolerances import DEFAULT_TOLERANCES, Tolerances

@@ -8,7 +8,8 @@ variable GLEASON_LAB_SEED supplies a default seed.
 
 Exit codes: 0 success (or verdict Marginal / all checks passed),
 1 I/O failure, 2 parse or domain failure (including malformed JSON
-input, and verify-suite with no dims or zero trials, which would check
+input, a tolerance that is not finite and > 0, and verify-suite with no
+dims, zero trials or a non-finite --perturb, which would check
 nothing), 3 verdict NonMarginal or failed checks, 4 verdict
 Inconclusive.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,6 +41,7 @@ from .marginality import (
 )
 from .measurements import (
     PVM,
+    embed,
     embed_pvm,
     intertwine_graph,
     measurement_family_mpsi,
@@ -47,12 +50,12 @@ from .measurements import (
     random_rank_partition,
 )
 from .operators import (
+    born_probability,
+    frobenius,
     haar_unitary,
-    identity,
     partial_trace_b,
     projector_from_ket,
     random_density_matrix,
-    random_unitary,
 )
 from .report import build_report, checked, render_json, render_report, write_atomic
 from .serialization import (
@@ -173,24 +176,22 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-def _config_echo(args: argparse.Namespace, seed: int, tol: Tolerances, extra: dict) -> dict:
-    config = {
-        "seed": seed,
-        "format": args.format,
-        "out": args.out,
-        "tolerances": tol.to_dict(),
-    }
-    config.update(extra)
-    return config
+# A handler returns its config entries, results, summary, the --out
+# artifact text (None writes the rendered report) and the exit code.
+Outcome = tuple[dict, dict, dict, str | None, int]
 
 
-def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _random_pvm(args, seed: int, tol: Tolerances) -> tuple[PVM, list[int]]:
+    """PVM of a seeded Haar unitary in --ranks blocks (default: all rank 1)."""
     ranks = args.ranks if args.ranks is not None else [1] * args.dim
-    u = random_unitary(args.dim, seed)
-    pvm = pvm_from_unitary(u, ranks, tol)
+    u = haar_unitary(args.dim, np.random.default_rng(seed))
+    return pvm_from_unitary(u, ranks, tol), ranks
+
+
+def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> Outcome:
+    pvm, ranks = _random_pvm(args, seed, tol)
     max_orth, completeness = pvm.max_orthogonality_residual, pvm.completeness_residual
     pvm_json = pvm_to_json(pvm)
-    config = _config_echo(args, seed, tol, {"dim": args.dim, "ranks": ranks})
     results = {
         "pvm": pvm_json,
         "checks": [
@@ -205,29 +206,23 @@ def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, in
         "completeness_residual": completeness,
         "pass": max_orth <= tol.pvm and completeness <= tol.pvm,
     }
-    report = build_report("gen-pvm", config, results, summary)
-    return report, render_json(pvm_json), EXIT_OK
+    return {"dim": args.dim, "ranks": ranks}, results, summary, render_json(pvm_json), EXIT_OK
 
 
-def _obtain_pvm(args, seed: int, tol: Tolerances) -> tuple[PVM, dict]:
+def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
+    frame = frame_from_json(_load_json(args.frame), tol)
     if args.pvm is not None:
         pvm = pvm_from_json(_load_json(args.pvm), tol)
-        return pvm, {"pvm_file": args.pvm}
-    if args.dim is None:
+        source = {"pvm_file": args.pvm}
+    elif args.dim is None:
         raise ValueError("eval needs --pvm FILE or --dim (with optional --ranks)")
-    ranks = args.ranks if args.ranks is not None else [1] * args.dim
-    pvm = pvm_from_unitary(random_unitary(args.dim, seed), ranks, tol)
-    return pvm, {"dim": args.dim, "ranks": ranks}
-
-
-def _cmd_eval(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
-    frame = frame_from_json(_load_json(args.frame), tol)
-    pvm, source = _obtain_pvm(args, seed, tol)
+    else:
+        pvm, ranks = _random_pvm(args, seed, tol)
+        source = {"dim": args.dim, "ranks": ranks}
     if frame.dim != pvm.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != PVM dim {pvm.dim}")
     values = [frame(e) for e in pvm.elements]
     residual = check_normalization(frame, pvm)
-    config = _config_echo(args, seed, tol, {"frame_file": args.frame, **source})
     results = {
         "values": [
             {"label": label, "value": value}
@@ -241,16 +236,15 @@ def _cmd_eval(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
         "normalization_residual": residual,
         "pass": residual <= tol.frame,
     }
-    return build_report("eval", config, results, summary), None, EXIT_OK
+    return {"frame_file": args.frame, **source}, results, summary, None, EXIT_OK
 
 
-def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> Outcome:
     frame = frame_from_json(_load_json(args.frame), tol)
     if args.dim is not None and args.dim != frame.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != requested dim {args.dim}")
     cert = certify_marginal(frame, spanning_projectors(frame.dim, tol), tol)
     cert_json = certificate_to_json(cert)
-    config = _config_echo(args, seed, tol, {"frame_file": args.frame, "dim": frame.dim})
     results = {"certificate": cert_json}
     if cert.verdict is Verdict.NON_MARGINAL:
         results["witness_text"] = marginality_witness(cert)
@@ -260,15 +254,14 @@ def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> tuple[dict, str | N
         "min_eig": cert.min_eig,
         "pass": cert.verdict is Verdict.MARGINAL,
     }
-    report = build_report("check-marginal", config, results, summary)
-    return report, render_json(cert_json), _VERDICT_EXIT[cert.verdict]
+    config = {"frame_file": args.frame, "dim": frame.dim}
+    return config, results, summary, render_json(cert_json), _VERDICT_EXIT[cert.verdict]
 
 
-def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> Outcome:
     frame = frame_from_json(_load_json(args.frame), tol)
     spanning = spanning_projectors(frame.dim, tol)
     rho_hat, residual = reconstruct_density(frame, spanning, tol)
-    config = _config_echo(args, seed, tol, {"frame_file": args.frame, "dim": frame.dim})
     results = {
         "rho_hat": matrix_to_json(rho_hat),
         "linear_residual": checked("linear_residual", residual, tol.lin),
@@ -281,10 +274,10 @@ def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> tuple[dict, str | None
         "consistent": residual <= tol.lin,
         "pass": True,
     }
-    return build_report("reconstruct", config, results, summary), None, EXIT_OK
+    return {"frame_file": args.frame, "dim": frame.dim}, results, summary, None, EXIT_OK
 
 
-def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
     rng = np.random.default_rng(seed)
     if args.rho_backed:
         frame = born_backed(random_density_matrix(2, rng, tol), tol)
@@ -299,7 +292,6 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> tuple[dict, st
         max_residual = max(max_residual, check_normalization(frame, pvm))
     cert = certify_marginal(frame, spanning_projectors(2, tol), tol)
     ok = max_residual <= tol.frame and cert.verdict is expected
-    config = _config_echo(args, seed, tol, {"rho_backed": bool(args.rho_backed)})
     results = {
         "frame_repr": "born" if args.rho_backed else "deterministic",
         "normalization": {
@@ -316,11 +308,11 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> tuple[dict, st
         "max_normalization_residual": max_residual,
         "pass": ok,
     }
-    report = build_report("demo-counterexample", config, results, summary)
-    return report, None, EXIT_OK if ok else EXIT_NON_MARGINAL
+    config = {"rho_backed": bool(args.rho_backed)}
+    return config, results, summary, None, EXIT_OK if ok else EXIT_NON_MARGINAL
 
 
-def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
     n = args.n_psi
     if n < 1:
         raise ValueError(f"--n-psi must be >= 1, got {n}")
@@ -339,7 +331,6 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> tuple[dict, str | 
     pi_degree = graph.degree(pi_key)
     other_max = max((node.degree for node in graph.nodes if node.key != pi_key), default=0)
     ok = pi_degree == n and qubit_graph.max_degree() <= 1 and other_max <= 1
-    config = _config_echo(args, seed, tol, {"n_psi": n})
     results = {
         "qubit_graph": graph_to_json(qubit_graph),
         "composite_graph": graph_to_json(graph),
@@ -352,8 +343,7 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> tuple[dict, str | 
         "other_composite_max_degree": other_max,
         "pass": ok,
     }
-    report = build_report("demo-intertwine", config, results, summary)
-    return report, None, EXIT_OK if ok else EXIT_NON_MARGINAL
+    return {"n_psi": n}, results, summary, None, EXIT_OK if ok else EXIT_NON_MARGINAL
 
 
 def _normalization_trial(rng, d, tol, perturb) -> float:
@@ -368,8 +358,8 @@ def _trace_identity_trial(rng, d, tol) -> float:
     rho_ab = random_density_matrix(d * 2, rng, tol)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     p = projector_from_ket(ket, tol)
-    full = np.trace(np.kron(p.matrix, identity(2)) @ rho_ab.matrix).real
-    reduced = np.trace(p.matrix @ partial_trace_b(rho_ab, d, 2, tol).matrix).real
+    full = born_probability(embed(p, 2), rho_ab, tol)
+    reduced = born_probability(p, partial_trace_b(rho_ab, d, 2, tol), tol)
     return abs(full - reduced)
 
 
@@ -387,7 +377,7 @@ def _extension_trial(rng, d, tol) -> float:
 def _soundness_trial(rng, spanning, tol) -> tuple[float, bool]:
     rho = random_density_matrix(spanning.dim, rng, tol)
     cert = certify_marginal(born_backed(rho, tol), spanning, tol)
-    err = float(np.linalg.norm(cert.rho_hat - rho.matrix, "fro"))
+    err = frobenius(cert.rho_hat - rho.matrix)
     return err, cert.verdict is Verdict.MARGINAL
 
 
@@ -434,22 +424,21 @@ def _run_batteries(dims, trials, rng, tol, perturb) -> list[dict]:
     return batteries
 
 
-def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> tuple[dict, str | None, int]:
+def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> Outcome:
     dims = args.dims
     trials = args.trials
     if not dims:
         raise ValueError("--dims must name at least one dimension")
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
+    if not math.isfinite(args.perturb):
+        raise ValueError(f"--perturb must be finite, got {args.perturb}")
     for d in dims:
         if not 2 <= d <= 8:
             raise ValueError(f"--dims entries must be in 2..8, got {d}")
     batteries = _run_batteries(dims, trials, np.random.default_rng(seed), tol, args.perturb)
     failures = sum(b["failures"] for b in batteries)
     total = sum(b["trials"] for b in batteries)
-    config = _config_echo(args, seed, tol, {
-        "dims": list(dims), "trials": trials, "perturb": args.perturb,
-    })
     results = {"batteries": batteries}
     summary = {
         "total_trials": total,
@@ -457,8 +446,8 @@ def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> tuple[dict, str | Non
         "batteries": len(batteries),
         "pass": failures == 0,
     }
-    report = build_report("verify-suite", config, results, summary)
-    return report, None, EXIT_OK if failures == 0 else EXIT_NON_MARGINAL
+    config = {"dims": list(dims), "trials": trials, "perturb": args.perturb}
+    return config, results, summary, None, EXIT_OK if failures == 0 else EXIT_NON_MARGINAL
 
 
 _HANDLERS = {
@@ -477,7 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = _resolve_tolerances(args)
         seed = _resolve_seed(args)
-        report, artifact_text, code = _HANDLERS[args.command](args, seed, tol)
+        extra, results, summary, artifact_text, code = _HANDLERS[args.command](args, seed, tol)
+        config = {"seed": seed, "format": args.format, "out": args.out,
+                  "tolerances": tol.to_dict(), **extra}
+        report = build_report(args.command, config, results, summary)
         rendered = render_report(report, args.format)
         if args.out is not None:
             if artifact_text is None:

@@ -12,8 +12,6 @@ and are partial by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -49,27 +47,20 @@ class FrameFunction:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class HemisphereRule:
-    """Antipodal-exclusive selector on Bloch vectors.
+def lex_zxy_accepts(n: BlochVector) -> bool:
+    """The lex-zxy hemisphere rule, an antipodal-exclusive selector on
+    Bloch vectors.
 
     Accepts n when z > 0, or z = 0 and x > 0, or z = x = 0 and y > 0
     (lexicographic sign test on (z, x, y)). Exactly one of {n, -n} is
     accepted for every nonzero n, which makes the induced deterministic
     assignment normalize exactly on every qubit PVM.
     """
-
-    name: str = "lex-zxy"
-
-    def accepts(self, n: BlochVector) -> bool:
-        if n.z != 0.0:
-            return n.z > 0.0
-        if n.x != 0.0:
-            return n.x > 0.0
-        return n.y > 0.0
-
-
-LEX_ZXY_RULE = HemisphereRule()
+    if n.z != 0.0:
+        return n.z > 0.0
+    if n.x != 0.0:
+        return n.x > 0.0
+    return n.y > 0.0
 
 
 class BornFrameFunction(FrameFunction):
@@ -85,11 +76,11 @@ class BornFrameFunction(FrameFunction):
 
 
 class DeterministicFrameFunction(FrameFunction):
-    """Definite 0/1 qubit assignment driven by a hemisphere rule."""
+    """Definite 0/1 qubit assignment driven by the lex-zxy hemisphere
+    rule (``lex_zxy_accepts``); ``rule`` names it in the JSON format."""
 
-    def __init__(self, rule: HemisphereRule = LEX_ZXY_RULE):
-        self.rule = rule
-        self.dim = 2
+    dim = 2
+    rule = "lex-zxy"
 
     def __call__(self, p: Projector) -> float:
         if p.dim != 2:
@@ -100,7 +91,7 @@ class DeterministicFrameFunction(FrameFunction):
             return 1.0
         if p.rank != 1:
             raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
-        return 1.0 if self.rule.accepts(bloch_of_matrix(p.matrix)) else 0.0
+        return 1.0 if lex_zxy_accepts(bloch_of_matrix(p.matrix)) else 0.0
 
 
 class TabulatedFrameFunction(FrameFunction):
@@ -170,8 +161,8 @@ def born_backed(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Bor
     return BornFrameFunction(rho, tol)
 
 
-def deterministic_qubit(rule: HemisphereRule = LEX_ZXY_RULE) -> DeterministicFrameFunction:
-    return DeterministicFrameFunction(rule)
+def deterministic_qubit() -> DeterministicFrameFunction:
+    return DeterministicFrameFunction()
 
 
 def tabulated(

@@ -28,6 +28,7 @@ from .operators import (
     Projector,
     bloch_of_matrix,
     born_probability,
+    frobenius,
     frozen_matrix,
     hermitize,
     identity,
@@ -88,7 +89,7 @@ class SpanningSet:
 
     ``condition_number`` is sigma_max / sigma_min of the vectorized
     design matrix (one row of Hermitian coordinates per projector); the
-    design data for reconstruction is precomputed and cached.
+    design restricted to the traceless basis is precomputed and cached.
     """
 
     dim: int
@@ -96,7 +97,6 @@ class SpanningSet:
     labels: tuple[str, ...]
     condition_number: float
     set_id: str
-    design: np.ndarray          # rows: hermitian_coords of each projector
     basis: np.ndarray           # traceless Hermitian basis, (d^2-1, d, d)
     basis_design: np.ndarray    # design restricted to the traceless basis
 
@@ -119,7 +119,6 @@ def _spanning_from_projectors(
         labels=tuple(labels),
         condition_number=cond,
         set_id=set_id,
-        design=frozen_matrix(design),
         basis=frozen_matrix(basis),
         basis_design=frozen_matrix(basis_design),
     )
@@ -168,6 +167,13 @@ def reconstruct_density(
     multipliers; the reported residual is the max-norm misfit over the
     spanning set, the operationally meaningful per-outcome error.
     """
+    rho_hat, residual, _ = _fit(f, s)
+    return rho_hat, residual
+
+
+def _fit(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, float, np.ndarray]:
+    """reconstruct_density's fit, also returning the frame values it
+    fitted, so that certification evaluates f once per projector."""
     if s.condition_number > 1e8:
         raise IllConditioned(s.condition_number)
     values = np.array([f(p) for p in s.projectors], dtype=float)
@@ -177,7 +183,7 @@ def reconstruct_density(
     rho_hat = hermitize(rho_hat)
     fitted = offsets + s.basis_design @ coeffs
     residual = float(np.max(np.abs(values - fitted)))
-    return frozen_matrix(rho_hat), residual
+    return frozen_matrix(rho_hat), residual, values
 
 
 @dataclass(frozen=True)
@@ -226,14 +232,13 @@ class MarginalityCertificate:
 
 def _non_marginal_witness(
     s: SpanningSet,
-    f: FrameFunction,
+    values: np.ndarray,
     rho_hat: np.ndarray,
     residual: float,
     tol: Tolerances,
 ) -> Witness:
     if residual > tol.lin:
         fits = np.array([np.trace(p.matrix @ rho_hat).real for p in s.projectors])
-        values = np.array([f(p) for p in s.projectors], dtype=float)
         worst = int(np.argmax(np.abs(values - fits)))
         return ResidualWitness(
             projector_key=projector_key(s.projectors[worst], tol),
@@ -262,7 +267,7 @@ def certify_marginal(
     """
     if s is None:
         s = spanning_projectors(f.dim, tol)
-    rho_hat, residual = reconstruct_density(f, s, tol)
+    rho_hat, residual, values = _fit(f, s)
     low = float(np.linalg.eigvalsh(hermitize(rho_hat))[0])
     if residual <= tol.lin and low >= -tol.psd:
         verdict = Verdict.MARGINAL
@@ -272,7 +277,7 @@ def certify_marginal(
         verdict = Verdict.INCONCLUSIVE
     witness = None
     if verdict is Verdict.NON_MARGINAL:
-        witness = _non_marginal_witness(s, f, rho_hat, residual, tol)
+        witness = _non_marginal_witness(s, values, rho_hat, residual, tol)
     return MarginalityCertificate(
         verdict=verdict,
         dim=s.dim,
@@ -332,7 +337,7 @@ def verify_extension(
     d_a, d_b = rho_f.dim, sigma_b.dim
     rho_big = extend_to_composite(rho_f, sigma_b, tol)
     back = partial_trace_b(rho_big, d_a, d_b, tol)
-    pt_err = float(np.linalg.norm(back.matrix - rho_f.matrix, "fro"))
+    pt_err = frobenius(back.matrix - rho_f.matrix)
     dev = 0.0
     for p in projectors:
         lhs = born_probability(embed(p, d_b), rho_big, tol)

@@ -1,6 +1,6 @@
 """Complex matrix algebra foundation: projectors, density matrices,
-tensor products, partial traces, Bloch coordinates and seeded Haar
-unitaries.
+tensor products, partial traces, Bloch coordinates and Haar unitaries
+drawn from an explicit generator.
 
 All public constructors validate their inputs and return immutable
 values (numpy arrays are frozen with ``setflags(write=False)``), so
@@ -64,6 +64,18 @@ def hermitian_residual(m: np.ndarray) -> float:
     return frobenius(m - m.conj().T)
 
 
+def _square_hermitian(matrix, tol: Tolerances, what: str) -> np.ndarray:
+    """The one Hermitian gate: coerce, require a square shape, and
+    reject a Frobenius Hermiticity residual above tol.herm."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
+    res = hermitian_residual(m)
+    if res > tol.herm:
+        raise NotHermitian(res)
+    return m
+
+
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
@@ -116,13 +128,8 @@ def make_projector(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
     the residual of {0, 1}, so the rank (the count of eigenvalues near
     1) equals the rounded trace; the trace is what gets computed.
     """
-    m = as_complex_matrix(matrix)
+    m = _square_hermitian(matrix, tol, "projector matrix")
     d = m.shape[0]
-    if m.shape[1] != d:
-        raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
-    res_h = hermitian_residual(m)
-    if res_h > tol.herm:
-        raise NotHermitian(res_h)
     res_p = frobenius(m @ m - m)
     if res_p > tol.proj:
         raise NotIdempotent(res_p)
@@ -145,13 +152,8 @@ def projector_from_ket(ket, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
 
 def make_density(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    m = as_complex_matrix(matrix)
+    m = _square_hermitian(matrix, tol, "density matrix")
     d = m.shape[0]
-    if m.shape[1] != d:
-        raise DimensionMismatch(f"density matrix must be square, got {m.shape}")
-    res_h = hermitian_residual(m)
-    if res_h > tol.herm:
-        raise NotHermitian(res_h)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > tol.tr:
         raise NotUnitTrace(tr)
@@ -254,11 +256,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_unitary(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar unitary; identical (dim, seed) gives identical output."""
-    return haar_unitary(dim, np.random.default_rng(seed))
-
-
 def random_density_matrix(
     dim: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> DensityMatrix:
@@ -268,14 +265,7 @@ def random_density_matrix(
     return make_density(m / np.trace(m).real, tol)
 
 
-def random_density(dim: int, seed: int, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
-    return random_density_matrix(dim, np.random.default_rng(seed), tol)
-
-
 def min_eigenvalue(h, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    m = as_complex_matrix(h)
-    res = hermitian_residual(m)
-    if res > tol.herm:
-        raise NotHermitian(res)
+    m = _square_hermitian(h, tol, "matrix")
     return float(np.linalg.eigvalsh(hermitize(m))[0])

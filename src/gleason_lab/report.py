@@ -1,7 +1,7 @@
 """Report assembly and deterministic rendering for the CLI.
 
 A report is a plain dict: command name, config echo, results payload,
-pass/fail summary for check-style commands, and one ISO-8601 timestamp.
+summary with its pass flag, and one ISO-8601 timestamp.
 The timestamp is the only non-reproducible field; everything else is
 rendered with sorted keys so identical configs give identical bytes.
 """
@@ -15,16 +15,14 @@ import os
 from datetime import datetime, timezone
 
 
-def build_report(command: str, config: dict, results: dict, summary: dict | None = None) -> dict:
-    report = {
+def build_report(command: str, config: dict, results: dict, summary: dict) -> dict:
+    return {
         "command": command,
         "config": config,
         "results": results,
+        "summary": summary,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if summary is not None:
-        report["summary"] = summary
-    return report
 
 
 def render_json(payload: dict) -> str:
@@ -34,7 +32,7 @@ def render_json(payload: dict) -> str:
 def render_csv(report: dict) -> str:
     """Flatten scalar summary fields only; structures stay JSON-only."""
     flat: dict[str, object] = {"command": report["command"]}
-    for key in sorted(report.get("summary", {})):
+    for key in sorted(report["summary"]):
         value = report["summary"][key]
         if isinstance(value, (str, int, float, bool)):
             flat[f"summary.{key}"] = value
@@ -73,7 +71,6 @@ def write_atomic(text: str, path: str) -> None:
         raise
 
 
-def checked(name: str, value: float, tolerance: float, ok: bool | None = None) -> dict:
+def checked(name: str, value: float, tolerance: float) -> dict:
     """A numeric claim paired with the tolerance it was checked against."""
-    passed = (value <= tolerance) if ok is None else ok
-    return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(passed)}
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(value <= tolerance)}

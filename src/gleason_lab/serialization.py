@@ -17,7 +17,6 @@ from .frames import (
     BornFrameFunction,
     DeterministicFrameFunction,
     FrameFunction,
-    LEX_ZXY_RULE,
     TabulatedFrameFunction,
     born_backed,
     deterministic_qubit,
@@ -32,7 +31,6 @@ from .marginality import (
 from .measurements import PVM, IntertwineGraph, validate_pvm
 from .operators import (
     DensityMatrix,
-    Projector,
     as_complex_matrix,
     make_density,
     make_projector,
@@ -55,8 +53,11 @@ def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
         raise SerializationError(f"{name} is not a nested [re, im] array: {exc}") from None
     # Strings, nulls, objects and integers beyond 64 bits give non-numeric
     # dtypes here; a direct float conversion would accept numeric strings
-    # and raise OverflowError on huge integers.
-    if arr.dtype.kind not in "iuf":
+    # and raise OverflowError on huge integers. Booleans mixed with numbers
+    # come out as numbers, so they are looked for entry by entry.
+    if arr.dtype.kind not in "iuf" or any(
+        isinstance(x, bool) for x in np.asarray(data, dtype=object).flat
+    ):
         raise SerializationError(f"{name} entries must be numbers in float range")
     arr = arr.astype(float)
     if arr.ndim != 3 or arr.shape[2] != 2:
@@ -71,10 +72,6 @@ def operator_to_json(matrix: np.ndarray, kind: str) -> dict:
     if kind not in ("projector", "density", "unitary"):
         raise SerializationError(f"unknown operator kind {kind!r}")
     return {"dim": int(arr.shape[0]), "kind": kind, "matrix": matrix_to_json(arr)}
-
-
-def projector_to_json(p: Projector) -> dict:
-    return operator_to_json(p.matrix, "projector")
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -138,7 +135,7 @@ def frame_to_json(f: FrameFunction) -> dict:
     if isinstance(f, BornFrameFunction):
         return {"dim": f.dim, "repr": "born", "rho": matrix_to_json(f.rho.matrix)}
     if isinstance(f, DeterministicFrameFunction):
-        return {"dim": f.dim, "repr": "deterministic", "rule": f.rule.name}
+        return {"dim": f.dim, "repr": "deterministic", "rule": f.rule}
     if isinstance(f, TabulatedFrameFunction):
         return {
             "dim": f.dim,
@@ -157,8 +154,8 @@ def frame_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> FrameFunc
         rho = make_density(matrix_from_json(_field(obj, "rho", "born frame"), "rho"), tol)
         return born_backed(rho, tol)
     if kind == "deterministic":
-        rule = obj.get("rule", LEX_ZXY_RULE.name)
-        if rule != LEX_ZXY_RULE.name:
+        rule = obj.get("rule", DeterministicFrameFunction.rule)
+        if rule != DeterministicFrameFunction.rule:
             raise SerializationError(f"unknown hemisphere rule {rule!r}")
         return deterministic_qubit()
     if kind == "table":

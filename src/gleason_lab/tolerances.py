@@ -8,6 +8,7 @@ every default keeps two to three orders of magnitude of headroom.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,8 +28,12 @@ class Tolerances:
     lin: float = 1e-9          # max-norm reconstruction residual accepted as consistent
     margin: float = 1e-6       # eigenvalue below -margin certifies non-positivity
 
-    def replace(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
+    def __post_init__(self):
+        # A NaN bound makes every "residual > bound" test false, and a key
+        # grid of 0 or inf divides by zero or merges every projector.
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"tolerance {name} must be finite and > 0, got {value}")
 
     def to_dict(self) -> dict[str, float]:
         return dataclasses.asdict(self)

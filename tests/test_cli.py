@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gleason_lab.cli import main
 from gleason_lab.frames import axis_table, born_backed, definite_xz_table
-from gleason_lab.operators import random_density
+from gleason_lab.operators import random_density_matrix
 from gleason_lab.serialization import frame_to_json, pvm_from_json
 
 
@@ -34,7 +34,7 @@ def strip_timestamp(text: str) -> str:
 @pytest.fixture
 def born_frame_file(tmp_path):
     path = tmp_path / "born.json"
-    path.write_text(json.dumps(frame_to_json(born_backed(random_density(2, 7)))))
+    path.write_text(json.dumps(frame_to_json(born_backed(random_density_matrix(2, np.random.default_rng(7))))))
     return str(path)
 
 
@@ -263,6 +263,19 @@ class TestVerifySuite:
     ], ids=["zero-trials", "empty-dims"])
     def test_vacuous_run_exits_2(self, capsys, argv):
         code, out = run(capsys, "verify-suite", *argv, "--seed", "7")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("option", [
+        ("--perturb", "nan"),
+        ("--perturb", "inf"),
+        ("--tol", "frame=nan"),
+        ("--tol", "lin=-1"),
+        ("--tol", "key=0"),
+        ("--tol", "key=inf"),
+    ], ids=["perturb-nan", "perturb-inf", "frame-nan", "lin-negative", "key-zero", "key-inf"])
+    def test_non_finite_or_non_positive_bound_exits_2(self, capsys, option):
+        code, out = run(capsys, "verify-suite", "--dims", "2", "--trials", "3", *option)
         assert code == 2
         assert out == ""
 

@@ -13,7 +13,6 @@ from gleason_lab.errors import (
     ValueOutOfRange,
 )
 from gleason_lab.frames import (
-    LEX_ZXY_RULE,
     axis_projector,
     axis_table,
     born_backed,
@@ -21,6 +20,7 @@ from gleason_lab.frames import (
     definite_xz_table,
     deterministic_qubit,
     induce,
+    lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
 )
@@ -114,7 +114,7 @@ class TestDeterministicQubit:
         assume((x, y, z) != (0.0, 0.0, 0.0))
         n = BlochVector(x, y, z)
         antipode = BlochVector(-x, -y, -z)
-        assert LEX_ZXY_RULE.accepts(n) != LEX_ZXY_RULE.accepts(antipode)
+        assert lex_zxy_accepts(n) != lex_zxy_accepts(antipode)
 
 
 class TestTabulated:

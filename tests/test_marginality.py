@@ -10,12 +10,14 @@ from gleason_lab.errors import (
     UnsupportedDimension,
 )
 from gleason_lab.frames import (
+    FrameFunction,
     axis_projector,
     axis_table,
     born_backed,
     definite_xz_table,
     deterministic_qubit,
     induce,
+    tabulated,
 )
 from gleason_lab.marginality import (
     BlochWitness,
@@ -212,6 +214,23 @@ class TestCertifyMarginal:
         assert cert.linear_residual <= 1e-9
         assert isinstance(cert.witness, EigenWitness)
         assert cert.witness.min_eig == pytest.approx(low, abs=1e-9)
+
+    def test_evaluates_the_frame_once_per_spanning_projector(self):
+        s = spanning_projectors(3)
+        table = tabulated([(p, 1.0) for p in s.projectors])
+
+        class Counting(FrameFunction):
+            dim = 3
+            calls = 0
+
+            def __call__(self, p):
+                self.calls += 1
+                return table(p)
+
+        f = Counting()
+        cert = certify_marginal(f, s)
+        assert isinstance(cert.witness, ResidualWitness)
+        assert f.calls == len(s)
 
     def test_certificate_records_spanning_set_and_tolerances(self):
         cert = certify_marginal(definite_xz_table())

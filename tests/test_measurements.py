@@ -27,7 +27,6 @@ from gleason_lab.operators import (
     haar_unitary,
     identity,
     make_projector,
-    random_unitary,
     tensor,
 )
 from gleason_lab.serialization import pvm_from_json, pvm_to_json
@@ -105,7 +104,7 @@ class TestPvmFromUnitary:
         assert np.array_equal(pvm.elements[2].matrix, np.diag([0, 0, 1, 1]).astype(complex))
 
     def test_full_partition_gives_trivial_measurement(self):
-        pvm = pvm_from_unitary(random_unitary(3, 5), [3])
+        pvm = pvm_from_unitary(haar_unitary(3, np.random.default_rng(5)), [3])
         assert len(pvm) == 1
         assert np.allclose(pvm.elements[0].matrix, identity(3), atol=1e-12)
 

@@ -27,7 +27,6 @@ from gleason_lab.operators import (
     partial_trace_b,
     partial_trace_matrix,
     random_density_matrix,
-    random_unitary,
     tensor,
 )
 
@@ -218,27 +217,33 @@ class TestBloch:
 class TestRandomUnitary:
     def test_unitarity(self):
         for dim, seed in ((2, 1), (3, 99), (4, 2**40)):
-            u = random_unitary(dim, seed)
+            u = haar_unitary(dim, np.random.default_rng(seed))
             assert np.linalg.norm(u.conj().T @ u - identity(dim), "fro") <= 1e-12
 
     def test_deterministic_for_fixed_seed(self):
-        assert np.array_equal(random_unitary(4, 1234), random_unitary(4, 1234))
-        assert not np.array_equal(random_unitary(4, 1234), random_unitary(4, 1235))
+        assert np.array_equal(
+            haar_unitary(4, np.random.default_rng(1234)),
+            haar_unitary(4, np.random.default_rng(1234)),
+        )
+        assert not np.array_equal(
+            haar_unitary(4, np.random.default_rng(1234)),
+            haar_unitary(4, np.random.default_rng(1235)),
+        )
 
     def test_dim_one_is_a_phase(self):
-        u = random_unitary(1, 5)
+        u = haar_unitary(1, np.random.default_rng(5))
         assert u.shape == (1, 1)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
     def test_gram_matrix_of_columns(self):
-        u = random_unitary(4, 77)
+        u = haar_unitary(4, np.random.default_rng(77))
         gram = u.conj().T @ u
         off_diag = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off_diag)) <= 1e-12
 
     def test_rejects_dim_zero(self):
         with pytest.raises(ValueError):
-            random_unitary(0, 1)
+            haar_unitary(0, np.random.default_rng(1))
 
 
 class TestMinEigenvalue:
@@ -257,6 +262,10 @@ class TestMinEigenvalue:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            min_eigenvalue(np.zeros((2, 3)))
 
 
 class TestBlochVectorType:

@@ -19,7 +19,6 @@ from gleason_lab.measurements import (
 from gleason_lab.operators import (
     haar_unitary,
     random_density_matrix,
-    random_unitary,
 )
 from gleason_lab.serialization import (
     certificate_to_json,
@@ -63,12 +62,12 @@ class TestMatrixEncoding:
 
 class TestOperatorEncoding:
     def test_kind_and_dim_fields(self, rng):
-        obj = operator_to_json(random_unitary(3, 8), "unitary")
+        obj = operator_to_json(haar_unitary(3, np.random.default_rng(8)), "unitary")
         assert obj["dim"] == 3
         assert obj["kind"] == "unitary"
         kind, back = operator_from_json(json_round_trip(obj))
         assert kind == "unitary"
-        assert np.array_equal(back, random_unitary(3, 8))
+        assert np.array_equal(back, haar_unitary(3, np.random.default_rng(8)))
 
     def test_projector_and_density_helpers(self, rng):
         p = rank1_projector(2, rng)
@@ -83,7 +82,7 @@ class TestOperatorEncoding:
             operator_to_json(rank1_projector(2, rng).matrix, "hamiltonian")
 
     def test_dim_mismatch_rejected(self, rng):
-        obj = operator_to_json(random_unitary(3, 8), "unitary")
+        obj = operator_to_json(haar_unitary(3, np.random.default_rng(8)), "unitary")
         obj["dim"] = 4
         with pytest.raises(SerializationError):
             operator_from_json(obj)
@@ -125,7 +124,7 @@ class TestFrameEncoding:
         obj = json_round_trip(frame_to_json(deterministic_qubit()))
         assert obj == {"dim": 2, "repr": "deterministic", "rule": "lex-zxy"}
         back = frame_from_json(obj)
-        assert back.rule.name == "lex-zxy"
+        assert back.rule == "lex-zxy"
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(SerializationError):
@@ -162,9 +161,14 @@ P1_JSON = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": 5}),
     (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": {"a": 1}}),
     (frame_from_json, {"repr": "born", "rho": [[[10**400, 0.0]]]}),
+    (frame_from_json, {"repr": "born", "rho": [[[True, 0.0]]]}),
+    (frame_from_json, {"repr": "table", "entries": [
+        {"projector": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]], "value": 1.0},
+    ]}),
 ], ids=[
     "entries-int", "entries-str", "entries-of-ints", "value-list",
     "elements-int", "labels-int", "labels-object", "huge-int",
+    "rho-bool", "projector-bool",
 ])
 def test_malformed_containers_and_scalars_rejected(decode, obj):
     with pytest.raises(SerializationError):

@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Replay a fixed list of seeded gleason-lab CLI runs and record their output.
+
+    python tools/replay.py OUTDIR [--src TREE/src]
+
+The runs cover all seven subcommands. For each run, OUTDIR receives
+``<name>.stdout`` (stdout without the ``"timestamp"`` line),
+``<name>.stderr``, ``<name>.exit`` (the exit code) and, when the run
+writes an artifact, ``artifacts/<name>.out`` (without the
+``"timestamp"`` line, which a report artifact carries). Everything
+else a run prints is fixed by its seed and inputs, so two trees that
+behave the same give identical directories:
+
+    python tools/replay.py before --src OLD_TREE/src
+    python tools/replay.py after --src src
+    diff -r before after
+
+The input frames and PVMs are built here with plain numpy and json,
+never with gleason_lab, so both trees read the same bytes. Each run
+starts in OUTDIR and names its files by relative path, which keeps the
+paths echoed in the reports the same for any OUTDIR. GLEASON_LAB_SEED
+is removed from the environment of every run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+AXES = {
+    "+x": (1.0, 0.0, 0.0), "-x": (-1.0, 0.0, 0.0),
+    "+y": (0.0, 1.0, 0.0), "-y": (0.0, -1.0, 0.0),
+    "+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0),
+}
+
+
+def matrix_json(m) -> list:
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def random_state(dim: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def axis_projector(axis: str) -> np.ndarray:
+    x, y, z = AXES[axis]
+    return 0.5 * (np.eye(2) + x * PAULI[0] + y * PAULI[1] + z * PAULI[2])
+
+
+def axis_table(values: dict[str, float]) -> dict:
+    return {
+        "dim": 2,
+        "repr": "table",
+        "entries": [
+            {"projector": matrix_json(axis_projector(a)), "value": v} for a, v in values.items()
+        ],
+    }
+
+
+def random_pvm(dim: int, ranks: list[int], seed: int) -> dict:
+    g = np.random.default_rng(seed).standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
+    q, _ = np.linalg.qr(g)
+    elements = []
+    start = 0
+    for r in ranks:
+        cols = q[:, start:start + r]
+        elements.append(matrix_json(cols @ cols.conj().T))
+        start += r
+    return {"dim": dim, "elements": elements, "labels": [str(i) for i in range(len(ranks))]}
+
+
+INPUTS = {
+    "born2.json": {"dim": 2, "repr": "born", "rho": matrix_json(random_state(2, 7))},
+    "born4.json": {"dim": 4, "repr": "born", "rho": matrix_json(random_state(4, 11))},
+    "deterministic.json": {"dim": 2, "repr": "deterministic", "rule": "lex-zxy"},
+    "xz.json": axis_table({"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0}),
+    "inconsistent.json": axis_table(
+        {"+x": 0.9, "-x": 0.3, "+y": 0.5, "-y": 0.5, "+z": 0.5, "-z": 0.5}
+    ),
+    "pvm4.json": random_pvm(4, [2, 1, 1], 6),
+    "pvm3.json": random_pvm(3, [1, 1, 1], 5),
+}
+
+# (name, argv, writes an artifact)
+RUNS = [
+    ("verify-suite-2348", ["verify-suite", "--dims", "2,3,4,8", "--trials", "40",
+                           "--seed", "31337"], False),
+    ("verify-suite-perturb", ["verify-suite", "--dims", "2,5", "--trials", "10", "--seed", "3",
+                              "--perturb", "1e-3"], False),
+    ("verify-suite-234", ["verify-suite", "--dims", "2,3,4", "--trials", "200",
+                          "--seed", "7"], False),
+    ("verify-suite-csv", ["verify-suite", "--dims", "3", "--trials", "5", "--seed", "9",
+                          "--format", "csv"], False),
+    ("gen-pvm-8", ["gen-pvm", "--dim", "8", "--ranks", "1,2,1,3,1", "--seed", "5"], True),
+    ("gen-pvm-csv", ["gen-pvm", "--dim", "3", "--seed", "1", "--format", "csv"], True),
+    ("eval-generated", ["eval", "--frame", "inputs/born4.json", "--dim", "4", "--seed", "2"],
+     True),
+    ("eval-pvm", ["eval", "--frame", "inputs/born4.json", "--pvm", "inputs/pvm4.json"], False),
+    ("eval-pvm-mismatch", ["eval", "--frame", "inputs/born4.json", "--pvm", "inputs/pvm3.json"],
+     False),
+    ("check-born2", ["check-marginal", "--frame", "inputs/born2.json"], True),
+    ("check-born4", ["check-marginal", "--frame", "inputs/born4.json"], True),
+    ("check-deterministic", ["check-marginal", "--frame", "inputs/deterministic.json"], True),
+    ("check-xz", ["check-marginal", "--frame", "inputs/xz.json"], True),
+    ("check-inconsistent", ["check-marginal", "--frame", "inputs/inconsistent.json"], True),
+    ("reconstruct-xz", ["reconstruct", "--frame", "inputs/xz.json"], False),
+    ("reconstruct-born4", ["reconstruct", "--frame", "inputs/born4.json"], False),
+    ("demo-counterexample", ["demo-counterexample", "--seed", "4"], False),
+    ("demo-counterexample-rho", ["demo-counterexample", "--seed", "4", "--rho-backed"], False),
+    ("demo-intertwine", ["demo-intertwine", "--n-psi", "15", "--seed", "8"], False),
+]
+
+
+def without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(True) if '"timestamp"' not in line)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="directory to fill; created if missing")
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                        help="source directory holding gleason_lab (default: this tree's src)")
+    args = parser.parse_args(argv)
+
+    outdir = os.path.abspath(args.outdir)
+    os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
+    os.makedirs(os.path.join(outdir, "artifacts"), exist_ok=True)
+    for name, obj in INPUTS.items():
+        with open(os.path.join(outdir, "inputs", name), "w") as handle:
+            json.dump(obj, handle, indent=1)
+
+    env = {k: v for k, v in os.environ.items() if k != "GLEASON_LAB_SEED"}
+    env["PYTHONPATH"] = os.path.abspath(args.src)
+    for name, cli_args, writes in RUNS:
+        out = f"artifacts/{name}.out"
+        if writes:
+            cli_args = cli_args + ["--out", out]
+        proc = subprocess.run([sys.executable, "-m", "gleason_lab.cli", *cli_args],
+                              cwd=outdir, env=env, capture_output=True, text=True)
+        records = {
+            f"{name}.stdout": without_timestamp(proc.stdout),
+            f"{name}.stderr": proc.stderr,
+            f"{name}.exit": f"{proc.returncode}\n",
+        }
+        if writes and os.path.exists(os.path.join(outdir, out)):
+            with open(os.path.join(outdir, out)) as handle:
+                records[out] = without_timestamp(handle.read())
+        for rel, text in records.items():
+            with open(os.path.join(outdir, rel), "w") as handle:
+                handle.write(text)
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
