@@ -16,7 +16,6 @@ from .errors import (
     GleasonLabError,
     IllConditioned,
     Incomplete,
-    MixedDimensions,
     NonPhysicalBloch,
     NotApplicable,
     NotHermitian,
@@ -81,7 +80,6 @@ from .operators import (
     Projector,
     bloch_to_density,
     born_probability,
-    density_to_bloch,
     haar_unitary,
     make_density,
     make_projector,

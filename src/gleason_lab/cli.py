@@ -6,12 +6,13 @@ report (JSON by default, CSV summary with --format csv) to stdout;
 --out writes the command's primary artifact atomically. The environment
 variable GLEASON_LAB_SEED supplies a default seed.
 
-Exit codes: 0 success (or verdict Marginal / all checks passed),
-1 I/O failure, 2 parse or domain failure (including malformed JSON
-input, a tolerance that is not finite and > 0, and verify-suite with no
-dims, zero trials or a non-finite --perturb, which would check
-nothing), 3 verdict NonMarginal or failed checks, 4 verdict
-Inconclusive.
+Exit codes follow the report's summary: 0 when its "pass" is true,
+4 when it is false with verdict Inconclusive, 3 when it is false
+otherwise (a NonMarginal verdict or a failed check). 1 is an I/O
+failure and 2 a parse or domain failure (including malformed JSON
+input, a tolerance that is not finite and > 0, --dim above 64, and
+verify-suite with no dims, zero trials or a non-finite --perturb, which
+would check nothing); neither prints a report.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ EXIT_IO = 1
 EXIT_DOMAIN = 2
 EXIT_NON_MARGINAL = 3
 EXIT_INCONCLUSIVE = 4
-
-_VERDICT_EXIT = {
-    Verdict.MARGINAL: EXIT_OK,
-    Verdict.NON_MARGINAL: EXIT_NON_MARGINAL,
-    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-}
 
 
 def _int_list(text: str) -> list[int]:
@@ -176,15 +171,16 @@ def _load_json(path: str):
         return json.load(handle)
 
 
-# A handler returns its config entries, results, summary, the --out
-# artifact text (None writes the rendered report) and the exit code.
-Outcome = tuple[dict, dict, dict, str | None, int]
+# A handler returns its config entries, results, summary and the --out
+# artifact text (None writes the rendered report); main derives the
+# exit code from the summary.
+Outcome = tuple[dict, dict, dict, str | None]
 
 
 def _random_pvm(args, seed: int, tol: Tolerances) -> tuple[PVM, list[int]]:
     """PVM of a seeded Haar unitary in --ranks blocks (default: all rank 1)."""
-    ranks = args.ranks if args.ranks is not None else [1] * args.dim
     u = haar_unitary(args.dim, np.random.default_rng(seed))
+    ranks = args.ranks if args.ranks is not None else [1] * args.dim
     return pvm_from_unitary(u, ranks, tol), ranks
 
 
@@ -204,9 +200,9 @@ def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> Outcome:
         "outcomes": len(pvm),
         "max_orthogonality_residual": max_orth,
         "completeness_residual": completeness,
-        "pass": max_orth <= tol.pvm and completeness <= tol.pvm,
+        "pass": all(c["pass"] for c in results["checks"]),
     }
-    return {"dim": args.dim, "ranks": ranks}, results, summary, render_json(pvm_json), EXIT_OK
+    return {"dim": args.dim, "ranks": ranks}, results, summary, render_json(pvm_json)
 
 
 def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
@@ -222,7 +218,7 @@ def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
     if frame.dim != pvm.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != PVM dim {pvm.dim}")
     values = [frame(e) for e in pvm.elements]
-    residual = check_normalization(frame, pvm)
+    residual = abs(sum(values) - 1.0)
     results = {
         "values": [
             {"label": label, "value": value}
@@ -234,16 +230,16 @@ def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
         "dim": pvm.dim,
         "outcomes": len(pvm),
         "normalization_residual": residual,
-        "pass": residual <= tol.frame,
+        "pass": results["normalization"]["pass"],
     }
-    return {"frame_file": args.frame, **source}, results, summary, None, EXIT_OK
+    return {"frame_file": args.frame, **source}, results, summary, None
 
 
 def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> Outcome:
     frame = frame_from_json(_load_json(args.frame), tol)
     if args.dim is not None and args.dim != frame.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != requested dim {args.dim}")
-    cert = certify_marginal(frame, spanning_projectors(frame.dim, tol), tol)
+    cert = certify_marginal(frame, tol=tol)
     cert_json = certificate_to_json(cert)
     results = {"certificate": cert_json}
     if cert.verdict is Verdict.NON_MARGINAL:
@@ -255,13 +251,13 @@ def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> Outcome:
         "pass": cert.verdict is Verdict.MARGINAL,
     }
     config = {"frame_file": args.frame, "dim": frame.dim}
-    return config, results, summary, render_json(cert_json), _VERDICT_EXIT[cert.verdict]
+    return config, results, summary, render_json(cert_json)
 
 
 def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> Outcome:
     frame = frame_from_json(_load_json(args.frame), tol)
     spanning = spanning_projectors(frame.dim, tol)
-    rho_hat, residual = reconstruct_density(frame, spanning, tol)
+    rho_hat, residual = reconstruct_density(frame, spanning)
     results = {
         "rho_hat": matrix_to_json(rho_hat),
         "linear_residual": checked("linear_residual", residual, tol.lin),
@@ -271,10 +267,10 @@ def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> Outcome:
     summary = {
         "dim": frame.dim,
         "linear_residual": residual,
-        "consistent": residual <= tol.lin,
+        "consistent": results["linear_residual"]["pass"],
         "pass": True,
     }
-    return {"frame_file": args.frame, "dim": frame.dim}, results, summary, None, EXIT_OK
+    return {"frame_file": args.frame, "dim": frame.dim}, results, summary, None
 
 
 def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
@@ -290,7 +286,7 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
     for _ in range(n_pvms):
         pvm = random_qubit_pvm_pair(rng, tol)
         max_residual = max(max_residual, check_normalization(frame, pvm))
-    cert = certify_marginal(frame, spanning_projectors(2, tol), tol)
+    cert = certify_marginal(frame, tol=tol)
     ok = max_residual <= tol.frame and cert.verdict is expected
     results = {
         "frame_repr": "born" if args.rho_backed else "deterministic",
@@ -309,7 +305,7 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
         "pass": ok,
     }
     config = {"rho_backed": bool(args.rho_backed)}
-    return config, results, summary, None, EXIT_OK if ok else EXIT_NON_MARGINAL
+    return config, results, summary, None
 
 
 def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
@@ -343,7 +339,7 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
         "other_composite_max_degree": other_max,
         "pass": ok,
     }
-    return {"n_psi": n}, results, summary, None, EXIT_OK if ok else EXIT_NON_MARGINAL
+    return {"n_psi": n}, results, summary, None
 
 
 def _normalization_trial(rng, d, tol, perturb) -> float:
@@ -447,7 +443,7 @@ def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> Outcome:
         "pass": failures == 0,
     }
     config = {"dims": list(dims), "trials": trials, "perturb": args.perturb}
-    return config, results, summary, None, EXIT_OK if failures == 0 else EXIT_NON_MARGINAL
+    return config, results, summary, None
 
 
 _HANDLERS = {
@@ -466,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         tol = _resolve_tolerances(args)
         seed = _resolve_seed(args)
-        extra, results, summary, artifact_text, code = _HANDLERS[args.command](args, seed, tol)
+        extra, results, summary, artifact_text = _HANDLERS[args.command](args, seed, tol)
         config = {"seed": seed, "format": args.format, "out": args.out,
                   "tolerances": tol.to_dict(), **extra}
         report = build_report(args.command, config, results, summary)
@@ -476,7 +472,11 @@ def main(argv: list[str] | None = None) -> int:
                 artifact_text = rendered
             write_atomic(artifact_text, args.out)
         sys.stdout.write(rendered)
-        return code
+        if summary["pass"]:
+            return EXIT_OK
+        if summary.get("verdict") == Verdict.INCONCLUSIVE.value:
+            return EXIT_INCONCLUSIVE
+        return EXIT_NON_MARGINAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

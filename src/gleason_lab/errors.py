@@ -78,10 +78,6 @@ class NotNormalized(GleasonLabError):
         self.norm = norm
 
 
-class MixedDimensions(GleasonLabError):
-    pass
-
-
 class UnsupportedDimension(GleasonLabError):
     pass
 
@@ -111,9 +107,13 @@ class UndefinedProjector(GleasonLabError):
 
 
 class IllConditioned(GleasonLabError):
-    def __init__(self, condition_number: float):
-        super().__init__(f"design matrix condition number {condition_number:.3e} exceeds 1e8")
+    def __init__(self, condition_number: float, max_condition_number: float):
+        super().__init__(
+            f"design matrix condition number {condition_number:.3e} "
+            f"exceeds {max_condition_number:.0e}"
+        )
         self.condition_number = condition_number
+        self.max_condition_number = max_condition_number
 
 
 class NotApplicable(GleasonLabError):

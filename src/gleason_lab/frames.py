@@ -109,28 +109,25 @@ class TabulatedFrameFunction(FrameFunction):
             raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
         self.dim = entries[0][0].dim
         self._tol = tol
-        self._values: dict[str, float] = {}
-        self._entries: list[tuple[Projector, float]] = []
+        # key -> (first projector stored under it, value), in input order
+        self._table: dict[str, tuple[Projector, float]] = {}
         for p, v in entries:
             v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueOutOfRange(f"tabulated value {v} outside [0, 1]")
             k = projector_key(p, tol)
-            if k in self._values:
-                if self._values[k] != v:
-                    raise ContextualConflict(k, self._values[k], v)
-                continue
-            self._values[k] = v
-            self._entries.append((p, v))
+            stored = self._table.setdefault(k, (p, v))[1]
+            if stored != v:
+                raise ContextualConflict(k, stored, v)
 
     @property
     def entries(self) -> tuple[tuple[Projector, float], ...]:
-        return tuple(self._entries)
+        return tuple(self._table.values())
 
     def __call__(self, p: Projector) -> float:
         k = projector_key(p, self._tol)
         try:
-            return self._values[k]
+            return self._table[k][1]
         except KeyError:
             raise UndefinedProjector(k) from None
 
@@ -178,10 +175,7 @@ def induce(f_composite: FrameFunction, d_a: int, d_b: int) -> InducedFrameFuncti
 
 def check_normalization(f: FrameFunction, m: PVM) -> float:
     """|sum_x f(P_x) - 1| over the PVM's outcomes."""
-    total = 0.0
-    for e in m.elements:
-        total += f(e)
-    return abs(total - 1.0)
+    return abs(sum(f(e) for e in m.elements) - 1.0)
 
 
 AXIS_BLOCH: dict[str, tuple[float, float, float]] = {

@@ -37,7 +37,7 @@ from .operators import (
     projector_from_ket,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, MAX_CONDITION_NUMBER, Tolerances
 
 
 class Verdict(str, enum.Enum):
@@ -155,11 +155,7 @@ def spanning_projectors(dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> Spann
     return _spanning_from_projectors(dim, projectors, labels, f"grid-d{dim}")
 
 
-def reconstruct_density(
-    f: FrameFunction,
-    s: SpanningSet,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[np.ndarray, float]:
+def reconstruct_density(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, float]:
     """Least-squares unit-trace Hermitian fit to frame-function values.
 
     The candidate is expanded as I/d plus a traceless Hermitian
@@ -167,23 +163,21 @@ def reconstruct_density(
     multipliers; the reported residual is the max-norm misfit over the
     spanning set, the operationally meaningful per-outcome error.
     """
-    rho_hat, residual, _ = _fit(f, s)
-    return rho_hat, residual
+    rho_hat, misfit = _fit(f, s)
+    return rho_hat, float(np.max(np.abs(misfit)))
 
 
-def _fit(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, float, np.ndarray]:
-    """reconstruct_density's fit, also returning the frame values it
-    fitted, so that certification evaluates f once per projector."""
-    if s.condition_number > 1e8:
-        raise IllConditioned(s.condition_number)
+def _fit(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, np.ndarray]:
+    """reconstruct_density's fit, returning the per-projector misfit
+    (value minus fitted value) in place of its max norm."""
+    if s.condition_number > MAX_CONDITION_NUMBER:
+        raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
     values = np.array([f(p) for p in s.projectors], dtype=float)
     offsets = np.array([p.rank / s.dim for p in s.projectors], dtype=float)
     coeffs, *_ = np.linalg.lstsq(s.basis_design, values - offsets, rcond=None)
     rho_hat = identity(s.dim) / s.dim + np.tensordot(coeffs, s.basis, axes=1)
-    rho_hat = hermitize(rho_hat)
-    fitted = offsets + s.basis_design @ coeffs
-    residual = float(np.max(np.abs(values - fitted)))
-    return frozen_matrix(rho_hat), residual, values
+    misfit = values - (offsets + s.basis_design @ coeffs)
+    return frozen_matrix(hermitize(rho_hat)), misfit
 
 
 @dataclass(frozen=True)
@@ -230,28 +224,6 @@ class MarginalityCertificate:
     spanning_set_id: str
 
 
-def _non_marginal_witness(
-    s: SpanningSet,
-    values: np.ndarray,
-    rho_hat: np.ndarray,
-    residual: float,
-    tol: Tolerances,
-) -> Witness:
-    if residual > tol.lin:
-        fits = np.array([np.trace(p.matrix @ rho_hat).real for p in s.projectors])
-        worst = int(np.argmax(np.abs(values - fits)))
-        return ResidualWitness(
-            projector_key=projector_key(s.projectors[worst], tol),
-            label=s.labels[worst],
-            residual=float(abs(values[worst] - fits[worst])),
-        )
-    if s.dim == 2:
-        b = bloch_of_matrix(rho_hat)
-        return BlochWitness(bloch=b.as_tuple(), norm=b.norm())
-    eigvals, eigvecs = np.linalg.eigh(hermitize(rho_hat))
-    return EigenWitness(min_eig=float(eigvals[0]), eigenvector=frozen_matrix(eigvecs[:, 0]))
-
-
 def certify_marginal(
     f: FrameFunction,
     s: SpanningSet | None = None,
@@ -267,17 +239,30 @@ def certify_marginal(
     """
     if s is None:
         s = spanning_projectors(f.dim, tol)
-    rho_hat, residual, values = _fit(f, s)
-    low = float(np.linalg.eigvalsh(hermitize(rho_hat))[0])
-    if residual <= tol.lin and low >= -tol.psd:
+    rho_hat, misfit = _fit(f, s)
+    residual = float(np.max(np.abs(misfit)))
+    low = float(np.linalg.eigvalsh(rho_hat)[0])
+    # Each witness reuses the numbers above. Misfits often tie exactly (an
+    # antipodal qubit pair always does), so the residual witness names
+    # the first projector within tol.lin of the linear residual.
+    verdict, witness = Verdict.NON_MARGINAL, None
+    if residual > tol.lin:
+        worst = int(np.argmax(np.abs(misfit) >= residual - tol.lin))
+        witness = ResidualWitness(
+            projector_key=projector_key(s.projectors[worst], tol),
+            label=s.labels[worst],
+            residual=residual,
+        )
+    elif low >= -tol.psd:
         verdict = Verdict.MARGINAL
-    elif residual > tol.lin or low < -tol.margin:
-        verdict = Verdict.NON_MARGINAL
-    else:
+    elif low >= -tol.margin:
         verdict = Verdict.INCONCLUSIVE
-    witness = None
-    if verdict is Verdict.NON_MARGINAL:
-        witness = _non_marginal_witness(s, values, rho_hat, residual, tol)
+    elif s.dim == 2:
+        b = bloch_of_matrix(rho_hat)
+        witness = BlochWitness(bloch=b.as_tuple(), norm=b.norm())
+    else:
+        _, eigvecs = np.linalg.eigh(rho_hat)
+        witness = EigenWitness(min_eig=low, eigenvector=frozen_matrix(eigvecs[:, 0]))
     return MarginalityCertificate(
         verdict=verdict,
         dim=s.dim,

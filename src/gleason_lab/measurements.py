@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     Incomplete,
-    MixedDimensions,
     NotNormalized,
     NotOrthogonal,
     PartitionMismatch,
@@ -262,17 +261,15 @@ def intertwine_graph(
     pvm_list = list(pvms)
     dims = {m.dim for m in pvm_list}
     if len(dims) > 1:
-        raise MixedDimensions(f"PVMs live on mixed dimensions {sorted(dims)}")
+        raise DimensionMismatch(f"PVMs live on mixed dimensions {sorted(dims)}")
     incidence: list[tuple[str, int]] = []
-    ranks: dict[str, int] = {}
-    members: dict[str, set[int]] = {}
+    nodes: dict[str, tuple[int, set[int]]] = {}   # key -> (rank, PVM indices)
     for idx, m in enumerate(pvm_list):
         for e in m.elements:
             k = projector_key(e, tol)
             incidence.append((k, idx))
-            ranks.setdefault(k, e.rank)
-            members.setdefault(k, set()).add(idx)
-    nodes = tuple(
-        GraphNode(key=k, rank=ranks[k], degree=len(members[k])) for k in ranks
+            nodes.setdefault(k, (e.rank, set()))[1].add(idx)
+    return IntertwineGraph(
+        nodes=tuple(GraphNode(key=k, rank=r, degree=len(s)) for k, (r, s) in nodes.items()),
+        incidence=tuple(incidence),
     )
-    return IntertwineGraph(nodes=nodes, incidence=tuple(incidence))

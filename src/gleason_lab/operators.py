@@ -60,17 +60,13 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def hermitian_residual(m: np.ndarray) -> float:
-    return frobenius(m - m.conj().T)
-
-
 def _square_hermitian(matrix, tol: Tolerances, what: str) -> np.ndarray:
     """The one Hermitian gate: coerce, require a square shape, and
     reject a Frobenius Hermiticity residual above tol.herm."""
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {m.shape}")
-    res = hermitian_residual(m)
+    res = frobenius(m - m.conj().T)
     if res > tol.herm:
         raise NotHermitian(res)
     return m
@@ -224,10 +220,6 @@ def bloch_to_density(
     return make_density(m, tol)
 
 
-def density_to_bloch(rho: DensityMatrix) -> BlochVector:
-    return bloch_of_matrix(rho.matrix)
-
-
 def bloch_of_matrix(m: np.ndarray) -> BlochVector:
     """Pauli expectations of an arbitrary 2x2 Hermitian matrix (no
     positivity assumed, e.g. reconstruction candidates)."""
@@ -246,9 +238,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
     QR of a complex Ginibre matrix; the triangular factor's diagonal is
     rephased to be real-positive, which removes the QR gauge bias.
+    Dimensions above MAX_COMPOSITE_DIM raise DimensionOverflow before
+    anything is drawn.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    if dim > MAX_COMPOSITE_DIM:
+        raise DimensionOverflow(dim, MAX_COMPOSITE_DIM)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)

@@ -53,3 +53,8 @@ DEFAULT_TOLERANCES = Tolerances()
 # Composite Hilbert spaces larger than this are rejected; everything the
 # library demonstrates fits in dimension 8.
 MAX_COMPOSITE_DIM = 64
+
+# Spanning sets whose design matrix has a larger condition number are
+# refused: a least-squares fit through them amplifies round-off past
+# every tolerance above.
+MAX_CONDITION_NUMBER = 1e8

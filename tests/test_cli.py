@@ -10,10 +10,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gleason_lab.cli
 from gleason_lab.cli import main
-from gleason_lab.frames import axis_table, born_backed, definite_xz_table
+from gleason_lab.frames import (
+    FrameFunction,
+    axis_projector,
+    axis_table,
+    born_backed,
+    definite_xz_table,
+)
+from gleason_lab.measurements import validate_pvm
 from gleason_lab.operators import random_density_matrix
-from gleason_lab.serialization import frame_to_json, pvm_from_json
+from gleason_lab.serialization import frame_to_json, pvm_from_json, pvm_to_json
 
 
 def run(capsys, *argv):
@@ -43,6 +51,24 @@ def xz_frame_file(tmp_path):
     path = tmp_path / "xz.json"
     path.write_text(json.dumps(frame_to_json(definite_xz_table())))
     return str(path)
+
+
+@pytest.fixture
+def x_pvm_file(tmp_path):
+    path = tmp_path / "x_pvm.json"
+    pvm = validate_pvm([axis_projector("+x"), axis_projector("-x")], labels=["+x", "-x"])
+    path.write_text(json.dumps(pvm_to_json(pvm)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["gen-pvm", "eval"])
+def test_dim_above_the_cap_exits_2_before_drawing(capsys, born_frame_file, command):
+    argv = ["gen-pvm"] if command == "gen-pvm" else ["eval", "--frame", born_frame_file]
+    code = main([*argv, "--dim", "65", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "dimension 65 exceeds the configured cap 64" in captured.err
 
 
 class TestGenPvm:
@@ -113,6 +139,36 @@ class TestEval:
     def test_table_frame_undefined_on_random_pvm(self, capsys, xz_frame_file):
         code, _ = run(capsys, "eval", "--frame", xz_frame_file, "--dim", "2", "--seed", "5")
         assert code == 2
+
+    def test_unnormalized_table_fails_with_exit_3(self, capsys, tmp_path, x_pvm_file):
+        frame_file = tmp_path / "x_table.json"
+        frame_file.write_text(json.dumps(frame_to_json(axis_table({"+x": 0.9, "-x": 0.3}))))
+        code, report = run_json(capsys, "eval", "--frame", str(frame_file), "--pvm", x_pvm_file)
+        assert code == 3
+        assert report["summary"]["pass"] is False
+        assert report["results"]["normalization"]["pass"] is False
+
+    def test_evaluates_each_element_once(self, capsys, monkeypatch, born_frame_file,
+                                         x_pvm_file):
+        load = gleason_lab.cli.frame_from_json
+        calls = []
+
+        def counting_frame_from_json(obj, tol):
+            frame = load(obj, tol)
+
+            class Counting(FrameFunction):
+                dim = frame.dim
+
+                def __call__(self, p):
+                    calls.append(p)
+                    return frame(p)
+
+            return Counting()
+
+        monkeypatch.setattr(gleason_lab.cli, "frame_from_json", counting_frame_from_json)
+        code, _ = run(capsys, "eval", "--frame", born_frame_file, "--pvm", x_pvm_file)
+        assert code == 0
+        assert len(calls) == 2
 
     def test_missing_frame_file_exits_1(self, capsys):
         code, _ = run(capsys, "eval", "--frame", "/no/such/file.json", "--dim", "2")

@@ -215,6 +215,30 @@ class TestCertifyMarginal:
         assert isinstance(cert.witness, EigenWitness)
         assert cert.witness.min_eig == pytest.approx(low, abs=1e-9)
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_residual_witness_reuses_the_fit(self, axis):
+        # The misfits of +a and -a tie exactly; the first one is named,
+        # and the witness reports the certificate's own linear residual.
+        values = {f"{sign}{a}": 0.5 for a in "xyz" for sign in "+-"}
+        values[f"+{axis}"], values[f"-{axis}"] = 0.9, 0.3
+        cert = certify_marginal(axis_table(values))
+        assert cert.verdict is Verdict.NON_MARGINAL
+        assert isinstance(cert.witness, ResidualWitness)
+        assert cert.witness.label == f"+{axis}"
+        assert cert.witness.residual == cert.linear_residual
+
+    def test_eigen_witness_reuses_the_certificate_eigenvalue(self):
+        g = np.random.default_rng(2).standard_normal((3, 3, 2)) @ np.array([1.0, 1j])
+        q, _ = np.linalg.qr(g)
+        m = q @ np.diag([-0.03, 0.33, 0.7]) @ q.conj().T
+        s = spanning_projectors(3)
+        table = [(p, float(np.trace(p.matrix @ m).real)) for p in s.projectors]
+        cert = certify_marginal(tabulated(table), s)
+        assert cert.verdict is Verdict.NON_MARGINAL
+        assert isinstance(cert.witness, EigenWitness)
+        assert cert.witness.min_eig == cert.min_eig
+        assert cert.min_eig == pytest.approx(-0.03, abs=1e-12)
+
     def test_evaluates_the_frame_once_per_spanning_projector(self):
         s = spanning_projectors(3)
         table = tabulated([(p, 1.0) for p in s.projectors])

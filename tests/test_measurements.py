@@ -8,7 +8,6 @@ from gleason_lab.errors import (
     DimensionOverflow,
     EmptySet,
     Incomplete,
-    MixedDimensions,
     NotNormalized,
     NotOrthogonal,
     PartitionMismatch,
@@ -267,7 +266,7 @@ class TestIntertwineGraph:
     def test_mixed_dimensions_rejected(self, rng):
         qubit = pvm_from_unitary(haar_unitary(2, rng), [1, 1])
         qutrit = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
-        with pytest.raises(MixedDimensions):
+        with pytest.raises(DimensionMismatch):
             intertwine_graph([qubit, qutrit])
 
     def test_duplicate_pvm_counts_once_per_pvm(self):

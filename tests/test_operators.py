@@ -16,9 +16,9 @@ from gleason_lab.operators import (
     PAULI_X,
     PAULI_Z,
     BlochVector,
+    bloch_of_matrix,
     bloch_to_density,
     born_probability,
-    density_to_bloch,
     haar_unitary,
     identity,
     make_density,
@@ -208,7 +208,7 @@ class TestBloch:
     def test_round_trip(self, x, y, z):
         assume(x * x + y * y + z * z <= 1.0)
         r = BlochVector(x, y, z)
-        back = density_to_bloch(bloch_to_density(r))
+        back = bloch_of_matrix(bloch_to_density(r).matrix)
         assert abs(back.x - x) <= 1e-12
         assert abs(back.y - y) <= 1e-12
         assert abs(back.z - z) <= 1e-12

@@ -69,6 +69,35 @@ def axis_table(values: dict[str, float]) -> dict:
     }
 
 
+def grid_projectors(dim: int) -> list[np.ndarray]:
+    """e_i, then (e_i +- e_j) and (e_i +- i e_j) for each pair i < j, in
+    the order of gleason_lab's spanning set for dim >= 3."""
+    eye = np.eye(dim, dtype=complex)
+    kets = list(eye)
+    for j in range(1, dim):
+        for i in range(j):
+            kets += [eye[i] + c * eye[j] for c in (1.0, -1.0, 1j, -1j)]
+    return [np.outer(k, k.conj()) / np.vdot(k, k).real for k in kets]
+
+
+def grid_table(dim: int, values) -> dict:
+    return {
+        "dim": dim,
+        "repr": "table",
+        "entries": [
+            {"projector": matrix_json(p), "value": float(v)}
+            for p, v in zip(grid_projectors(dim), values)
+        ],
+    }
+
+
+def non_psd_operator() -> np.ndarray:
+    """Unit-trace Hermitian Q diag(-0.03, 0.33, 0.7) Q^dagger."""
+    g = np.random.default_rng(2).standard_normal((3, 3, 2)) @ np.array([1.0, 1j])
+    q, _ = np.linalg.qr(g)
+    return q @ np.diag([-0.03, 0.33, 0.7]) @ q.conj().T
+
+
 def random_pvm(dim: int, ranks: list[int], seed: int) -> dict:
     g = np.random.default_rng(seed).standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
     q, _ = np.linalg.qr(g)
@@ -89,6 +118,16 @@ INPUTS = {
     "inconsistent.json": axis_table(
         {"+x": 0.9, "-x": 0.3, "+y": 0.5, "-y": 0.5, "+z": 0.5, "-z": 0.5}
     ),
+    "non-psd3.json": grid_table(
+        3, [np.trace(p @ non_psd_operator()).real for p in grid_projectors(3)]
+    ),
+    "uniform3.json": grid_table(3, np.random.default_rng(1).uniform(0, 1, 15)),
+    "unnormalized-x.json": axis_table({"+x": 0.9, "-x": 0.3}),
+    "pvm-x.json": {
+        "dim": 2,
+        "elements": [matrix_json(axis_projector("+x")), matrix_json(axis_projector("-x"))],
+        "labels": ["+x", "-x"],
+    },
     "pvm4.json": random_pvm(4, [2, 1, 1], 6),
     "pvm3.json": random_pvm(3, [1, 1, 1], 5),
 }
@@ -110,11 +149,15 @@ RUNS = [
     ("eval-pvm", ["eval", "--frame", "inputs/born4.json", "--pvm", "inputs/pvm4.json"], False),
     ("eval-pvm-mismatch", ["eval", "--frame", "inputs/born4.json", "--pvm", "inputs/pvm3.json"],
      False),
+    ("eval-unnormalized", ["eval", "--frame", "inputs/unnormalized-x.json", "--pvm",
+                           "inputs/pvm-x.json"], False),
     ("check-born2", ["check-marginal", "--frame", "inputs/born2.json"], True),
     ("check-born4", ["check-marginal", "--frame", "inputs/born4.json"], True),
     ("check-deterministic", ["check-marginal", "--frame", "inputs/deterministic.json"], True),
     ("check-xz", ["check-marginal", "--frame", "inputs/xz.json"], True),
     ("check-inconsistent", ["check-marginal", "--frame", "inputs/inconsistent.json"], True),
+    ("check-non-psd3", ["check-marginal", "--frame", "inputs/non-psd3.json"], True),
+    ("check-uniform3", ["check-marginal", "--frame", "inputs/uniform3.json"], True),
     ("reconstruct-xz", ["reconstruct", "--frame", "inputs/xz.json"], False),
     ("reconstruct-born4", ["reconstruct", "--frame", "inputs/born4.json"], False),
     ("demo-counterexample", ["demo-counterexample", "--seed", "4"], False),
