@@ -44,7 +44,6 @@ from .frames import (
     check_normalization,
     definite_xz_table,
     deterministic_qubit,
-    induce,
     lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
@@ -89,6 +88,6 @@ from .operators import (
     random_density_matrix,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import TOL
 
 __version__ = "0.1.0"

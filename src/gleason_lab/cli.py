@@ -4,13 +4,15 @@ Subcommands: gen-pvm, eval, check-marginal, reconstruct,
 demo-counterexample, demo-intertwine, verify-suite. Every run prints a
 report (JSON by default, CSV summary with --format csv) to stdout;
 --out writes the command's primary artifact atomically. The environment
-variable GLEASON_LAB_SEED supplies a default seed.
+variable GLEASON_LAB_SEED supplies a default seed. Every report echoes
+the fixed tolerance table ``TOL`` under config.tolerances.
 
 Exit codes follow the report's summary: 0 when its "pass" is true,
 4 when it is false with verdict Inconclusive, 3 when it is false
-otherwise (a NonMarginal verdict or a failed check). 1 is an I/O
-failure and 2 a parse or domain failure (including malformed JSON
-input, a tolerance that is not finite and > 0, --dim above 64, and
+otherwise (a NonMarginal verdict or a failed check, such as reconstruct
+on values no unit-trace Hermitian matrix fits). 1 is an I/O failure and
+2 a parse or domain failure (including malformed JSON input, a declared
+dim that does not match the file's content, --dim above 64, and
 verify-suite with no dims, zero trials or a non-finite --perturb, which
 would check nothing); neither prints a report.
 """
@@ -67,7 +69,7 @@ from .serialization import (
     pvm_from_json,
     pvm_to_json,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import TOL
 
 ENV_SEED = "GLEASON_LAB_SEED"
 
@@ -98,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the primary artifact to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="stdout/report format")
-        p.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
-                       help="tolerance override, repeatable")
 
     p = sub.add_parser("gen-pvm", help="generate a seeded random PVM")
     p.add_argument("--dim", type=int, required=True)
@@ -154,18 +154,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
-    overrides = {}
-    for item in args.tol:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"tolerance override {item!r} is not KEY=VALUE")
-        overrides[key.strip()] = float(value)
-    if not overrides:
-        return DEFAULT_TOLERANCES
-    return Tolerances.from_overrides(overrides)
-
-
 def _load_json(path: str):
     with open(path, "r") as handle:
         return json.load(handle)
@@ -177,22 +165,22 @@ def _load_json(path: str):
 Outcome = tuple[dict, dict, dict, str | None]
 
 
-def _random_pvm(args, seed: int, tol: Tolerances) -> tuple[PVM, list[int]]:
+def _random_pvm(args, seed: int) -> tuple[PVM, list[int]]:
     """PVM of a seeded Haar unitary in --ranks blocks (default: all rank 1)."""
     u = haar_unitary(args.dim, np.random.default_rng(seed))
     ranks = args.ranks if args.ranks is not None else [1] * args.dim
-    return pvm_from_unitary(u, ranks, tol), ranks
+    return pvm_from_unitary(u, ranks), ranks
 
 
-def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> Outcome:
-    pvm, ranks = _random_pvm(args, seed, tol)
+def _cmd_gen_pvm(args, seed: int) -> Outcome:
+    pvm, ranks = _random_pvm(args, seed)
     max_orth, completeness = pvm.max_orthogonality_residual, pvm.completeness_residual
     pvm_json = pvm_to_json(pvm)
     results = {
         "pvm": pvm_json,
         "checks": [
-            checked("max_orthogonality_residual", max_orth, tol.pvm),
-            checked("completeness_residual", completeness, tol.pvm),
+            checked("max_orthogonality_residual", max_orth, TOL.pvm),
+            checked("completeness_residual", completeness, TOL.pvm),
         ],
     }
     summary = {
@@ -205,15 +193,15 @@ def _cmd_gen_pvm(args, seed: int, tol: Tolerances) -> Outcome:
     return {"dim": args.dim, "ranks": ranks}, results, summary, render_json(pvm_json)
 
 
-def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
-    frame = frame_from_json(_load_json(args.frame), tol)
+def _cmd_eval(args, seed: int) -> Outcome:
+    frame = frame_from_json(_load_json(args.frame))
     if args.pvm is not None:
-        pvm = pvm_from_json(_load_json(args.pvm), tol)
+        pvm = pvm_from_json(_load_json(args.pvm))
         source = {"pvm_file": args.pvm}
     elif args.dim is None:
         raise ValueError("eval needs --pvm FILE or --dim (with optional --ranks)")
     else:
-        pvm, ranks = _random_pvm(args, seed, tol)
+        pvm, ranks = _random_pvm(args, seed)
         source = {"dim": args.dim, "ranks": ranks}
     if frame.dim != pvm.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != PVM dim {pvm.dim}")
@@ -224,7 +212,7 @@ def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
             {"label": label, "value": value}
             for label, value in zip(pvm.labels, values)
         ],
-        "normalization": checked("normalization_residual", residual, tol.frame),
+        "normalization": checked("normalization_residual", residual, TOL.frame),
     }
     summary = {
         "dim": pvm.dim,
@@ -235,11 +223,11 @@ def _cmd_eval(args, seed: int, tol: Tolerances) -> Outcome:
     return {"frame_file": args.frame, **source}, results, summary, None
 
 
-def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> Outcome:
-    frame = frame_from_json(_load_json(args.frame), tol)
+def _cmd_check_marginal(args, seed: int) -> Outcome:
+    frame = frame_from_json(_load_json(args.frame))
     if args.dim is not None and args.dim != frame.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != requested dim {args.dim}")
-    cert = certify_marginal(frame, tol=tol)
+    cert = certify_marginal(frame)
     cert_json = certificate_to_json(cert)
     results = {"certificate": cert_json}
     if cert.verdict is Verdict.NON_MARGINAL:
@@ -254,13 +242,13 @@ def _cmd_check_marginal(args, seed: int, tol: Tolerances) -> Outcome:
     return config, results, summary, render_json(cert_json)
 
 
-def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> Outcome:
-    frame = frame_from_json(_load_json(args.frame), tol)
-    spanning = spanning_projectors(frame.dim, tol)
+def _cmd_reconstruct(args, seed: int) -> Outcome:
+    frame = frame_from_json(_load_json(args.frame))
+    spanning = spanning_projectors(frame.dim)
     rho_hat, residual = reconstruct_density(frame, spanning)
     results = {
         "rho_hat": matrix_to_json(rho_hat),
-        "linear_residual": checked("linear_residual", residual, tol.lin),
+        "linear_residual": checked("linear_residual", residual, TOL.lin),
         "spanning_set_id": spanning.set_id,
         "condition_number": spanning.condition_number,
     }
@@ -268,15 +256,15 @@ def _cmd_reconstruct(args, seed: int, tol: Tolerances) -> Outcome:
         "dim": frame.dim,
         "linear_residual": residual,
         "consistent": results["linear_residual"]["pass"],
-        "pass": True,
+        "pass": results["linear_residual"]["pass"],
     }
     return {"frame_file": args.frame, "dim": frame.dim}, results, summary, None
 
 
-def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
+def _cmd_demo_counterexample(args, seed: int) -> Outcome:
     rng = np.random.default_rng(seed)
     if args.rho_backed:
-        frame = born_backed(random_density_matrix(2, rng, tol), tol)
+        frame = born_backed(random_density_matrix(2, rng))
         expected = Verdict.MARGINAL
     else:
         frame = deterministic_qubit()
@@ -284,15 +272,15 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
     max_residual = 0.0
     n_pvms = 100
     for _ in range(n_pvms):
-        pvm = random_qubit_pvm_pair(rng, tol)
+        pvm = random_qubit_pvm_pair(rng)
         max_residual = max(max_residual, check_normalization(frame, pvm))
-    cert = certify_marginal(frame, tol=tol)
-    ok = max_residual <= tol.frame and cert.verdict is expected
+    cert = certify_marginal(frame)
+    ok = max_residual <= TOL.frame and cert.verdict is expected
     results = {
         "frame_repr": "born" if args.rho_backed else "deterministic",
         "normalization": {
             "pvms_checked": n_pvms,
-            **checked("max_normalization_residual", max_residual, tol.frame),
+            **checked("max_normalization_residual", max_residual, TOL.frame),
         },
         "certificate": certificate_to_json(cert),
     }
@@ -308,7 +296,7 @@ def _cmd_demo_counterexample(args, seed: int, tol: Tolerances) -> Outcome:
     return config, results, summary, None
 
 
-def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
+def _cmd_demo_intertwine(args, seed: int) -> Outcome:
     n = args.n_psi
     if n < 1:
         raise ValueError(f"--n-psi must be >= 1, got {n}")
@@ -316,14 +304,14 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
     family = []
     for _ in range(n):
         ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        family.append(measurement_family_mpsi(ket / np.linalg.norm(ket), tol))
+        family.append(measurement_family_mpsi(ket / np.linalg.norm(ket)))
     qubit_pvms = [
-        pvm_from_unitary(haar_unitary(2, rng), [1, 1], tol) for _ in range(n)
+        pvm_from_unitary(haar_unitary(2, rng), [1, 1]) for _ in range(n)
     ]
-    qubit_graph = intertwine_graph(qubit_pvms, tol)
-    composite = family + [embed_pvm(m, 2, tol) for m in qubit_pvms]
-    graph = intertwine_graph(composite, tol)
-    pi_key = projector_key(family[0].elements[0], tol)
+    qubit_graph = intertwine_graph(qubit_pvms)
+    composite = family + [embed_pvm(m, 2) for m in qubit_pvms]
+    graph = intertwine_graph(composite)
+    pi_key = projector_key(family[0].elements[0])
     pi_degree = graph.degree(pi_key)
     other_max = max((node.degree for node in graph.nodes if node.key != pi_key), default=0)
     ok = pi_degree == n and qubit_graph.max_degree() <= 1 and other_max <= 1
@@ -342,55 +330,55 @@ def _cmd_demo_intertwine(args, seed: int, tol: Tolerances) -> Outcome:
     return {"n_psi": n}, results, summary, None
 
 
-def _normalization_trial(rng, d, tol, perturb) -> float:
-    rho = random_density_matrix(d, rng, tol)
-    pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng), tol)
-    frame = born_backed(rho, tol)
+def _normalization_trial(rng, d, perturb) -> float:
+    rho = random_density_matrix(d, rng)
+    pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng))
+    frame = born_backed(rho)
     total = sum(frame(e) for e in pvm.elements) + perturb
     return abs(total - 1.0)
 
 
-def _trace_identity_trial(rng, d, tol) -> float:
-    rho_ab = random_density_matrix(d * 2, rng, tol)
+def _trace_identity_trial(rng, d) -> float:
+    rho_ab = random_density_matrix(d * 2, rng)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    p = projector_from_ket(ket, tol)
-    full = born_probability(embed(p, 2), rho_ab, tol)
-    reduced = born_probability(p, partial_trace_b(rho_ab, d, 2, tol), tol)
+    p = projector_from_ket(ket)
+    full = born_probability(embed(p, 2), rho_ab)
+    reduced = born_probability(p, partial_trace_b(rho_ab, d, 2))
     return abs(full - reduced)
 
 
-def _extension_trial(rng, d, tol) -> float:
-    rho_f = random_density_matrix(d, rng, tol)
-    sigma = random_density_matrix(2, rng, tol)
+def _extension_trial(rng, d) -> float:
+    rho_f = random_density_matrix(d, rng)
+    sigma = random_density_matrix(2, rng)
     projectors = []
     for _ in range(10):
         ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        projectors.append(projector_from_ket(ket, tol))
-    pt_err, dev = verify_extension(rho_f, sigma, projectors, tol)
+        projectors.append(projector_from_ket(ket))
+    pt_err, dev = verify_extension(rho_f, sigma, projectors)
     return max(pt_err, dev)
 
 
-def _soundness_trial(rng, spanning, tol) -> tuple[float, bool]:
-    rho = random_density_matrix(spanning.dim, rng, tol)
-    cert = certify_marginal(born_backed(rho, tol), spanning, tol)
+def _soundness_trial(rng, spanning) -> tuple[float, bool]:
+    rho = random_density_matrix(spanning.dim, rng)
+    cert = certify_marginal(born_backed(rho), spanning)
     err = frobenius(cert.rho_hat - rho.matrix)
     return err, cert.verdict is Verdict.MARGINAL
 
 
-def _run_batteries(dims, trials, rng, tol, perturb) -> list[dict]:
+def _run_batteries(dims, trials, rng, perturb) -> list[dict]:
     """Run every battery on every dim, in that order, so the RNG draws
     (battery, then dim, then trial) replay exactly for a fixed seed.
 
     A trial returns (residual, marginal); it fails when its certificate
     is not marginal or its residual exceeds the battery's bound.
     """
-    spanning = {d: spanning_projectors(d, tol) for d in dims}
+    spanning = {d: spanning_projectors(d) for d in dims}
     table = (
-        ("normalization", tol.frame,
-         lambda d: (_normalization_trial(rng, d, tol, perturb), True)),
-        ("embed_trace_identity", 1e-12, lambda d: (_trace_identity_trial(rng, d, tol), True)),
-        ("composite_extension", 1e-12, lambda d: (_extension_trial(rng, d, tol), True)),
-        ("reconstruction_soundness", 1e-9, lambda d: _soundness_trial(rng, spanning[d], tol)),
+        ("normalization", TOL.frame,
+         lambda d: (_normalization_trial(rng, d, perturb), True)),
+        ("embed_trace_identity", 1e-12, lambda d: (_trace_identity_trial(rng, d), True)),
+        ("composite_extension", 1e-12, lambda d: (_extension_trial(rng, d), True)),
+        ("reconstruction_soundness", 1e-9, lambda d: _soundness_trial(rng, spanning[d])),
     )
     batteries = []
     for name, bound, trial in table:
@@ -420,7 +408,7 @@ def _run_batteries(dims, trials, rng, tol, perturb) -> list[dict]:
     return batteries
 
 
-def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> Outcome:
+def _cmd_verify_suite(args, seed: int) -> Outcome:
     dims = args.dims
     trials = args.trials
     if not dims:
@@ -432,7 +420,7 @@ def _cmd_verify_suite(args, seed: int, tol: Tolerances) -> Outcome:
     for d in dims:
         if not 2 <= d <= 8:
             raise ValueError(f"--dims entries must be in 2..8, got {d}")
-    batteries = _run_batteries(dims, trials, np.random.default_rng(seed), tol, args.perturb)
+    batteries = _run_batteries(dims, trials, np.random.default_rng(seed), args.perturb)
     failures = sum(b["failures"] for b in batteries)
     total = sum(b["trials"] for b in batteries)
     results = {"batteries": batteries}
@@ -460,11 +448,10 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = _resolve_tolerances(args)
         seed = _resolve_seed(args)
-        extra, results, summary, artifact_text = _HANDLERS[args.command](args, seed, tol)
+        extra, results, summary, artifact_text = _HANDLERS[args.command](args, seed)
         config = {"seed": seed, "format": args.format, "out": args.out,
-                  "tolerances": tol.to_dict(), **extra}
+                  "tolerances": TOL.to_dict(), **extra}
         report = build_report(args.command, config, results, summary)
         rendered = render_report(report, args.format)
         if args.out is not None:

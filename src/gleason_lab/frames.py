@@ -35,7 +35,6 @@ from .operators import (
     identity,
     make_projector,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 class FrameFunction:
@@ -66,13 +65,12 @@ def lex_zxy_accepts(n: BlochVector) -> bool:
 class BornFrameFunction(FrameFunction):
     """f(P) = Tr(P rho) for a fixed density matrix."""
 
-    def __init__(self, rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, rho: DensityMatrix):
         self.rho = rho
         self.dim = rho.dim
-        self._tol = tol
 
     def __call__(self, p: Projector) -> float:
-        return born_probability(p, self.rho, self._tol)
+        return born_probability(p, self.rho)
 
 
 class DeterministicFrameFunction(FrameFunction):
@@ -97,25 +95,20 @@ class DeterministicFrameFunction(FrameFunction):
 class TabulatedFrameFunction(FrameFunction):
     """Finite explicit table; evaluation is defined on stored keys only."""
 
-    def __init__(
-        self,
-        entries: list[tuple[Projector, float]],
-        tol: Tolerances = DEFAULT_TOLERANCES,
-    ):
+    def __init__(self, entries: list[tuple[Projector, float]]):
         if not entries:
             raise ValueOutOfRange("a tabulated frame function needs at least one entry")
         dims = {p.dim for p, _ in entries}
         if len(dims) > 1:
             raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
         self.dim = entries[0][0].dim
-        self._tol = tol
         # key -> (first projector stored under it, value), in input order
         self._table: dict[str, tuple[Projector, float]] = {}
         for p, v in entries:
             v = float(v)
             if not 0.0 <= v <= 1.0:
                 raise ValueOutOfRange(f"tabulated value {v} outside [0, 1]")
-            k = projector_key(p, tol)
+            k = projector_key(p)
             stored = self._table.setdefault(k, (p, v))[1]
             if stored != v:
                 raise ContextualConflict(k, stored, v)
@@ -125,7 +118,7 @@ class TabulatedFrameFunction(FrameFunction):
         return tuple(self._table.values())
 
     def __call__(self, p: Projector) -> float:
-        k = projector_key(p, self._tol)
+        k = projector_key(p)
         try:
             return self._table[k][1]
         except KeyError:
@@ -154,23 +147,16 @@ class InducedFrameFunction(FrameFunction):
         return self.composite(embed(p, self.dim_b))
 
 
-def born_backed(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> BornFrameFunction:
-    return BornFrameFunction(rho, tol)
+def born_backed(rho: DensityMatrix) -> BornFrameFunction:
+    return BornFrameFunction(rho)
 
 
 def deterministic_qubit() -> DeterministicFrameFunction:
     return DeterministicFrameFunction()
 
 
-def tabulated(
-    entries: list[tuple[Projector, float]],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> TabulatedFrameFunction:
-    return TabulatedFrameFunction(entries, tol)
-
-
-def induce(f_composite: FrameFunction, d_a: int, d_b: int) -> InducedFrameFunction:
-    return InducedFrameFunction(f_composite, d_a, d_b)
+def tabulated(entries: list[tuple[Projector, float]]) -> TabulatedFrameFunction:
+    return TabulatedFrameFunction(entries)
 
 
 def check_normalization(f: FrameFunction, m: PVM) -> float:
@@ -188,31 +174,28 @@ AXIS_BLOCH: dict[str, tuple[float, float, float]] = {
 }
 
 
-def axis_projector(axis: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
+def axis_projector(axis: str) -> Projector:
     """Rank-1 qubit projector along one of the six signed Pauli axes."""
     try:
         x, y, z = AXIS_BLOCH[axis]
     except KeyError:
         raise ValueOutOfRange(f"unknown axis {axis!r}; expected one of {sorted(AXIS_BLOCH)}") from None
     m = 0.5 * (identity(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-    return make_projector(m, tol)
+    return make_projector(m)
 
 
-def axis_table(
-    values: dict[str, float],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> TabulatedFrameFunction:
+def axis_table(values: dict[str, float]) -> TabulatedFrameFunction:
     """Tabulated qubit frame function keyed by signed Pauli axes.
 
     ``values`` maps axis names (subset of +x, -x, +y, -y, +z, -z) to
     probabilities. Antipodal pairs should sum to 1 for the result to be
     a normalized assignment; that is the caller's responsibility.
     """
-    entries = [(axis_projector(axis, tol), v) for axis, v in values.items()]
-    return tabulated(entries, tol)
+    entries = [(axis_projector(axis), v) for axis, v in values.items()]
+    return tabulated(entries)
 
 
-def definite_xz_table(tol: Tolerances = DEFAULT_TOLERANCES) -> TabulatedFrameFunction:
+def definite_xz_table() -> TabulatedFrameFunction:
     """The classic impossible qubit assignment: definite +x and +z.
 
     Assigns 1 to the +x and +z outcomes, 0 to their antipodes and 1/2 on
@@ -220,12 +203,10 @@ def definite_xz_table(tol: Tolerances = DEFAULT_TOLERANCES) -> TabulatedFrameFun
     partial frame function, but no density matrix reproduces it: the
     implied Bloch vector (1, 0, 1) has norm sqrt(2) > 1.
     """
-    return axis_table(
-        {"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0}, tol
-    )
+    return axis_table({"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0})
 
 
-def random_qubit_pvm_pair(rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
+def random_qubit_pvm_pair(rng: np.random.Generator) -> PVM:
     """Two-outcome qubit PVM {P, I - P} from a random ket.
 
     The complement is formed by exact subtraction so the two Bloch
@@ -235,6 +216,4 @@ def random_qubit_pvm_pair(rng: np.random.Generator, tol: Tolerances = DEFAULT_TO
     ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     ket = ket / np.linalg.norm(ket)
     p = np.outer(ket, ket.conj())
-    return validate_pvm(
-        [make_projector(p, tol), make_projector(identity(2) - p, tol)], tol=tol
-    )
+    return validate_pvm([make_projector(p), make_projector(identity(2) - p)])

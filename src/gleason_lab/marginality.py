@@ -37,7 +37,7 @@ from .operators import (
     projector_from_ket,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, MAX_CONDITION_NUMBER, Tolerances
+from .tolerances import MAX_CONDITION_NUMBER, TOL
 
 
 class Verdict(str, enum.Enum):
@@ -124,7 +124,7 @@ def _spanning_from_projectors(
     )
 
 
-def spanning_projectors(dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> SpanningSet:
+def spanning_projectors(dim: int) -> SpanningSet:
     """Informationally complete rank-1 projector set for 2 <= dim <= 8.
 
     For dim 2 these are the six signed Pauli-axis projectors. For larger
@@ -136,21 +136,21 @@ def spanning_projectors(dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> Spann
         raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim}")
     if dim == 2:
         labels = list(AXIS_BLOCH)
-        projectors = [axis_projector(axis, tol) for axis in labels]
+        projectors = [axis_projector(axis) for axis in labels]
         return _spanning_from_projectors(2, projectors, labels, "axes-d2")
     projectors = []
     labels = []
     eye = np.eye(dim, dtype=complex)
     for i in range(dim):
-        projectors.append(projector_from_ket(eye[i], tol))
+        projectors.append(projector_from_ket(eye[i]))
         labels.append(f"e{i}")
     for j in range(1, dim):
         for i in range(j):
             for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                projectors.append(projector_from_ket(eye[i] + sign * eye[j], tol))
+                projectors.append(projector_from_ket(eye[i] + sign * eye[j]))
                 labels.append(f"e{i}{tag}e{j}")
             for sign, tag in ((1j, "+i"), (-1j, "-i")):
-                projectors.append(projector_from_ket(eye[i] + sign * eye[j], tol))
+                projectors.append(projector_from_ket(eye[i] + sign * eye[j]))
                 labels.append(f"e{i}{tag}e{j}")
     return _spanning_from_projectors(dim, projectors, labels, f"grid-d{dim}")
 
@@ -220,42 +220,37 @@ class MarginalityCertificate:
     linear_residual: float
     min_eig: float
     witness: Witness | None
-    tolerances: Tolerances
     spanning_set_id: str
 
 
-def certify_marginal(
-    f: FrameFunction,
-    s: SpanningSet | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> MarginalityCertificate:
+def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> MarginalityCertificate:
     """Decide whether a frame function is the marginal of a composite one.
 
-    Marginal: values fit a unit-trace Hermitian matrix within tol.lin
-    and its smallest eigenvalue is >= -tol.psd. NonMarginal: the fit
-    fails, or the eigenvalue drops below -tol.margin. Eigenvalues in the
+    Marginal: values fit a unit-trace Hermitian matrix within TOL.lin
+    and its smallest eigenvalue is >= -TOL.psd. NonMarginal: the fit
+    fails, or the eigenvalue drops below -TOL.margin. Eigenvalues in the
     gap give Inconclusive, separating round-off from genuine
     non-positivity.
     """
     if s is None:
-        s = spanning_projectors(f.dim, tol)
+        s = spanning_projectors(f.dim)
     rho_hat, misfit = _fit(f, s)
     residual = float(np.max(np.abs(misfit)))
     low = float(np.linalg.eigvalsh(rho_hat)[0])
     # Each witness reuses the numbers above. Misfits often tie exactly (an
     # antipodal qubit pair always does), so the residual witness names
-    # the first projector within tol.lin of the linear residual.
+    # the first projector within TOL.lin of the linear residual.
     verdict, witness = Verdict.NON_MARGINAL, None
-    if residual > tol.lin:
-        worst = int(np.argmax(np.abs(misfit) >= residual - tol.lin))
+    if residual > TOL.lin:
+        worst = int(np.argmax(np.abs(misfit) >= residual - TOL.lin))
         witness = ResidualWitness(
-            projector_key=projector_key(s.projectors[worst], tol),
+            projector_key=projector_key(s.projectors[worst]),
             label=s.labels[worst],
             residual=residual,
         )
-    elif low >= -tol.psd:
+    elif low >= -TOL.psd:
         verdict = Verdict.MARGINAL
-    elif low >= -tol.margin:
+    elif low >= -TOL.margin:
         verdict = Verdict.INCONCLUSIVE
     elif s.dim == 2:
         b = bloch_of_matrix(rho_hat)
@@ -270,23 +265,18 @@ def certify_marginal(
         linear_residual=residual,
         min_eig=low,
         witness=witness,
-        tolerances=tol,
         spanning_set_id=s.set_id,
     )
 
 
-def extend_to_composite(
-    rho_f: DensityMatrix,
-    sigma_b: DensityMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
+def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> DensityMatrix:
     """Product extension rho x sigma on the composite space.
 
     Its partial trace over the second factor returns rho exactly, so the
     Born frame function it induces restricts to the one of rho; this is
     the constructive existence half of the marginality decision.
     """
-    return make_density(tensor(rho_f.matrix, sigma_b.matrix), tol)
+    return make_density(tensor(rho_f.matrix, sigma_b.matrix))
 
 
 def marginality_witness(cert: MarginalityCertificate) -> str:
@@ -311,7 +301,6 @@ def verify_extension(
     rho_f: DensityMatrix,
     sigma_b: DensityMatrix,
     projectors: list[Projector],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[float, float]:
     """Check the product extension against its defining identities.
 
@@ -320,12 +309,12 @@ def verify_extension(
     the largest |Tr((P x I) rho_F) - Tr(P rho_f)| over the projectors.
     """
     d_a, d_b = rho_f.dim, sigma_b.dim
-    rho_big = extend_to_composite(rho_f, sigma_b, tol)
-    back = partial_trace_b(rho_big, d_a, d_b, tol)
+    rho_big = extend_to_composite(rho_f, sigma_b)
+    back = partial_trace_b(rho_big, d_a, d_b)
     pt_err = frobenius(back.matrix - rho_f.matrix)
     dev = 0.0
     for p in projectors:
-        lhs = born_probability(embed(p, d_b), rho_big, tol)
-        rhs = born_probability(p, rho_f, tol)
+        lhs = born_probability(embed(p, d_b), rho_big)
+        rhs = born_probability(p, rho_f)
         dev = max(dev, abs(lhs - rhs))
     return pt_err, dev

@@ -29,7 +29,7 @@ from .operators import (
     make_projector,
     tensor,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,7 @@ class PVM:
 
 
 def validate_pvm(
-    projectors: Sequence[Projector],
-    labels: Sequence[str] | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    projectors: Sequence[Projector], labels: Sequence[str] | None = None
 ) -> PVM:
     """Check pairwise orthogonality and completeness, returning a PVM.
 
@@ -79,14 +77,14 @@ def validate_pvm(
     for x in range(len(elems)):
         for y in range(x + 1, len(elems)):
             res = frobenius(elems[x].matrix @ elems[y].matrix)
-            if res > tol.pvm:
+            if res > TOL.pvm:
                 raise NotOrthogonal(x, y, res)
             max_orth = max(max_orth, res)
     total = np.zeros((d, d), dtype=complex)
     for e in elems:
         total = total + e.matrix
     completeness = frobenius(total - identity(d))
-    if completeness > tol.pvm:
+    if completeness > TOL.pvm:
         raise Incomplete(completeness)
     if sum(e.rank for e in elems) != d:
         raise Incomplete(completeness)
@@ -105,11 +103,7 @@ def validate_pvm(
     )
 
 
-def pvm_from_unitary(
-    u,
-    rank_partition: Sequence[int],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> PVM:
+def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     """Group consecutive columns of a unitary into projector blocks.
 
     rank_partition gives the block sizes; it must be positive and sum to
@@ -126,9 +120,9 @@ def pvm_from_unitary(
     start = 0
     for r in parts:
         cols = mat[:, start : start + r]
-        projectors.append(make_projector(cols @ cols.conj().T, tol))
+        projectors.append(make_projector(cols @ cols.conj().T))
         start += r
-    return validate_pvm(projectors, tol=tol)
+    return validate_pvm(projectors)
 
 
 def random_rank_partition(dim: int, rng: np.random.Generator) -> list[int]:
@@ -157,7 +151,7 @@ def orthogonal_complement_ket(psi: np.ndarray) -> np.ndarray:
     return perp
 
 
-def measurement_family_mpsi(psi, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
+def measurement_family_mpsi(psi) -> PVM:
     """Three-outcome two-qubit PVM sharing the projector Pi = |0><0| x I.
 
     Elements: |0><0| x I_2, |1><1| x |psi><psi|, |1><1| x |perp><perp|.
@@ -176,11 +170,11 @@ def measurement_family_mpsi(psi, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
     p0 = np.outer(ket0, ket0.conj())
     p1 = np.outer(ket1, ket1.conj())
     elements = [
-        make_projector(tensor(p0, identity(2)), tol),
-        make_projector(tensor(p1, np.outer(v, v.conj())), tol),
-        make_projector(tensor(p1, np.outer(perp, perp.conj())), tol),
+        make_projector(tensor(p0, identity(2))),
+        make_projector(tensor(p1, np.outer(v, v.conj()))),
+        make_projector(tensor(p1, np.outer(perp, perp.conj()))),
     ]
-    return validate_pvm(elements, labels=("pi", "one_psi", "one_perp"), tol=tol)
+    return validate_pvm(elements, labels=("pi", "one_psi", "one_perp"))
 
 
 def embed(p: Projector, d_b: int) -> Projector:
@@ -196,21 +190,21 @@ def embed(p: Projector, d_b: int) -> Projector:
     return Projector(dim=p.dim * d_b, matrix=frozen_matrix(m), rank=p.rank * d_b)
 
 
-def embed_pvm(m: PVM, d_b: int, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
+def embed_pvm(m: PVM, d_b: int) -> PVM:
     """Element-wise embedding; the outcome count is unchanged."""
     elements = tuple(embed(e, d_b) for e in m.elements)
-    return validate_pvm(elements, labels=m.labels, tol=tol)
+    return validate_pvm(elements, labels=m.labels)
 
 
-def projector_key(p: Projector, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+def projector_key(p: Projector) -> str:
     """Stable canonical key for a projector, robust to round-off.
 
-    Entries are Hermitized, snapped to a grid of size tol.key and hashed;
-    projectors within Frobenius distance tol.key/10 collide on generic
+    Entries are Hermitized, snapped to a grid of size TOL.key and hashed;
+    projectors within Frobenius distance TOL.key/10 collide on generic
     inputs. Near-boundary adversarial inputs are out of contract.
     """
     m = hermitize(p.matrix)
-    scaled = m / tol.key
+    scaled = m / TOL.key
     grid_re = np.round(scaled.real).astype(np.int64)
     grid_im = np.round(scaled.imag).astype(np.int64)
     payload = grid_re.tobytes() + grid_im.tobytes()
@@ -249,9 +243,7 @@ class IntertwineGraph:
         return sum(1 for n in self.nodes if n.degree >= 2)
 
 
-def intertwine_graph(
-    pvms: Iterable[PVM], tol: Tolerances = DEFAULT_TOLERANCES
-) -> IntertwineGraph:
+def intertwine_graph(pvms: Iterable[PVM]) -> IntertwineGraph:
     """Build the projector/measurement incidence graph for a PVM list.
 
     A node's degree is the number of distinct PVMs containing a projector
@@ -266,7 +258,7 @@ def intertwine_graph(
     nodes: dict[str, tuple[int, set[int]]] = {}   # key -> (rank, PVM indices)
     for idx, m in enumerate(pvm_list):
         for e in m.elements:
-            k = projector_key(e, tol)
+            k = projector_key(e)
             incidence.append((k, idx))
             nodes.setdefault(k, (e.rank, set()))[1].add(idx)
     return IntertwineGraph(

@@ -23,7 +23,7 @@ from .errors import (
     NotPositive,
     NotUnitTrace,
 )
-from .tolerances import DEFAULT_TOLERANCES, MAX_COMPOSITE_DIM, Tolerances
+from .tolerances import MAX_COMPOSITE_DIM, TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -60,14 +60,14 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _square_hermitian(matrix, tol: Tolerances, what: str) -> np.ndarray:
+def _square_hermitian(matrix, what: str) -> np.ndarray:
     """The one Hermitian gate: coerce, require a square shape, and
-    reject a Frobenius Hermiticity residual above tol.herm."""
+    reject a Frobenius Hermiticity residual above TOL.herm."""
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {m.shape}")
     res = frobenius(m - m.conj().T)
-    if res > tol.herm:
+    if res > TOL.herm:
         raise NotHermitian(res)
     return m
 
@@ -109,14 +109,14 @@ class BlochVector:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_physical(self, eps: float = DEFAULT_TOLERANCES.bloch) -> bool:
-        return self.norm() <= 1.0 + eps
+    def is_physical(self) -> bool:
+        return self.norm() <= 1.0 + TOL.bloch
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
 
-def make_projector(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
+def make_projector(matrix) -> Projector:
     """Validate a matrix as a projector and compute its rank.
 
     Raises NotHermitian or NotIdempotent with the offending Frobenius
@@ -124,37 +124,37 @@ def make_projector(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
     the residual of {0, 1}, so the rank (the count of eigenvalues near
     1) equals the rounded trace; the trace is what gets computed.
     """
-    m = _square_hermitian(matrix, tol, "projector matrix")
+    m = _square_hermitian(matrix, "projector matrix")
     d = m.shape[0]
     res_p = frobenius(m @ m - m)
-    if res_p > tol.proj:
+    if res_p > TOL.proj:
         raise NotIdempotent(res_p)
     trace = float(np.trace(m).real)
     rank = int(round(trace))
-    if not 0 <= rank <= d or abs(trace - rank) > d * tol.eig:
+    if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
         raise NotIdempotent(res_p)
     return Projector(dim=d, matrix=frozen_matrix(m), rank=rank)
 
 
-def projector_from_ket(ket, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
+def projector_from_ket(ket) -> Projector:
     """Rank-1 projector |psi><psi| from a (not necessarily normalized) vector."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot project onto the zero vector")
     v = v / n
-    return make_projector(np.outer(v, v.conj()), tol)
+    return make_projector(np.outer(v, v.conj()))
 
 
-def make_density(matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def make_density(matrix) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    m = _square_hermitian(matrix, tol, "density matrix")
+    m = _square_hermitian(matrix, "density matrix")
     d = m.shape[0]
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.tr:
+    if abs(tr - 1.0) > TOL.tr:
         raise NotUnitTrace(tr)
     low = float(np.linalg.eigvalsh(hermitize(m))[0])
-    if low < -tol.psd:
+    if low < -TOL.psd:
         raise NotPositive(low)
     return DensityMatrix(dim=d, matrix=frozen_matrix(m))
 
@@ -183,41 +183,35 @@ def partial_trace_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ikjk->ij", arr.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-def partial_trace_b(
-    rho_ab: DensityMatrix, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DensityMatrix:
+def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMatrix:
     """Reduced state of subsystem A: (Tr_B rho)_ij = sum_k rho_(i,k),(j,k)."""
     if rho_ab.dim != dim_a * dim_b:
         raise DimensionMismatch(
             f"composite dimension {rho_ab.dim} is not dim_a * dim_b = {dim_a * dim_b}"
         )
-    return make_density(partial_trace_matrix(rho_ab.matrix, dim_a, dim_b), tol)
+    return make_density(partial_trace_matrix(rho_ab.matrix, dim_a, dim_b))
 
 
-def born_probability(
-    p: Projector, rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def born_probability(p: Projector, rho: DensityMatrix) -> float:
     """Tr(P rho), clamped into [0, 1] after an epsilon sanity check."""
     if p.dim != rho.dim:
         raise DimensionMismatch(f"projector dim {p.dim} != state dim {rho.dim}")
     t = complex(np.trace(p.matrix @ rho.matrix))
-    if abs(t.imag) > tol.herm:
+    if abs(t.imag) > TOL.herm:
         raise ValueError(f"Born trace has imaginary residual {t.imag:.3e}")
     val = t.real
-    if val < -tol.prob or val > 1.0 + tol.prob:
+    if val < -TOL.prob or val > 1.0 + TOL.prob:
         raise ValueError(f"Born value {val} outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, val))
 
 
-def bloch_to_density(
-    r: BlochVector, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DensityMatrix:
+def bloch_to_density(r: BlochVector) -> DensityMatrix:
     """rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2 for |r| <= 1."""
     n = r.norm()
-    if n > 1.0 + tol.bloch:
+    if n > 1.0 + TOL.bloch:
         raise NonPhysicalBloch(n)
     m = 0.5 * (identity(2) + r.x * PAULI_X + r.y * PAULI_Y + r.z * PAULI_Z)
-    return make_density(m, tol)
+    return make_density(m)
 
 
 def bloch_of_matrix(m: np.ndarray) -> BlochVector:
@@ -252,16 +246,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLERANCES
-) -> DensityMatrix:
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state G G† / Tr(G G†) from a complex Ginibre draw."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return make_density(m / np.trace(m).real, tol)
+    return make_density(m / np.trace(m).real)
 
 
-def min_eigenvalue(h, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def min_eigenvalue(h) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    m = _square_hermitian(h, tol, "matrix")
+    m = _square_hermitian(h, "matrix")
     return float(np.linalg.eigvalsh(hermitize(m))[0])

@@ -35,7 +35,7 @@ from .operators import (
     make_density,
     make_projector,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import TOL
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -101,14 +101,20 @@ def _field(obj: Any, key: str, name: str) -> Any:
     return obj[key]
 
 
+def _check_dim(obj: dict, dim: int) -> None:
+    """An object's ``dim`` may be omitted, but when present it must be a
+    number equal to the dimension of its content."""
+    if "dim" in obj and _number(obj["dim"], "dim") != dim:
+        raise SerializationError(
+            f"declared dim {obj['dim']} does not match the content's dimension {dim}"
+        )
+
+
 def operator_from_json(obj: Any) -> tuple[str, np.ndarray]:
     if not isinstance(obj, dict) or "kind" not in obj or "matrix" not in obj:
         raise SerializationError("operator object needs 'dim', 'kind' and 'matrix'")
     m = matrix_from_json(obj["matrix"])
-    if "dim" in obj and _number(obj["dim"], "dim") != m.shape[0]:
-        raise SerializationError(
-            f"declared dim {obj['dim']} does not match matrix shape {m.shape}"
-        )
+    _check_dim(obj, m.shape[0])
     return str(obj["kind"]), m
 
 
@@ -120,15 +126,17 @@ def pvm_to_json(m: PVM) -> dict:
     }
 
 
-def pvm_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> PVM:
+def pvm_from_json(obj: Any) -> PVM:
     elements = [
-        make_projector(matrix_from_json(e, f"elements[{i}]"), tol)
+        make_projector(matrix_from_json(e, f"elements[{i}]"))
         for i, e in enumerate(_list(_field(obj, "elements", "PVM object"), "elements"))
     ]
     labels = obj.get("labels")
     if labels is not None:
         _list(labels, "labels")
-    return validate_pvm(elements, labels=labels, tol=tol)
+    pvm = validate_pvm(elements, labels=labels)
+    _check_dim(obj, pvm.dim)
+    return pvm
 
 
 def frame_to_json(f: FrameFunction) -> dict:
@@ -148,32 +156,34 @@ def frame_to_json(f: FrameFunction) -> dict:
     raise SerializationError(f"cannot serialize frame function of type {type(f).__name__}")
 
 
-def frame_from_json(obj: Any, tol: Tolerances = DEFAULT_TOLERANCES) -> FrameFunction:
+def frame_from_json(obj: Any) -> FrameFunction:
     kind = _field(obj, "repr", "frame object")
     if kind == "born":
-        rho = make_density(matrix_from_json(_field(obj, "rho", "born frame"), "rho"), tol)
-        return born_backed(rho, tol)
-    if kind == "deterministic":
+        rho = make_density(matrix_from_json(_field(obj, "rho", "born frame"), "rho"))
+        frame = born_backed(rho)
+    elif kind == "deterministic":
         rule = obj.get("rule", DeterministicFrameFunction.rule)
         if rule != DeterministicFrameFunction.rule:
             raise SerializationError(f"unknown hemisphere rule {rule!r}")
-        return deterministic_qubit()
-    if kind == "table":
+        frame = deterministic_qubit()
+    elif kind == "table":
         entries = _list(obj.get("entries"), "entries")
         if not entries:
             raise SerializationError("tabulated frame needs non-empty 'entries'")
         pairs = [
             (
                 make_projector(
-                    matrix_from_json(_field(e, "projector", f"entries[{i}]"), f"entries[{i}]"),
-                    tol,
+                    matrix_from_json(_field(e, "projector", f"entries[{i}]"), f"entries[{i}]")
                 ),
                 _number(_field(e, "value", f"entries[{i}]"), f"entries[{i}].value"),
             )
             for i, e in enumerate(entries)
         ]
-        return tabulated(pairs, tol)
-    raise SerializationError(f"unknown frame repr {kind!r}")
+        frame = tabulated(pairs)
+    else:
+        raise SerializationError(f"unknown frame repr {kind!r}")
+    _check_dim(obj, frame.dim)
+    return frame
 
 
 def graph_to_json(g: IntertwineGraph) -> dict:
@@ -209,7 +219,7 @@ def certificate_to_json(cert: MarginalityCertificate) -> dict:
         "rho_hat": matrix_to_json(cert.rho_hat),
         "linear_residual": cert.linear_residual,
         "min_eig": cert.min_eig,
-        "tolerances": cert.tolerances.to_dict(),
+        "tolerances": TOL.to_dict(),
         "spanning_set_id": cert.spanning_set_id,
     }
     if cert.witness is not None:

@@ -22,6 +22,7 @@ from gleason_lab.frames import (
 from gleason_lab.measurements import validate_pvm
 from gleason_lab.operators import random_density_matrix
 from gleason_lab.serialization import frame_to_json, pvm_from_json, pvm_to_json
+from gleason_lab.tolerances import TOL
 
 
 def run(capsys, *argv):
@@ -153,8 +154,8 @@ class TestEval:
         load = gleason_lab.cli.frame_from_json
         calls = []
 
-        def counting_frame_from_json(obj, tol):
-            frame = load(obj, tol)
+        def counting_frame_from_json(obj):
+            frame = load(obj)
 
             class Counting(FrameFunction):
                 dim = frame.dim
@@ -230,18 +231,20 @@ class TestCheckMarginal:
         code, _ = run(capsys, "check-marginal", "--frame", born_frame_file, "--dim", "3")
         assert code == 2
 
-    def test_tolerance_override_changes_verdict(self, capsys, born_frame_file):
-        # An absurdly tight consistency tolerance turns round-off into a
-        # residual violation.
-        code, report = run_json(capsys, "check-marginal", "--frame", born_frame_file,
-                                "--tol", "lin=1e-20")
-        assert code == 3
-        assert report["config"]["tolerances"]["lin"] == 1e-20
-
     def test_unknown_tolerance_exits_2(self, capsys, born_frame_file):
-        code, _ = run(capsys, "check-marginal", "--frame", born_frame_file,
-                      "--tol", "bogus=1")
-        assert code == 2
+        # The thresholds are one fixed table: no --tol override is known,
+        # so the parser refuses it instead of ignoring it.
+        for override in ("bogus=1", "lin=1e-20"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check-marginal", "--frame", born_frame_file, "--tol", override])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
+    def test_report_echoes_the_whole_tolerance_table(self, capsys, born_frame_file):
+        code, report = run_json(capsys, "check-marginal", "--frame", born_frame_file)
+        assert code == 0
+        assert report["config"]["tolerances"] == TOL.to_dict()
+        assert len(report["config"]["tolerances"]) == 12
 
 
 class TestReconstruct:
@@ -252,6 +255,15 @@ class TestReconstruct:
         assert report["results"]["linear_residual"]["value"] <= 1e-12
         rho = np.asarray(report["results"]["rho_hat"], dtype=float)
         assert rho.shape == (2, 2, 2)
+
+    def test_inconsistent_frame_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "inconsistent.json"
+        table = axis_table({"+x": 0.9, "-x": 0.3, "+y": 0.5, "-y": 0.5, "+z": 0.5, "-z": 0.5})
+        path.write_text(json.dumps(frame_to_json(table)))
+        code, report = run_json(capsys, "reconstruct", "--frame", str(path))
+        assert code == 3
+        assert report["summary"]["consistent"] is False
+        assert report["summary"]["pass"] is False
 
 
 class TestDemoCounterexample:
@@ -325,11 +337,7 @@ class TestVerifySuite:
     @pytest.mark.parametrize("option", [
         ("--perturb", "nan"),
         ("--perturb", "inf"),
-        ("--tol", "frame=nan"),
-        ("--tol", "lin=-1"),
-        ("--tol", "key=0"),
-        ("--tol", "key=inf"),
-    ], ids=["perturb-nan", "perturb-inf", "frame-nan", "lin-negative", "key-zero", "key-inf"])
+    ], ids=["perturb-nan", "perturb-inf"])
     def test_non_finite_or_non_positive_bound_exits_2(self, capsys, option):
         code, out = run(capsys, "verify-suite", "--dims", "2", "--trials", "3", *option)
         assert code == 2

@@ -13,13 +13,13 @@ from gleason_lab.errors import (
     ValueOutOfRange,
 )
 from gleason_lab.frames import (
+    InducedFrameFunction,
     axis_projector,
     axis_table,
     born_backed,
     check_normalization,
     definite_xz_table,
     deterministic_qubit,
-    induce,
     lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
@@ -36,7 +36,7 @@ from gleason_lab.operators import (
     random_density_matrix,
     tensor,
 )
-from gleason_lab.tolerances import Tolerances
+from gleason_lab.tolerances import TOL
 
 from conftest import rank1_projector
 
@@ -124,11 +124,12 @@ class TestTabulated:
         assert f.dim == 2
 
     def test_lookup_uses_the_key_grid_of_tol(self):
-        # An off-diagonal of 1e-7 lies on another cell of the default 1e-8
-        # grid, but on the same cell of a 1e-6 grid as +z.
-        tol = Tolerances(key=1e-6)
-        f = axis_table({"+z": 1.0, "-z": 0.0}, tol=tol)
-        assert f(projector_from_ket([1.0, 1e-7])) == 1.0
+        # An off-diagonal of TOL.key/100 rounds onto the cell of +z; one of
+        # 10 * TOL.key lies on another cell.
+        f = axis_table({"+z": 1.0, "-z": 0.0})
+        assert f(projector_from_ket([1.0, TOL.key / 100])) == 1.0
+        with pytest.raises(UndefinedProjector):
+            f(projector_from_ket([1.0, 10 * TOL.key]))
 
     def test_contextual_conflict(self):
         with pytest.raises(ContextualConflict):
@@ -176,7 +177,7 @@ class TestInduce:
         rho_a = random_density_matrix(2, rng)
         rho_b = random_density_matrix(2, rng)
         big = born_backed(make_density(tensor(rho_a.matrix, rho_b.matrix)))
-        small = induce(big, 2, 2)
+        small = InducedFrameFunction(big, 2, 2)
         direct = born_backed(rho_a)
         for _ in range(100):
             p = rank1_projector(2, rng)
@@ -185,14 +186,14 @@ class TestInduce:
     def test_bell_state_induces_uniform_function(self, rng):
         bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / math.sqrt(2)
         big = born_backed(make_density(np.outer(bell, bell.conj())))
-        small = induce(big, 2, 2)
+        small = InducedFrameFunction(big, 2, 2)
         for _ in range(20):
             assert small(rank1_projector(2, rng)) == pytest.approx(0.5, abs=1e-12)
 
     def test_induced_function_normalizes(self, rng):
         for _ in range(25):
             big = born_backed(random_density_matrix(4, rng))
-            small = induce(big, 2, 2)
+            small = InducedFrameFunction(big, 2, 2)
             pvm = pvm_from_unitary(haar_unitary(2, rng), [1, 1])
             assert check_normalization(small, pvm) <= 1e-10
 
@@ -202,7 +203,7 @@ class TestInduce:
         for d_b in (2, 3):
             for _ in range(20):
                 rho_big = random_density_matrix(2 * d_b, rng)
-                via_embedding = induce(born_backed(rho_big), 2, d_b)
+                via_embedding = InducedFrameFunction(born_backed(rho_big), 2, d_b)
                 via_trace = born_backed(partial_trace_b(rho_big, 2, d_b))
                 for _ in range(10):
                     p = rank1_projector(2, rng)
@@ -210,7 +211,7 @@ class TestInduce:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            induce(born_backed(random_density_matrix(6, rng)), 2, 2)
+            InducedFrameFunction(born_backed(random_density_matrix(6, rng)), 2, 2)
 
 
 class TestDefiniteXzTable:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,12 @@ from gleason_lab.errors import (
 )
 from gleason_lab.frames import (
     FrameFunction,
+    InducedFrameFunction,
     axis_projector,
     axis_table,
     born_backed,
     definite_xz_table,
     deterministic_qubit,
-    induce,
     tabulated,
 )
 from gleason_lab.marginality import (
@@ -40,6 +41,8 @@ from gleason_lab.operators import (
     partial_trace_b,
     random_density_matrix,
 )
+from gleason_lab.serialization import certificate_to_json
+from gleason_lab.tolerances import TOL
 
 from conftest import rank1_projector
 
@@ -259,7 +262,13 @@ class TestCertifyMarginal:
     def test_certificate_records_spanning_set_and_tolerances(self):
         cert = certify_marginal(definite_xz_table())
         assert cert.spanning_set_id == "axes-d2"
-        assert cert.tolerances.lin == 1e-9
+        assert certificate_to_json(cert)["tolerances"]["lin"] == 1e-9
+
+    def test_tolerance_table_is_fixed(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TOL.lin = 1e-20
+        cert = certify_marginal(definite_xz_table())
+        assert certificate_to_json(cert)["tolerances"] == TOL.to_dict()
 
 
 class TestTwoDeterministicAxes:
@@ -306,7 +315,7 @@ class TestExtendToComposite:
         for d_b in (2, 3):
             rho = random_density_matrix(2, rng)
             big = extend_to_composite(rho, random_density_matrix(d_b, rng))
-            induced = induce(born_backed(big), 2, d_b)
+            induced = InducedFrameFunction(born_backed(big), 2, d_b)
             original = born_backed(rho)
             for _ in range(50):
                 p = rank1_projector(2, rng)

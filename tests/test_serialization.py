@@ -165,10 +165,18 @@ P1_JSON = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (frame_from_json, {"repr": "table", "entries": [
         {"projector": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]], "value": 1.0},
     ]}),
+    (frame_from_json, {"dim": 7, "repr": "born", "rho": [[[0.5, 0.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [0.5, 0.0]]]}),
+    (frame_from_json, {"dim": 3, "repr": "deterministic"}),
+    (frame_from_json, {"dim": "2", "repr": "table", "entries": [
+        {"projector": P0_JSON, "value": 1.0},
+    ]}),
+    (pvm_from_json, {"dim": 9, "elements": [P0_JSON, P1_JSON]}),
 ], ids=[
     "entries-int", "entries-str", "entries-of-ints", "value-list",
     "elements-int", "labels-int", "labels-object", "huge-int",
     "rho-bool", "projector-bool",
+    "born-dim-mismatch", "deterministic-dim-mismatch", "table-dim-string", "pvm-dim-mismatch",
 ])
 def test_malformed_containers_and_scalars_rejected(decode, obj):
     with pytest.raises(SerializationError):

@@ -113,6 +113,7 @@ def random_pvm(dim: int, ranks: list[int], seed: int) -> dict:
 INPUTS = {
     "born2.json": {"dim": 2, "repr": "born", "rho": matrix_json(random_state(2, 7))},
     "born4.json": {"dim": 4, "repr": "born", "rho": matrix_json(random_state(4, 11))},
+    "born2-dim3.json": {"dim": 3, "repr": "born", "rho": matrix_json(random_state(2, 7))},
     "deterministic.json": {"dim": 2, "repr": "deterministic", "rule": "lex-zxy"},
     "xz.json": axis_table({"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0}),
     "inconsistent.json": axis_table(
@@ -158,8 +159,10 @@ RUNS = [
     ("check-inconsistent", ["check-marginal", "--frame", "inputs/inconsistent.json"], True),
     ("check-non-psd3", ["check-marginal", "--frame", "inputs/non-psd3.json"], True),
     ("check-uniform3", ["check-marginal", "--frame", "inputs/uniform3.json"], True),
+    ("check-born2-dim3", ["check-marginal", "--frame", "inputs/born2-dim3.json"], False),
     ("reconstruct-xz", ["reconstruct", "--frame", "inputs/xz.json"], False),
     ("reconstruct-born4", ["reconstruct", "--frame", "inputs/born4.json"], False),
+    ("reconstruct-inconsistent", ["reconstruct", "--frame", "inputs/inconsistent.json"], False),
     ("demo-counterexample", ["demo-counterexample", "--seed", "4"], False),
     ("demo-counterexample-rho", ["demo-counterexample", "--seed", "4", "--rho-backed"], False),
     ("demo-intertwine", ["demo-intertwine", "--n-psi", "15", "--seed", "8"], False),
