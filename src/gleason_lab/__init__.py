@@ -79,12 +79,14 @@ from .operators import (
     Projector,
     bloch_to_density,
     born_probability,
+    born_values,
     haar_unitary,
     make_density,
     make_projector,
     min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
+    projector_stack,
     random_density_matrix,
     tensor,
 )

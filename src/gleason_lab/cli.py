@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, GleasonLabError
+from .errors import DimensionMismatch, GleasonLabError, SerializationError, ValueOutOfRange
 from .frames import (
     born_backed,
     check_normalization,
@@ -148,15 +148,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         seed = args.seed
     else:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+        text = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueOutOfRange(f"${ENV_SEED} must be an integer, got {text!r}") from None
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ValueOutOfRange(f"seed must be non-negative, got {seed}")
     return seed
 
 
 def _load_json(path: str):
     with open(path, "r") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SerializationError(f"{path} is not valid JSON: {exc}") from None
 
 
 # A handler returns its config entries, results, summary and the --out
@@ -199,18 +206,18 @@ def _cmd_eval(args, seed: int) -> Outcome:
         pvm = pvm_from_json(_load_json(args.pvm))
         source = {"pvm_file": args.pvm}
     elif args.dim is None:
-        raise ValueError("eval needs --pvm FILE or --dim (with optional --ranks)")
+        raise ValueOutOfRange("eval needs --pvm FILE or --dim (with optional --ranks)")
     else:
         pvm, ranks = _random_pvm(args, seed)
         source = {"dim": args.dim, "ranks": ranks}
     if frame.dim != pvm.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != PVM dim {pvm.dim}")
-    values = [frame(e) for e in pvm.elements]
-    residual = abs(sum(values) - 1.0)
+    values = frame.values(pvm.elements, pvm.stack)
+    residual = abs(float(values.sum()) - 1.0)
     results = {
         "values": [
             {"label": label, "value": value}
-            for label, value in zip(pvm.labels, values)
+            for label, value in zip(pvm.labels, values.tolist())
         ],
         "normalization": checked("normalization_residual", residual, TOL.frame),
     }
@@ -299,7 +306,7 @@ def _cmd_demo_counterexample(args, seed: int) -> Outcome:
 def _cmd_demo_intertwine(args, seed: int) -> Outcome:
     n = args.n_psi
     if n < 1:
-        raise ValueError(f"--n-psi must be >= 1, got {n}")
+        raise ValueOutOfRange(f"--n-psi must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     family = []
     for _ in range(n):
@@ -334,7 +341,7 @@ def _normalization_trial(rng, d, perturb) -> float:
     rho = random_density_matrix(d, rng)
     pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng))
     frame = born_backed(rho)
-    total = sum(frame(e) for e in pvm.elements) + perturb
+    total = float(frame.values(pvm.elements, pvm.stack).sum()) + perturb
     return abs(total - 1.0)
 
 
@@ -412,14 +419,14 @@ def _cmd_verify_suite(args, seed: int) -> Outcome:
     dims = args.dims
     trials = args.trials
     if not dims:
-        raise ValueError("--dims must name at least one dimension")
+        raise ValueOutOfRange("--dims must name at least one dimension")
     if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
+        raise ValueOutOfRange(f"--trials must be >= 1, got {trials}")
     if not math.isfinite(args.perturb):
-        raise ValueError(f"--perturb must be finite, got {args.perturb}")
+        raise ValueOutOfRange(f"--perturb must be finite, got {args.perturb}")
     for d in dims:
         if not 2 <= d <= 8:
-            raise ValueError(f"--dims entries must be in 2..8, got {d}")
+            raise ValueOutOfRange(f"--dims entries must be in 2..8, got {d}")
     batteries = _run_batteries(dims, trials, np.random.default_rng(seed), args.perturb)
     failures = sum(b["failures"] for b in batteries)
     total = sum(b["trials"] for b in batteries)
@@ -467,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (GleasonLabError, ValueError, KeyError) as exc:
+    except GleasonLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -12,6 +12,8 @@ and are partial by design.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .errors import (
@@ -32,6 +34,7 @@ from .operators import (
     Projector,
     bloch_of_matrix,
     born_probability,
+    born_values,
     identity,
     make_projector,
 )
@@ -44,6 +47,11 @@ class FrameFunction:
 
     def __call__(self, p: Projector) -> float:
         raise NotImplementedError
+
+    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+        """f on every projector, as a float vector; ``stack`` holds their
+        matrices as one (n, d, d) array for kinds that evaluate it whole."""
+        return np.array([self(p) for p in projectors], dtype=float)
 
 
 def lex_zxy_accepts(n: BlochVector) -> bool:
@@ -71,6 +79,9 @@ class BornFrameFunction(FrameFunction):
 
     def __call__(self, p: Projector) -> float:
         return born_probability(p, self.rho)
+
+    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+        return born_values(stack, self.rho)
 
 
 class DeterministicFrameFunction(FrameFunction):
@@ -161,7 +172,7 @@ def tabulated(entries: list[tuple[Projector, float]]) -> TabulatedFrameFunction:
 
 def check_normalization(f: FrameFunction, m: PVM) -> float:
     """|sum_x f(P_x) - 1| over the PVM's outcomes."""
-    return abs(sum(f(e) for e in m.elements) - 1.0)
+    return abs(float(f.values(m.elements, m.stack).sum()) - 1.0)
 
 
 AXIS_BLOCH: dict[str, tuple[float, float, float]] = {

@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import IllConditioned, NotApplicable, UnsupportedDimension
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
-from .measurements import embed, projector_key
+from .measurements import projector_key
 from .operators import (
     DensityMatrix,
     Projector,
     bloch_of_matrix,
-    born_probability,
+    born_values,
     frobenius,
     frozen_matrix,
     hermitize,
@@ -35,6 +35,7 @@ from .operators import (
     make_density,
     partial_trace_b,
     projector_from_ket,
+    projector_stack,
     tensor,
 )
 from .tolerances import MAX_CONDITION_NUMBER, TOL
@@ -88,8 +89,12 @@ class SpanningSet:
     """Projectors whose real span is the full Hermitian space.
 
     ``condition_number`` is sigma_max / sigma_min of the vectorized
-    design matrix (one row of Hermitian coordinates per projector); the
-    design restricted to the traceless basis is precomputed and cached.
+    design matrix (one row of Hermitian coordinates per projector).
+    Everything a fit needs besides the frame's values is computed once
+    at build time: the projector matrices as one (n, d, d) stack, the
+    trace part rank/d of each value, the traceless basis flattened to
+    (d^2-1, d^2), the design restricted to that basis and its
+    pseudo-inverse.
     """
 
     dim: int
@@ -97,8 +102,11 @@ class SpanningSet:
     labels: tuple[str, ...]
     condition_number: float
     set_id: str
-    basis: np.ndarray           # traceless Hermitian basis, (d^2-1, d, d)
-    basis_design: np.ndarray    # design restricted to the traceless basis
+    stack: np.ndarray           # projector matrices, (n, d, d)
+    offsets: np.ndarray         # rank / d per projector, (n,)
+    basis_flat: np.ndarray      # traceless Hermitian basis, (d^2-1, d^2)
+    basis_design: np.ndarray    # design restricted to the traceless basis, (n, d^2-1)
+    pinv: np.ndarray            # pseudo-inverse of basis_design, (d^2-1, n)
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -119,8 +127,11 @@ def _spanning_from_projectors(
         labels=tuple(labels),
         condition_number=cond,
         set_id=set_id,
-        basis=frozen_matrix(basis),
+        stack=projector_stack(projectors, dim),
+        offsets=frozen_matrix([p.rank / dim for p in projectors]),
+        basis_flat=frozen_matrix(basis.reshape(len(basis), dim * dim)),
         basis_design=frozen_matrix(basis_design),
+        pinv=frozen_matrix(np.linalg.pinv(basis_design)),
     )
 
 
@@ -172,11 +183,10 @@ def _fit(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, np.ndarray]:
     (value minus fitted value) in place of its max norm."""
     if s.condition_number > MAX_CONDITION_NUMBER:
         raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
-    values = np.array([f(p) for p in s.projectors], dtype=float)
-    offsets = np.array([p.rank / s.dim for p in s.projectors], dtype=float)
-    coeffs, *_ = np.linalg.lstsq(s.basis_design, values - offsets, rcond=None)
-    rho_hat = identity(s.dim) / s.dim + np.tensordot(coeffs, s.basis, axes=1)
-    misfit = values - (offsets + s.basis_design @ coeffs)
+    values = f.values(s.projectors, s.stack)
+    coeffs = s.pinv @ (values - s.offsets)
+    rho_hat = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
+    misfit = values - (s.offsets + s.basis_design @ coeffs)
     return frozen_matrix(hermitize(rho_hat)), misfit
 
 
@@ -306,15 +316,18 @@ def verify_extension(
 
     Returns (partial-trace error, max embedding-probability deviation):
     the Frobenius distance between Tr_B of the extension and rho_f, and
-    the largest |Tr((P x I) rho_F) - Tr(P rho_f)| over the projectors.
+    the largest |Tr((P x I) rho_F) - Tr(P rho_f)| over the projectors
+    (0.0 for none). The embedded projectors P x I are built as one
+    stack, entry (n, (i, k), (j, l)) = P_n[i, j] * delta_kl.
     """
     d_a, d_b = rho_f.dim, sigma_b.dim
     rho_big = extend_to_composite(rho_f, sigma_b)
     back = partial_trace_b(rho_big, d_a, d_b)
     pt_err = frobenius(back.matrix - rho_f.matrix)
-    dev = 0.0
-    for p in projectors:
-        lhs = born_probability(embed(p, d_b), rho_big)
-        rhs = born_probability(p, rho_f)
-        dev = max(dev, abs(lhs - rhs))
-    return pt_err, dev
+    stack = projector_stack(projectors, d_a)
+    embedded = np.zeros((len(stack), d_a, d_b, d_a, d_b), dtype=complex)
+    diag = np.arange(d_b)
+    embedded[:, :, diag, :, diag] = stack
+    lhs = born_values(embedded.reshape(len(stack), rho_big.dim, rho_big.dim), rho_big)
+    rhs = born_values(stack, rho_f)
+    return pt_err, float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -18,6 +18,7 @@ from .errors import (
     NotNormalized,
     NotOrthogonal,
     PartitionMismatch,
+    ValueOutOfRange,
 )
 from .operators import (
     Projector,
@@ -27,6 +28,7 @@ from .operators import (
     hermitize,
     identity,
     make_projector,
+    projector_stack,
     tensor,
 )
 from .tolerances import TOL
@@ -40,10 +42,12 @@ class PVM:
     are preserved as given; no canonical sorting is applied. The two
     residuals are the Frobenius norms validate_pvm measured: the largest
     pairwise product P_x P_y and the distance of the sum from I.
+    ``stack`` holds the element matrices as one (n, d, d) array.
     """
 
     dim: int
     elements: tuple[Projector, ...]
+    stack: np.ndarray
     labels: tuple[str, ...]
     max_orthogonality_residual: float
     completeness_residual: float
@@ -93,10 +97,11 @@ def validate_pvm(
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(elems):
-            raise ValueError(f"{len(labels)} labels for {len(elems)} elements")
+            raise DimensionMismatch(f"{len(labels)} labels for {len(elems)} elements")
     return PVM(
         dim=d,
         elements=elems,
+        stack=projector_stack(elems, d),
         labels=labels,
         max_orthogonality_residual=max_orth,
         completeness_residual=completeness,
@@ -234,7 +239,7 @@ class IntertwineGraph:
         for node in self.nodes:
             if node.key == key:
                 return node.degree
-        raise KeyError(key)
+        raise ValueOutOfRange(f"no projector with key {key} in the graph")
 
     def max_degree(self) -> int:
         return max((n.degree for n in self.nodes), default=0)

@@ -22,6 +22,7 @@ from .errors import (
     NotIdempotent,
     NotPositive,
     NotUnitTrace,
+    ValueOutOfRange,
 )
 from .tolerances import MAX_COMPOSITE_DIM, TOL
 
@@ -47,7 +48,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueOutOfRange(f"{name} contains non-finite entries")
     return arr
 
 
@@ -104,7 +105,7 @@ class BlochVector:
     def __post_init__(self):
         for c in (self.x, self.y, self.z):
             if not math.isfinite(c):
-                raise ValueError("Bloch components must be finite")
+                raise ValueOutOfRange("Bloch components must be finite")
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -141,7 +142,7 @@ def projector_from_ket(ket) -> Projector:
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = np.linalg.norm(v)
     if n == 0:
-        raise ValueError("cannot project onto the zero vector")
+        raise ValueOutOfRange("cannot project onto the zero vector")
     v = v / n
     return make_projector(np.outer(v, v.conj()))
 
@@ -192,17 +193,43 @@ def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMat
     return make_density(partial_trace_matrix(rho_ab.matrix, dim_a, dim_b))
 
 
+def projector_stack(projectors, dim: int) -> np.ndarray:
+    """The matrices of projectors on C^dim as one frozen (n, dim, dim)
+    array; an empty list gives shape (0, dim, dim)."""
+    for p in projectors:
+        if p.dim != dim:
+            raise DimensionMismatch(f"projector dim {p.dim} != expected dim {dim}")
+    stack = np.array([p.matrix for p in projectors], dtype=complex)
+    stack = stack.reshape(len(projectors), dim, dim)
+    stack.setflags(write=False)
+    return stack
+
+
+def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """Tr(P_n rho) for every matrix of an (n, d, d) stack, clamped into
+    [0, 1] after an epsilon sanity check on the whole vector.
+
+    The contraction sum_ij P_ij rho_ji (einsum "nij,ji->n") runs as one
+    matrix-vector product of the flattened stack with vec(rho^T), which
+    BLAS does several times faster than einsum's generic loop.
+    """
+    d = rho.dim
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise DimensionMismatch(f"projectors of shape {stack.shape[1:]} != state dim {d}")
+    t = stack.reshape(len(stack), d * d) @ rho.matrix.T.reshape(d * d)
+    imag = float(np.max(np.abs(t.imag), initial=0.0))
+    if imag > TOL.herm:
+        raise ValueOutOfRange(f"Born trace has imaginary residual {imag:.3e}")
+    vals = t.real
+    bad = ~((vals >= -TOL.prob) & (vals <= 1.0 + TOL.prob))
+    if bad.any():
+        raise ValueOutOfRange(f"Born value {vals[bad][0]} outside [0, 1] beyond tolerance")
+    return np.clip(vals, 0.0, 1.0)
+
+
 def born_probability(p: Projector, rho: DensityMatrix) -> float:
-    """Tr(P rho), clamped into [0, 1] after an epsilon sanity check."""
-    if p.dim != rho.dim:
-        raise DimensionMismatch(f"projector dim {p.dim} != state dim {rho.dim}")
-    t = complex(np.trace(p.matrix @ rho.matrix))
-    if abs(t.imag) > TOL.herm:
-        raise ValueError(f"Born trace has imaginary residual {t.imag:.3e}")
-    val = t.real
-    if val < -TOL.prob or val > 1.0 + TOL.prob:
-        raise ValueError(f"Born value {val} outside [0, 1] beyond tolerance")
-    return min(1.0, max(0.0, val))
+    """Tr(P rho) for one projector: born_values on a stack of one."""
+    return float(born_values(p.matrix[np.newaxis], rho)[0])
 
 
 def bloch_to_density(r: BlochVector) -> DensityMatrix:
@@ -236,7 +263,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     anything is drawn.
     """
     if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+        raise ValueOutOfRange(f"dimension must be >= 1, got {dim}")
     if dim > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(dim, MAX_COMPOSITE_DIM)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)

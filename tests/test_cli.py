@@ -379,6 +379,29 @@ class TestCommonBehaviour:
         code, _ = run(capsys, "demo-intertwine", "--seed", "-4")
         assert code == 2
 
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("GLEASON_LAB_SEED", "seven")
+        code, out = run(capsys, "demo-intertwine")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    def test_unreadable_json_exits_2_with_one_error_line(self, capsys, tmp_path, content):
+        frame_file = tmp_path / "frame.json"
+        frame_file.write_bytes(content)
+        code = main(["check-marginal", "--frame", str(frame_file)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_program_faults_are_not_reported_as_refused_input(self, capsys, monkeypatch,
+                                                              born_frame_file):
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(gleason_lab.cli, "certify_marginal", broken)
+        with pytest.raises(ValueError):
+            main(["check-marginal", "--frame", born_frame_file])
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -426,6 +449,10 @@ def test_arbitrary_json_inputs_never_crash_the_cli(command, frame, pvm):
         argv = [command, "--frame", frame_file]
         if command == "eval":
             argv += ["--pvm", pvm_file]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
         assert code in {0, 2, 3, 4}
+        if code == 2:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -24,9 +24,12 @@ from gleason_lab.frames import (
     random_qubit_pvm_pair,
     tabulated,
 )
-from gleason_lab.measurements import pvm_from_unitary, validate_pvm
+from gleason_lab.marginality import spanning_projectors
+from gleason_lab.measurements import pvm_from_unitary, random_rank_partition, validate_pvm
 from gleason_lab.operators import (
     BlochVector,
+    DensityMatrix,
+    born_probability,
     haar_unitary,
     identity,
     make_density,
@@ -151,6 +154,66 @@ class TestTabulated:
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
             tabulated([(P0, 0.5), (rank1_projector(3, rng), 0.5)])
+
+
+def _projector_sets(dim, rng):
+    """The spanning set of dim and three random PVMs on it, as
+    (projectors, stack) pairs."""
+    s = spanning_projectors(dim)
+    sets = [(s.projectors, s.stack)]
+    for _ in range(3):
+        pvm = pvm_from_unitary(haar_unitary(dim, rng), random_rank_partition(dim, rng))
+        sets.append((pvm.elements, pvm.stack))
+    return sets
+
+
+class TestValues:
+    """f.values(projectors, stack) against one __call__ per projector."""
+
+    def _agrees(self, f, sets):
+        for projectors, stack in sets:
+            got = f.values(projectors, stack)
+            assert got.shape == (len(projectors),)
+            assert np.max(np.abs(got - [f(p) for p in projectors])) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_born(self, dim, rng):
+        for _ in range(5):
+            self._agrees(born_backed(random_density_matrix(dim, rng)), _projector_sets(dim, rng))
+
+    def test_deterministic(self, rng):
+        self._agrees(deterministic_qubit(), _projector_sets(2, rng))
+
+    def test_tabulated(self, rng):
+        s = spanning_projectors(3)
+        f = tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s)))))
+        self._agrees(f, [(s.projectors, s.stack)])
+        pvm = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
+        with pytest.raises(UndefinedProjector):
+            f.values(pvm.elements, pvm.stack)
+
+    def test_induced(self, rng):
+        for d_b in (2, 3):
+            big = born_backed(random_density_matrix(2 * d_b, rng))
+            self._agrees(InducedFrameFunction(big, 2, d_b), _projector_sets(2, rng))
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([2.0, -1.0]),               # Born value 2 on |0><0|
+        np.array([[0.5, 0.5j], [0.0, 0.5]]),  # imaginary trace on |+><+|
+    ])
+    def test_unvalidated_state_raises_like_born_probability(self, matrix):
+        f = born_backed(DensityMatrix(dim=2, matrix=np.asarray(matrix, dtype=complex)))
+        s = spanning_projectors(2)
+        with pytest.raises(ValueOutOfRange):
+            f.values(s.projectors, s.stack)
+        with pytest.raises(ValueOutOfRange):
+            for p in s.projectors:
+                born_probability(p, f.rho)
+
+    def test_stack_of_wrong_dimension(self, rng):
+        s = spanning_projectors(3)
+        with pytest.raises(DimensionMismatch):
+            born_backed(random_density_matrix(2, rng)).values(s.projectors, s.stack)
 
 
 class TestCheckNormalization:

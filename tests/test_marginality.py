@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from gleason_lab.errors import (
+    DimensionMismatch,
+    DimensionOverflow,
     IllConditioned,
     NotApplicable,
     UndefinedProjector,
@@ -44,7 +46,7 @@ from gleason_lab.operators import (
 from gleason_lab.serialization import certificate_to_json
 from gleason_lab.tolerances import TOL
 
-from conftest import rank1_projector
+from conftest import kron_oracle, rank1_projector
 
 
 def design_rank_oracle(projectors) -> int:
@@ -309,6 +311,38 @@ class TestExtendToComposite:
         pt_err, dev = verify_extension(rho, sigma, projectors)
         assert pt_err <= 1e-12
         assert dev <= 1e-12
+
+    def test_deviation_matches_per_projector_oracle(self, rng):
+        for d_a, d_b in ((2, 2), (2, 3), (3, 2), (4, 2)):
+            rho = random_density_matrix(d_a, rng)
+            sigma = random_density_matrix(d_b, rng)
+            projectors = [rank1_projector(d_a, rng) for _ in range(10)]
+            big = kron_oracle(rho.matrix, sigma.matrix)
+            expected = max(
+                abs(np.trace(kron_oracle(p.matrix, identity(d_b)) @ big).real
+                    - np.trace(p.matrix @ rho.matrix).real)
+                for p in projectors
+            )
+            _, dev = verify_extension(rho, sigma, projectors)
+            assert abs(dev - expected) <= 1e-14
+
+    def test_wrong_projector_dimension(self, rng):
+        rho = random_density_matrix(2, rng)
+        sigma = random_density_matrix(3, rng)
+        projectors = [rank1_projector(2, rng), rank1_projector(3, rng)]
+        with pytest.raises(DimensionMismatch):
+            verify_extension(rho, sigma, projectors)
+
+    def test_no_projectors_gives_zero_deviation(self, rng):
+        rho = random_density_matrix(3, rng)
+        pt_err, dev = verify_extension(rho, random_density_matrix(2, rng), [])
+        assert pt_err <= 1e-12
+        assert dev == 0.0
+
+    def test_composite_cap(self, rng):
+        rho = random_density_matrix(8, rng)
+        with pytest.raises(DimensionOverflow):
+            verify_extension(rho, random_density_matrix(9, rng), [rank1_projector(8, rng)])
 
     def test_induced_function_agrees_with_original(self, rng):
         # The constructive existence route: extend, then restrict.

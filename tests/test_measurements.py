@@ -91,7 +91,7 @@ class TestValidatePvm:
         assert pvm.completeness_residual == np.linalg.norm(sum(mats) - np.eye(3), "fro")
 
     def test_label_count_must_match(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             validate_pvm([P0, P1], labels=["only-one"])
 
 

@@ -11,14 +11,17 @@ from gleason_lab.errors import (
     NonPhysicalBloch,
     NotHermitian,
     NotIdempotent,
+    ValueOutOfRange,
 )
 from gleason_lab.operators import (
     PAULI_X,
     PAULI_Z,
     BlochVector,
+    DensityMatrix,
     bloch_of_matrix,
     bloch_to_density,
     born_probability,
+    born_values,
     haar_unitary,
     identity,
     make_density,
@@ -184,6 +187,15 @@ class TestBornProbability:
             value = born_probability(rank1_projector(3, rng), random_density_matrix(3, rng))
             assert 0.0 <= value <= 1.0
 
+    def test_round_off_beyond_the_range_is_clamped(self):
+        # Unvalidated, so its Born values overshoot [0, 1] by less than TOL.prob.
+        rho = DensityMatrix(dim=2, matrix=np.diag([1.0 + 1e-10, -1e-10]).astype(complex))
+        p0 = make_projector(np.outer(KET0, KET0.conj()))
+        p1 = make_projector(identity(2) - p0.matrix)
+        stack = np.stack([p0.matrix, p1.matrix])
+        assert list(born_values(stack, rho)) == [1.0, 0.0]
+        assert (born_probability(p0, rho), born_probability(p1, rho)) == (1.0, 0.0)
+
 
 class TestBloch:
     def test_center_is_maximally_mixed(self):
@@ -242,7 +254,7 @@ class TestRandomUnitary:
         assert np.max(np.abs(off_diag)) <= 1e-12
 
     def test_rejects_dim_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueOutOfRange):
             haar_unitary(0, np.random.default_rng(1))
 
 
@@ -270,7 +282,7 @@ class TestMinEigenvalue:
 
 class TestBlochVectorType:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueOutOfRange):
             BlochVector(float("nan"), 0.0, 0.0)
 
     def test_physicality_predicate(self):

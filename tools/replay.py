@@ -2,6 +2,7 @@
 """Replay a fixed list of seeded gleason-lab CLI runs and record their output.
 
     python tools/replay.py OUTDIR [--src TREE/src]
+    python tools/replay.py --compare DIR_A DIR_B
 
 The runs cover all seven subcommands. For each run, OUTDIR receives
 ``<name>.stdout`` (stdout without the ``"timestamp"`` line),
@@ -15,6 +16,15 @@ behave the same give identical directories:
     python tools/replay.py after --src src
     diff -r before after
 
+``diff -r`` is the byte gate for a change that must not move any output.
+A change that reorders floating-point arithmetic moves the last bits of
+printed floats; ``--compare`` checks such a pair numerically instead.
+It parses stdout and artifacts as JSON (or, where that fails, as CSV
+cells) and requires every value to be equal, except floats, which may
+differ by at most 1e-12 absolute; ``.exit`` and ``.stderr`` files must be
+byte-identical. It prints every differing path and exits 1 if there is
+one, 0 otherwise.
+
 The input frames and PVMs are built here with plain numpy and json,
 never with gleason_lab, so both trees read the same bytes. Each run
 starts in OUTDIR and names its files by relative path, which keeps the
@@ -25,8 +35,12 @@ is removed from the environment of every run.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -173,14 +187,101 @@ def without_timestamp(text: str) -> str:
     return "".join(line for line in text.splitlines(True) if '"timestamp"' not in line)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", help="directory to fill; created if missing")
-    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
-                        help="source directory holding gleason_lab (default: this tree's src)")
-    args = parser.parse_args(argv)
+FLOAT_ABS_TOL = 1e-12
+EXACT_SUFFIXES = (".exit", ".stderr")
 
-    outdir = os.path.abspath(args.outdir)
+
+def _cell(text: str) -> str | float:
+    """A CSV cell as a float when it is a float literal; integers,
+    booleans and words stay strings and compare exactly."""
+    try:
+        int(text)
+        return text
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _floats_agree(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b or abs(a - b) <= FLOAT_ABS_TOL
+
+
+def _compare_values(a, b, path: str, out: list[str]) -> None:
+    """Append to ``out`` every path where two parsed JSON values differ."""
+    if isinstance(a, float) and isinstance(b, float):
+        if not _floats_agree(a, b):
+            out.append(f"{path}: {a!r} != {b!r}")
+    elif type(a) is not type(b):
+        out.append(f"{path}: {a!r} != {b!r}")
+    elif isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                out.append(f"{path}.{key}: present on one side only")
+            else:
+                _compare_values(a[key], b[key], f"{path}.{key}", out)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            out.append(f"{path}: length {len(a)} != {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _compare_values(x, y, f"{path}[{i}]", out)
+    elif a != b:
+        out.append(f"{path}: {a!r} != {b!r}")
+
+
+def _csv_rows(text: str) -> list:
+    return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
+
+
+def compare_texts(rel: str, a: str, b: str) -> list[str]:
+    """Differences between two recorded files: exact for exit codes and
+    stderr, numeric within FLOAT_ABS_TOL for JSON or CSV content."""
+    if a == b:
+        return []
+    if rel.endswith(EXACT_SUFFIXES):
+        return [f"{rel}: contents differ"]
+    out: list[str] = []
+    try:
+        parsed = _json(a), _json(b)
+    except ValueError:
+        parsed = _csv_rows(a), _csv_rows(b)
+    _compare_values(*parsed, rel, out)
+    return out
+
+
+def _json(text: str):
+    """Parse a recorded JSON file. A report loses its last line,
+    ``"timestamp"``, when recorded, which leaves a comma before the
+    closing brace; that comma is dropped."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return json.loads(re.sub(r",(\s*)}\s*$", r"\1}", text))
+
+
+def _files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, name), root)
+        for d, _, names in os.walk(root) for name in names
+    }
+
+
+def compare_dirs(dir_a: str, dir_b: str) -> list[str]:
+    """Every differing path between two replay directories."""
+    files_a, files_b = _files(dir_a), _files(dir_b)
+    out = [f"{rel}: present on one side only" for rel in sorted(files_a ^ files_b)]
+    for rel in sorted(files_a & files_b):
+        with open(os.path.join(dir_a, rel)) as ha, open(os.path.join(dir_b, rel)) as hb:
+            out += compare_texts(rel, ha.read(), hb.read())
+    return out
+
+
+def record(outdir: str, src: str) -> None:
+    outdir = os.path.abspath(outdir)
     os.makedirs(os.path.join(outdir, "inputs"), exist_ok=True)
     os.makedirs(os.path.join(outdir, "artifacts"), exist_ok=True)
     for name, obj in INPUTS.items():
@@ -188,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(obj, handle, indent=1)
 
     env = {k: v for k, v in os.environ.items() if k != "GLEASON_LAB_SEED"}
-    env["PYTHONPATH"] = os.path.abspath(args.src)
+    env["PYTHONPATH"] = os.path.abspath(src)
     for name, cli_args, writes in RUNS:
         out = f"artifacts/{name}.out"
         if writes:
@@ -207,6 +308,26 @@ def main(argv: list[str] | None = None) -> int:
             with open(os.path.join(outdir, rel), "w") as handle:
                 handle.write(text)
         print(f"{name}: exit {proc.returncode}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", help="directory to fill; created if missing")
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
+                        help="source directory holding gleason_lab (default: this tree's src)")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two replay directories numerically instead of running")
+    args = parser.parse_args(argv)
+    if (args.outdir is None) == (args.compare is None):
+        parser.error("give either OUTDIR or --compare DIR_A DIR_B")
+
+    if args.compare is not None:
+        diffs = compare_dirs(*args.compare)
+        for line in diffs:
+            print(line)
+        print(f"{len(diffs)} difference(s) beyond {FLOAT_ABS_TOL:g} in floats")
+        return 1 if diffs else 0
+    record(args.outdir, args.src)
     return 0
 
 
