@@ -16,7 +16,6 @@ from .errors import (
     GleasonLabError,
     IllConditioned,
     Incomplete,
-    NonPhysicalBloch,
     NotApplicable,
     NotHermitian,
     NotIdempotent,
@@ -58,7 +57,6 @@ from .marginality import (
     certify_marginal,
     extend_to_composite,
     marginality_witness,
-    reconstruct_density,
     spanning_projectors,
     verify_extension,
 )
@@ -77,7 +75,6 @@ from .operators import (
     BlochVector,
     DensityMatrix,
     Projector,
-    bloch_to_density,
     born_probability,
     born_values,
     haar_unitary,

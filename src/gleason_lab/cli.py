@@ -38,7 +38,6 @@ from .marginality import (
     Verdict,
     certify_marginal,
     marginality_witness,
-    reconstruct_density,
     spanning_projectors,
     verify_extension,
 )
@@ -164,6 +163,8 @@ def _load_json(path: str):
             return json.load(handle)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SerializationError(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SerializationError(f"{path} nests too deeply to parse") from None
 
 
 # A handler returns its config entries, results, summary and the --out
@@ -252,9 +253,10 @@ def _cmd_check_marginal(args, seed: int) -> Outcome:
 def _cmd_reconstruct(args, seed: int) -> Outcome:
     frame = frame_from_json(_load_json(args.frame))
     spanning = spanning_projectors(frame.dim)
-    rho_hat, residual = reconstruct_density(frame, spanning)
+    cert = certify_marginal(frame, spanning)
+    residual = cert.linear_residual
     results = {
-        "rho_hat": matrix_to_json(rho_hat),
+        "rho_hat": matrix_to_json(cert.rho_hat),
         "linear_residual": checked("linear_residual", residual, TOL.lin),
         "spanning_set_id": spanning.set_id,
         "condition_number": spanning.condition_number,

@@ -42,12 +42,6 @@ class DimensionOverflow(GleasonLabError):
         self.max_dim = max_dim
 
 
-class NonPhysicalBloch(GleasonLabError):
-    def __init__(self, norm: float):
-        super().__init__(f"Bloch vector norm {norm:.6f} exceeds 1")
-        self.norm = norm
-
-
 class NotOrthogonal(GleasonLabError):
     def __init__(self, x: int, y: int, residual: float):
         super().__init__(

@@ -33,6 +33,7 @@ from .operators import (
     hermitize,
     identity,
     make_density,
+    min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
     projector_stack,
@@ -166,30 +167,6 @@ def spanning_projectors(dim: int) -> SpanningSet:
     return _spanning_from_projectors(dim, projectors, labels, f"grid-d{dim}")
 
 
-def reconstruct_density(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, float]:
-    """Least-squares unit-trace Hermitian fit to frame-function values.
-
-    The candidate is expanded as I/d plus a traceless Hermitian
-    combination, which eliminates the trace constraint instead of using
-    multipliers; the reported residual is the max-norm misfit over the
-    spanning set, the operationally meaningful per-outcome error.
-    """
-    rho_hat, misfit = _fit(f, s)
-    return rho_hat, float(np.max(np.abs(misfit)))
-
-
-def _fit(f: FrameFunction, s: SpanningSet) -> tuple[np.ndarray, np.ndarray]:
-    """reconstruct_density's fit, returning the per-projector misfit
-    (value minus fitted value) in place of its max norm."""
-    if s.condition_number > MAX_CONDITION_NUMBER:
-        raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
-    values = f.values(s.projectors, s.stack)
-    coeffs = s.pinv @ (values - s.offsets)
-    rho_hat = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
-    misfit = values - (s.offsets + s.basis_design @ coeffs)
-    return frozen_matrix(hermitize(rho_hat)), misfit
-
-
 @dataclass(frozen=True)
 class BlochWitness:
     """Non-physical qubit reconstruction: Bloch vector outside the ball."""
@@ -236,17 +213,29 @@ class MarginalityCertificate:
 def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> MarginalityCertificate:
     """Decide whether a frame function is the marginal of a composite one.
 
-    Marginal: values fit a unit-trace Hermitian matrix within TOL.lin
-    and its smallest eigenvalue is >= -TOL.psd. NonMarginal: the fit
-    fails, or the eigenvalue drops below -TOL.margin. Eigenvalues in the
-    gap give Inconclusive, separating round-off from genuine
-    non-positivity.
+    The fit is the least-squares unit-trace Hermitian matrix rho_hat for
+    the values on the spanning set, expanded as I/d plus a traceless
+    Hermitian combination, which eliminates the trace constraint instead
+    of using multipliers. The linear residual is the max-norm misfit
+    over the spanning set, the operationally meaningful per-outcome
+    error.
+
+    Marginal: the residual is within TOL.lin and the smallest eigenvalue
+    of rho_hat is >= -TOL.psd. NonMarginal: the fit fails, or the
+    eigenvalue drops below -TOL.margin. Eigenvalues in the gap give
+    Inconclusive, separating round-off from genuine non-positivity.
     """
     if s is None:
         s = spanning_projectors(f.dim)
-    rho_hat, misfit = _fit(f, s)
+    if s.condition_number > MAX_CONDITION_NUMBER:
+        raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
+    values = f.values(s.projectors, s.stack)
+    coeffs = s.pinv @ (values - s.offsets)
+    fit = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
+    rho_hat = frozen_matrix(hermitize(fit))
+    misfit = values - (s.offsets + s.basis_design @ coeffs)
     residual = float(np.max(np.abs(misfit)))
-    low = float(np.linalg.eigvalsh(rho_hat)[0])
+    low = min_eigenvalue(rho_hat)
     # Each witness reuses the numbers above. Misfits often tie exactly (an
     # antipodal qubit pair always does), so the residual witness names
     # the first projector within TOL.lin of the linear residual.

@@ -244,9 +244,6 @@ class IntertwineGraph:
     def max_degree(self) -> int:
         return max((n.degree for n in self.nodes), default=0)
 
-    def intertwined_count(self) -> int:
-        return sum(1 for n in self.nodes if n.degree >= 2)
-
 
 def intertwine_graph(pvms: Iterable[PVM]) -> IntertwineGraph:
     """Build the projector/measurement incidence graph for a PVM list.

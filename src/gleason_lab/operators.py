@@ -3,7 +3,7 @@ tensor products, partial traces, Bloch coordinates and Haar unitaries
 drawn from an explicit generator.
 
 All public constructors validate their inputs and return immutable
-values (numpy arrays are frozen with ``setflags(write=False)``), so
+values (numpy arrays are frozen through ``frozen_matrix``), so
 every operation here is safe for concurrent use.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DimensionOverflow,
-    NonPhysicalBloch,
     NotHermitian,
     NotIdempotent,
     NotPositive,
@@ -26,13 +25,6 @@ from .errors import (
 )
 from .tolerances import MAX_COMPOSITE_DIM, TOL
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-for _p in (PAULI_X, PAULI_Y, PAULI_Z):
-    _p.setflags(write=False)
-
 
 def frozen_matrix(m: np.ndarray) -> np.ndarray:
     """Defensive C-contiguous copy with the write flag cleared; the dtype
@@ -40,6 +32,11 @@ def frozen_matrix(m: np.ndarray) -> np.ndarray:
     out = np.array(m, order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+PAULI_X = frozen_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = frozen_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = frozen_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -59,6 +56,13 @@ def frobenius(m: np.ndarray) -> float:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """(M + M†)/2, removing round-off asymmetry before eigensolves."""
     return 0.5 * (m + m.conj().T)
+
+
+def min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of a square complex matrix its caller has
+    already found Hermitian; the Hermitization drops round-off asymmetry
+    and leaves an exactly Hermitian matrix unchanged."""
+    return float(np.linalg.eigvalsh(hermitize(h))[0])
 
 
 def _square_hermitian(matrix, what: str) -> np.ndarray:
@@ -110,9 +114,6 @@ class BlochVector:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_physical(self) -> bool:
-        return self.norm() <= 1.0 + TOL.bloch
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
@@ -154,7 +155,7 @@ def make_density(matrix) -> DensityMatrix:
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TOL.tr:
         raise NotUnitTrace(tr)
-    low = float(np.linalg.eigvalsh(hermitize(m))[0])
+    low = min_eigenvalue(m)
     if low < -TOL.psd:
         raise NotPositive(low)
     return DensityMatrix(dim=d, matrix=frozen_matrix(m))
@@ -173,24 +174,14 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(ma, mb)
 
 
-def partial_trace_matrix(m, dim_a: int, dim_b: int) -> np.ndarray:
-    """Trace out subsystem B of any square matrix on the composite space."""
-    arr = as_complex_matrix(m, "composite matrix")
-    d = dim_a * dim_b
-    if arr.shape != (d, d):
-        raise DimensionMismatch(
-            f"matrix has shape {arr.shape} but dim_a * dim_b = {dim_a} * {dim_b} = {d}"
-        )
-    return np.einsum("ikjk->ij", arr.reshape(dim_a, dim_b, dim_a, dim_b))
-
-
 def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMatrix:
     """Reduced state of subsystem A: (Tr_B rho)_ij = sum_k rho_(i,k),(j,k)."""
     if rho_ab.dim != dim_a * dim_b:
         raise DimensionMismatch(
             f"composite dimension {rho_ab.dim} is not dim_a * dim_b = {dim_a * dim_b}"
         )
-    return make_density(partial_trace_matrix(rho_ab.matrix, dim_a, dim_b))
+    m = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    return make_density(np.einsum("ikjk->ij", m))
 
 
 def projector_stack(projectors, dim: int) -> np.ndarray:
@@ -200,9 +191,7 @@ def projector_stack(projectors, dim: int) -> np.ndarray:
         if p.dim != dim:
             raise DimensionMismatch(f"projector dim {p.dim} != expected dim {dim}")
     stack = np.array([p.matrix for p in projectors], dtype=complex)
-    stack = stack.reshape(len(projectors), dim, dim)
-    stack.setflags(write=False)
-    return stack
+    return frozen_matrix(stack.reshape(len(projectors), dim, dim))
 
 
 def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
@@ -230,15 +219,6 @@ def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
 def born_probability(p: Projector, rho: DensityMatrix) -> float:
     """Tr(P rho) for one projector: born_values on a stack of one."""
     return float(born_values(p.matrix[np.newaxis], rho)[0])
-
-
-def bloch_to_density(r: BlochVector) -> DensityMatrix:
-    """rho = (I + x sigma_x + y sigma_y + z sigma_z) / 2 for |r| <= 1."""
-    n = r.norm()
-    if n > 1.0 + TOL.bloch:
-        raise NonPhysicalBloch(n)
-    m = 0.5 * (identity(2) + r.x * PAULI_X + r.y * PAULI_Y + r.z * PAULI_Z)
-    return make_density(m)
 
 
 def bloch_of_matrix(m: np.ndarray) -> BlochVector:
@@ -278,9 +258,3 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return make_density(m / np.trace(m).real)
-
-
-def min_eigenvalue(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    m = _square_hermitian(h, "matrix")
-    return float(np.linalg.eigvalsh(hermitize(m))[0])

@@ -30,7 +30,6 @@ from .marginality import (
 )
 from .measurements import PVM, IntertwineGraph, validate_pvm
 from .operators import (
-    DensityMatrix,
     as_complex_matrix,
     make_density,
     make_projector,
@@ -67,17 +66,6 @@ def matrix_from_json(data: Any, name: str = "matrix") -> np.ndarray:
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
-def operator_to_json(matrix: np.ndarray, kind: str) -> dict:
-    arr = as_complex_matrix(matrix)
-    if kind not in ("projector", "density", "unitary"):
-        raise SerializationError(f"unknown operator kind {kind!r}")
-    return {"dim": int(arr.shape[0]), "kind": kind, "matrix": matrix_to_json(arr)}
-
-
-def density_to_json(rho: DensityMatrix) -> dict:
-    return operator_to_json(rho.matrix, "density")
-
-
 def _number(value: Any, name: str) -> float:
     """A JSON number as a float; booleans and out-of-range integers are
     rejected rather than coerced."""
@@ -110,14 +98,6 @@ def _check_dim(obj: dict, dim: int) -> None:
         )
 
 
-def operator_from_json(obj: Any) -> tuple[str, np.ndarray]:
-    if not isinstance(obj, dict) or "kind" not in obj or "matrix" not in obj:
-        raise SerializationError("operator object needs 'dim', 'kind' and 'matrix'")
-    m = matrix_from_json(obj["matrix"])
-    _check_dim(obj, m.shape[0])
-    return str(obj["kind"]), m
-
-
 def pvm_to_json(m: PVM) -> dict:
     return {
         "dim": m.dim,
@@ -133,7 +113,8 @@ def pvm_from_json(obj: Any) -> PVM:
     ]
     labels = obj.get("labels")
     if labels is not None:
-        _list(labels, "labels")
+        if not all(isinstance(label, str) for label in _list(labels, "labels")):
+            raise SerializationError("labels must be strings")
     pvm = validate_pvm(elements, labels=labels)
     _check_dim(obj, pvm.dim)
     return pvm

@@ -265,6 +265,21 @@ class TestReconstruct:
         assert report["summary"]["consistent"] is False
         assert report["summary"]["pass"] is False
 
+    @pytest.mark.parametrize("values", [
+        {"+x": 0.9, "-x": 0.1, "+y": 0.5, "-y": 0.5, "+z": 0.3, "-z": 0.7},
+        {"+x": 1.0, "-x": 0.0, "+y": 0.5, "-y": 0.5, "+z": 1.0, "-z": 0.0},
+        {"+x": 0.9, "-x": 0.3, "+y": 0.5, "-y": 0.5, "+z": 0.5, "-z": 0.5},
+    ], ids=["marginal", "non-psd", "inconsistent"])
+    def test_prints_the_fit_check_marginal_certifies(self, capsys, tmp_path, values):
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame_to_json(axis_table(values))))
+        _, rec = run_json(capsys, "reconstruct", "--frame", str(path))
+        _, chk = run_json(capsys, "check-marginal", "--frame", str(path))
+        cert = chk["results"]["certificate"]
+        assert rec["results"]["rho_hat"] == cert["rho_hat"]
+        assert rec["results"]["linear_residual"]["value"] == cert["linear_residual"]
+        assert rec["summary"]["linear_residual"] == chk["summary"]["linear_residual"]
+
 
 class TestDemoCounterexample:
     def test_default_run_is_non_marginal(self, capsys):
@@ -384,7 +399,7 @@ class TestCommonBehaviour:
         code, out = run(capsys, "demo-intertwine")
         assert code == 2 and out == ""
 
-    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b"[" * 100_000])
     def test_unreadable_json_exits_2_with_one_error_line(self, capsys, tmp_path, content):
         frame_file = tmp_path / "frame.json"
         frame_file.write_bytes(content)

@@ -31,12 +31,12 @@ from gleason_lab.marginality import (
     certify_marginal,
     extend_to_composite,
     marginality_witness,
-    reconstruct_density,
     spanning_projectors,
     verify_extension,
 )
 from gleason_lab.operators import (
     bloch_of_matrix,
+    hermitize,
     identity,
     make_density,
     make_projector,
@@ -89,21 +89,21 @@ class TestSpanningProjectors:
             spanning_projectors(dim)
 
 
-class TestReconstructDensity:
+class TestFit:
     def test_born_round_trip(self, rng):
         for dim in (2, 3, 4):
             s = spanning_projectors(dim)
             for _ in range(50):
                 rho = random_density_matrix(dim, rng)
-                rho_hat, residual = reconstruct_density(born_backed(rho), s)
-                assert np.linalg.norm(rho_hat - rho.matrix, "fro") <= 1e-9
-                assert residual <= 1e-9
-                assert abs(np.trace(rho_hat).real - 1.0) <= 1e-12
+                cert = certify_marginal(born_backed(rho), s)
+                assert np.linalg.norm(cert.rho_hat - rho.matrix, "fro") <= 1e-9
+                assert cert.linear_residual <= 1e-9
+                assert abs(np.trace(cert.rho_hat).real - 1.0) <= 1e-12
 
     def test_deterministic_rule_matches_per_axis_oracle(self):
         f = deterministic_qubit()
         s = spanning_projectors(2)
-        rho_hat, residual = reconstruct_density(f, s)
+        cert = certify_marginal(f, s)
         expected = np.array(
             [
                 2 * f(axis_projector("+x")) - 1,
@@ -111,44 +111,55 @@ class TestReconstructDensity:
                 2 * f(axis_projector("+z")) - 1,
             ]
         )
-        bloch = np.array(bloch_of_matrix(rho_hat).as_tuple())
+        bloch = np.array(bloch_of_matrix(cert.rho_hat).as_tuple())
         assert np.allclose(bloch, expected, atol=1e-12)
-        assert residual <= 1e-12
+        assert cert.linear_residual <= 1e-12
         # two deterministic axes already push the norm past the ball
         assert np.linalg.norm(bloch) > 1
         assert np.linalg.norm(bloch) == pytest.approx(math.sqrt(3), abs=1e-12)
 
     def test_definite_xz_table_reconstruction(self):
-        rho_hat, residual = reconstruct_density(definite_xz_table(), spanning_projectors(2))
-        bloch = bloch_of_matrix(rho_hat)
+        cert = certify_marginal(definite_xz_table(), spanning_projectors(2))
+        bloch = bloch_of_matrix(cert.rho_hat)
         assert np.allclose(bloch.as_tuple(), (1.0, 0.0, 1.0), atol=1e-12)
         assert bloch.norm() == pytest.approx(math.sqrt(2), abs=1e-12)
-        assert residual <= 1e-12
+        assert cert.linear_residual <= 1e-12
 
     def test_uniform_table_reconstructs_maximally_mixed(self):
         f = axis_table({a: 0.5 for a in ("+x", "-x", "+y", "-y", "+z", "-z")})
-        rho_hat, residual = reconstruct_density(f, spanning_projectors(2))
-        assert np.allclose(rho_hat, identity(2) / 2, atol=1e-12)
-        assert residual <= 1e-12
+        cert = certify_marginal(f, spanning_projectors(2))
+        assert np.allclose(cert.rho_hat, identity(2) / 2, atol=1e-12)
+        assert cert.linear_residual <= 1e-12
 
     def test_round_trip_is_idempotent(self, rng):
         s = spanning_projectors(3)
         rho = random_density_matrix(3, rng)
-        first, _ = reconstruct_density(born_backed(rho), s)
-        second, _ = reconstruct_density(born_backed(make_density(first)), s)
+        first = certify_marginal(born_backed(rho), s).rho_hat
+        second = certify_marginal(born_backed(make_density(first)), s).rho_hat
         assert np.linalg.norm(second - first, "fro") <= 1e-10
 
     def test_partial_table_raises_undefined(self):
         f = axis_table({"+x": 1.0, "-x": 0.0})
         with pytest.raises(UndefinedProjector):
-            reconstruct_density(f, spanning_projectors(2))
+            certify_marginal(f, spanning_projectors(2))
 
     def test_degenerate_set_is_ill_conditioned(self, rng):
         p = rank1_projector(2, rng)
         s = _spanning_from_projectors(2, [p, p, p, p], ["a", "b", "c", "d"], "degenerate")
         assert s.condition_number > 1e8
         with pytest.raises(IllConditioned):
-            reconstruct_density(born_backed(random_density_matrix(2, rng)), s)
+            certify_marginal(born_backed(random_density_matrix(2, rng)), s)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_fit_is_exactly_hermitian(self, rng, dim):
+        # min_eig is the smallest eigenvalue of rho_hat itself: Hermitizing
+        # the fit's output again changes no bit.
+        s = spanning_projectors(dim)
+        for _ in range(10):
+            values = rng.uniform(0.0, 1.0, len(s))
+            cert = certify_marginal(tabulated(list(zip(s.projectors, values))), s)
+            assert np.array_equal(hermitize(cert.rho_hat), cert.rho_hat)
+            assert cert.min_eig == float(np.linalg.eigvalsh(cert.rho_hat)[0])
 
 
 class TestCertifyMarginal:

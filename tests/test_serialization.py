@@ -22,14 +22,11 @@ from gleason_lab.operators import (
 )
 from gleason_lab.serialization import (
     certificate_to_json,
-    density_to_json,
     frame_from_json,
     frame_to_json,
     graph_to_json,
     matrix_from_json,
     matrix_to_json,
-    operator_from_json,
-    operator_to_json,
     pvm_from_json,
     pvm_to_json,
 )
@@ -58,34 +55,6 @@ class TestMatrixEncoding:
     def test_non_numeric_rejected(self):
         with pytest.raises(SerializationError):
             matrix_from_json([[["a", "b"]]])
-
-
-class TestOperatorEncoding:
-    def test_kind_and_dim_fields(self, rng):
-        obj = operator_to_json(haar_unitary(3, np.random.default_rng(8)), "unitary")
-        assert obj["dim"] == 3
-        assert obj["kind"] == "unitary"
-        kind, back = operator_from_json(json_round_trip(obj))
-        assert kind == "unitary"
-        assert np.array_equal(back, haar_unitary(3, np.random.default_rng(8)))
-
-    def test_projector_and_density_helpers(self, rng):
-        p = rank1_projector(2, rng)
-        assert operator_to_json(p.matrix, "projector") == json_round_trip(
-            {"dim": 2, "kind": "projector", "matrix": matrix_to_json(p.matrix)}
-        )
-        rho = random_density_matrix(2, rng)
-        assert density_to_json(rho)["kind"] == "density"
-
-    def test_unknown_kind_rejected(self, rng):
-        with pytest.raises(SerializationError):
-            operator_to_json(rank1_projector(2, rng).matrix, "hamiltonian")
-
-    def test_dim_mismatch_rejected(self, rng):
-        obj = operator_to_json(haar_unitary(3, np.random.default_rng(8)), "unitary")
-        obj["dim"] = 4
-        with pytest.raises(SerializationError):
-            operator_from_json(obj)
 
 
 class TestPvmEncoding:
@@ -160,6 +129,8 @@ P1_JSON = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (pvm_from_json, {"dim": 2, "elements": 5}),
     (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": 5}),
     (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": {"a": 1}}),
+    (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": [["a"], "b"]}),
+    (pvm_from_json, {"dim": 2, "elements": [P0_JSON, P1_JSON], "labels": [None, "b"]}),
     (frame_from_json, {"repr": "born", "rho": [[[10**400, 0.0]]]}),
     (frame_from_json, {"repr": "born", "rho": [[[True, 0.0]]]}),
     (frame_from_json, {"repr": "table", "entries": [
@@ -174,7 +145,7 @@ P1_JSON = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     (pvm_from_json, {"dim": 9, "elements": [P0_JSON, P1_JSON]}),
 ], ids=[
     "entries-int", "entries-str", "entries-of-ints", "value-list",
-    "elements-int", "labels-int", "labels-object", "huge-int",
+    "elements-int", "labels-int", "labels-object", "labels-nested", "labels-null", "huge-int",
     "rho-bool", "projector-bool",
     "born-dim-mismatch", "deterministic-dim-mismatch", "table-dim-string", "pvm-dim-mismatch",
 ])

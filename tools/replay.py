@@ -177,6 +177,7 @@ RUNS = [
     ("reconstruct-xz", ["reconstruct", "--frame", "inputs/xz.json"], False),
     ("reconstruct-born4", ["reconstruct", "--frame", "inputs/born4.json"], False),
     ("reconstruct-inconsistent", ["reconstruct", "--frame", "inputs/inconsistent.json"], False),
+    ("reconstruct-non-psd3", ["reconstruct", "--frame", "inputs/non-psd3.json"], False),
     ("demo-counterexample", ["demo-counterexample", "--seed", "4"], False),
     ("demo-counterexample-rho", ["demo-counterexample", "--seed", "4", "--rho-backed"], False),
     ("demo-intertwine", ["demo-intertwine", "--n-psi", "15", "--seed", "8"], False),
