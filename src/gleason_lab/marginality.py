@@ -26,13 +26,13 @@ from .measurements import projector_key
 from .operators import (
     DensityMatrix,
     Projector,
+    _density,
     bloch_of_matrix,
     born_values,
     frobenius,
     frozen_matrix,
     hermitize,
     identity,
-    make_density,
     min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
@@ -274,8 +274,23 @@ def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> Density
     Its partial trace over the second factor returns rho exactly, so the
     Born frame function it induces restricts to the one of rho; this is
     the constructive existence half of the marginality decision.
+
+    The product passes the Hermitian and trace gates of make_density
+    on its own matrix. Its positivity is read from the factors: the
+    spectrum of A x B is every product of an eigenvalue of A with one
+    of B, so its smallest eigenvalue is the least of the four products
+    of the factors' extreme eigenvalues. Hermitizing the factors
+    instead of the product moves that figure by at most
+    ||(A - A†) x (B - B†)||/4 <= TOL.herm**2/4.
     """
-    return make_density(tensor(rho_f.matrix, sigma_b.matrix))
+    a, b = rho_f.matrix, sigma_b.matrix
+
+    def smallest_eigenvalue(_product: np.ndarray) -> float:
+        ea = np.linalg.eigvalsh(hermitize(a))
+        eb = np.linalg.eigvalsh(hermitize(b))
+        return float(min(ea[0] * eb[0], ea[0] * eb[-1], ea[-1] * eb[0], ea[-1] * eb[-1]))
+
+    return _density(tensor(a, b), smallest_eigenvalue)
 
 
 def marginality_witness(cert: MarginalityCertificate) -> str:

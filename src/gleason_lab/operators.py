@@ -5,6 +5,14 @@ drawn from an explicit generator.
 All public constructors validate their inputs and return immutable
 values (numpy arrays are frozen through ``frozen_matrix``), so
 every operation here is safe for concurrent use.
+
+The matrices are tiny (dimension <= 64), so a gate's cost is mostly
+per-call numpy overhead rather than arithmetic. Each gate here is
+written to cost its arithmetic: one finiteness pass, a Frobenius norm
+as two real dot products, a tensor product as one broadcast multiply,
+and the positivity of a product state read from its factors' spectra.
+Every check, threshold and error class is that of the plain numpy
+spelling, and every returned matrix and norm is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -44,13 +52,18 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueOutOfRange(f"{name} contains non-finite entries")
     return arr
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, "fro"))
+    """Frobenius norm of a matrix (Euclidean norm of a vector): the sum
+    np.linalg.norm computes, bit for bit, without its dispatch."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -131,7 +144,7 @@ def make_projector(matrix) -> Projector:
     res_p = frobenius(m @ m - m)
     if res_p > TOL.proj:
         raise NotIdempotent(res_p)
-    trace = float(np.trace(m).real)
+    trace = float(m.trace().real)
     rank = int(round(trace))
     if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
         raise NotIdempotent(res_p)
@@ -141,37 +154,48 @@ def make_projector(matrix) -> Projector:
 def projector_from_ket(ket) -> Projector:
     """Rank-1 projector |psi><psi| from a (not necessarily normalized) vector."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
+    n = frobenius(v)
     if n == 0:
         raise ValueOutOfRange("cannot project onto the zero vector")
     v = v / n
-    return make_projector(np.outer(v, v.conj()))
+    return make_projector(v[:, None] * v.conj()[None, :])
+
+
+def _density(matrix, smallest_eigenvalue) -> DensityMatrix:
+    """The density gate shared by make_density and
+    marginality.extend_to_composite: Hermitian residual, then unit
+    trace, then positivity, with the smallest eigenvalue taken from
+    smallest_eigenvalue(m) once the first two gates have passed."""
+    m = _square_hermitian(matrix, "density matrix")
+    tr = complex(m.trace())
+    if abs(tr - 1.0) > TOL.tr:
+        raise NotUnitTrace(tr)
+    low = smallest_eigenvalue(m)
+    if low < -TOL.psd:
+        raise NotPositive(low)
+    return DensityMatrix(dim=m.shape[0], matrix=frozen_matrix(m))
 
 
 def make_density(matrix) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    m = _square_hermitian(matrix, "density matrix")
-    d = m.shape[0]
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TOL.tr:
-        raise NotUnitTrace(tr)
-    low = min_eigenvalue(m)
-    if low < -TOL.psd:
-        raise NotPositive(low)
-    return DensityMatrix(dim=d, matrix=frozen_matrix(m))
+    return _density(matrix, min_eigenvalue)
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with subsystem-A-major index convention:
     row (i_a, i_b) maps to i_a * rows_b + i_b. Results larger than
-    MAX_COMPOSITE_DIM raise DimensionOverflow."""
+    MAX_COMPOSITE_DIM raise DimensionOverflow.
+
+    One broadcast multiply, entry (i, k, j, l) = a_ij * b_kl, reshaped
+    to (i, k) x (j, l): the products np.kron forms, bit for bit.
+    """
     ma = as_complex_matrix(a, "tensor operand a")
     mb = as_complex_matrix(b, "tensor operand b")
     rows = ma.shape[0] * mb.shape[0]
     cols = ma.shape[1] * mb.shape[1]
     if max(rows, cols) > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(max(rows, cols), MAX_COMPOSITE_DIM)
-    return np.kron(ma, mb)
+    return (ma[:, None, :, None] * mb[None, :, None, :]).reshape(rows, cols)
 
 
 def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMatrix:

@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gleason_lab import marginality
 from gleason_lab.errors import (
     DimensionMismatch,
     DimensionOverflow,
     IllConditioned,
     NotApplicable,
+    NotPositive,
+    NotUnitTrace,
     UndefinedProjector,
     UnsupportedDimension,
 )
@@ -40,8 +45,10 @@ from gleason_lab.operators import (
     identity,
     make_density,
     make_projector,
+    min_eigenvalue,
     partial_trace_b,
     random_density_matrix,
+    tensor,
 )
 from gleason_lab.serialization import certificate_to_json
 from gleason_lab.tolerances import TOL
@@ -314,6 +321,56 @@ class TestExtendToComposite:
         rho = make_density(identity(2) / 2)
         big = extend_to_composite(rho, rho)
         assert np.allclose(big.matrix, identity(4) / 4, atol=0)
+
+    def test_product_below_the_negativity_gate_is_refused(self):
+        # Each factor's smallest eigenvalue, -1e-9, sits on -TOL.psd and
+        # passes; the product's, -(1 + 1e-9) * 1e-9, lies beyond it.
+        rho = make_density(np.diag([1 + 1e-9, -1e-9]).astype(complex))
+        with pytest.raises(NotPositive):
+            extend_to_composite(rho, rho)
+
+    def test_product_beyond_the_trace_gate_is_refused(self):
+        # A trace of 1 + 9e-11 passes TOL.tr; the product's trace is its
+        # square, 1 + 1.8e-10, which does not.
+        rho = make_density(np.diag([0.5 + 6e-11, 0.5 + 3e-11]).astype(complex))
+        with pytest.raises(NotUnitTrace):
+            extend_to_composite(rho, rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank_a=st.integers(1, 8),
+        rank_b=st.integers(1, 8),
+    )
+    def test_factor_spectrum_minimum_matches_product_eigensolve(self, seed, rank_a, rank_b):
+        # The positivity gate reads the product's smallest eigenvalue
+        # from the factors; it must agree with an eigensolve of the
+        # product itself, including rank-deficient states whose
+        # smallest eigenvalue is zero up to round-off.
+        rng = np.random.default_rng(seed)
+        recorded = []
+
+        def recording(matrix, smallest_eigenvalue):
+            recorded.append((matrix, smallest_eigenvalue(matrix)))
+            return density(matrix, smallest_eigenvalue)
+
+        def state(d, rank):
+            shape = (d, min(rank, d))
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            m = g @ g.conj().T
+            return make_density(m / np.trace(m).real)
+
+        density = marginality._density
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(marginality, "_density", recording)
+            for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 8), (8, 8)):
+                rho, sigma = state(d_a, rank_a), state(d_b, rank_b)
+                big = extend_to_composite(rho, sigma)
+                matrix, low = recorded[-1]
+                assert np.array_equal(matrix, tensor(rho.matrix, sigma.matrix))
+                assert np.array_equal(big.matrix, matrix)
+                assert abs(low - min_eigenvalue(matrix)) <= 1e-15
+        assert len(recorded) == 7
 
     def test_embedding_probabilities_agree(self, rng):
         rho = random_density_matrix(2, rng)

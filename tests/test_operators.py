@@ -21,6 +21,7 @@ from gleason_lab.operators import (
     bloch_of_matrix,
     born_probability,
     born_values,
+    frobenius,
     haar_unitary,
     identity,
     make_density,
@@ -71,6 +72,20 @@ class TestMakeProjector:
         with pytest.raises(DimensionMismatch):
             make_projector(np.zeros((2, 3), dtype=complex))
 
+    @pytest.mark.parametrize("make, base", [
+        (make_projector, np.diag([1.0, 0.0]).astype(complex)),
+        (make_density, np.diag([0.5, 0.5]).astype(complex)),
+    ], ids=["projector", "density"])
+    @pytest.mark.parametrize("bad", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0),
+        complex(0.0, math.nan), complex(0.0, math.inf),
+    ], ids=["nan-real", "inf-real", "nan-imag", "inf-imag"])
+    def test_non_finite_entry_rejected(self, make, base, bad):
+        m = base.copy()
+        m[1, 1] = bad
+        with pytest.raises(ValueOutOfRange):
+            make(m)
+
     def test_random_rank_k_projectors_satisfy_invariants(self, rng):
         # rank equals the eigenvalue count near 1, checked against an
         # independent eigendecomposition.
@@ -86,6 +101,25 @@ class TestMakeProjector:
             eigs = np.linalg.eigvalsh(m)
             assert int(np.sum(np.abs(eigs - 1.0) <= 1e-8)) == p.rank == k
             assert np.all((np.abs(eigs) <= 1e-8) | (np.abs(eigs - 1.0) <= 1e-8))
+
+
+class TestFrobenius:
+    # frobenius sums what np.linalg.norm sums, in the same order, so the
+    # two agree bit for bit.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (8, 8), (64, 64)])
+    def test_equals_numpy_norm_on_matrices(self, rng, shape):
+        for _ in range(20):
+            real = rng.standard_normal(shape)
+            cplx = real + 1j * rng.standard_normal(shape)
+            for m in (real, cplx, real.T, cplx.T, cplx.conj().T):
+                assert frobenius(m) == float(np.linalg.norm(m, "fro"))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_equals_numpy_norm_on_kets(self, rng, dim):
+        for _ in range(20):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert frobenius(v) == float(np.linalg.norm(v))
+            assert frobenius(v.real) == float(np.linalg.norm(v.real))
 
 
 class TestTensor:
@@ -112,9 +146,37 @@ class TestTensor:
             assert np.allclose(tensor(a, b) @ tensor(c, d), lhs, atol=1e-12)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
-    def test_dimension_cap(self):
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((2, 2), (2, 2)), ((3, 3), (2, 2)), ((8, 8), (8, 8)), ((2, 3), (4, 1)),
+        ((1, 4), (3, 2)), ((1, 8), (1, 8)), ((8, 1), (8, 1)), ((1, 5), (6, 1)),
+        ((1, 1), (7, 7)),
+    ])
+    def test_equals_kron_and_oracle(self, rng, shape_a, shape_b):
+        # Real-valued entries make every product one rounding, so all
+        # three agree bit for bit. With complex entries tensor and np.kron
+        # still agree bit for bit, but the oracle's scalar complex multiply
+        # can round ac - bd differently from numpy's array loop by an ulp.
+        a_re, b_re = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        out = tensor(a_re, b_re)
+        assert out.dtype == complex and out.flags.c_contiguous
+        assert np.array_equal(out, np.kron(a_re, b_re))
+        assert np.array_equal(out, kron_oracle(a_re, b_re))
+        a = a_re + 1j * rng.standard_normal(shape_a)
+        b = b_re + 1j * rng.standard_normal(shape_b)
+        out = tensor(a, b)
+        assert np.array_equal(out, np.kron(a, b))
+        scale = np.kron(np.abs(a), np.abs(b))
+        assert np.all(np.abs(out - kron_oracle(a, b)) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((8, 8), (16, 16)), ((1, 65), (1, 1)), ((65, 1), (1, 1)), ((1, 8), (8, 9)),
+    ])
+    def test_dimension_cap(self, shape_a, shape_b):
         with pytest.raises(DimensionOverflow):
-            tensor(identity(8), identity(16))
+            tensor(np.ones(shape_a), np.ones(shape_b))
+
+    def test_dimension_cap_is_inclusive(self):
+        assert tensor(np.ones((1, 8)), np.ones((8, 8))).shape == (8, 64)
 
 
 class TestPartialTrace:
