@@ -12,6 +12,7 @@ and are partial by design.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +25,15 @@ from .errors import (
     UnsupportedRank,
     ValueOutOfRange,
 )
-from .measurements import PVM, embed, projector_key, validate_pvm
+from .measurements import (
+    PVM,
+    embed,
+    first_match,
+    projector_classes,
+    projector_coords,
+    projector_key,
+    validate_pvm,
+)
 from .operators import (
     PAULI_X,
     PAULI_Y,
@@ -104,7 +113,17 @@ class DeterministicFrameFunction(FrameFunction):
 
 
 class TabulatedFrameFunction(FrameFunction):
-    """Finite explicit table; evaluation is defined on stored keys only."""
+    """Finite explicit table over classes of projectors.
+
+    Projectors match when their Hermitized entries differ by at most
+    TOL.key in max-abs. Each entry, in input order, joins the class of
+    the first earlier representative it matches, or starts a class as
+    its representative; an entry whose value differs from its class's
+    value raises ContextualConflict. A projector evaluates to the value
+    of the first representative it matches, and raises
+    UndefinedProjector when it matches none. Errors name a projector
+    by its ``projector_key`` label.
+    """
 
     def __init__(self, entries: list[tuple[Projector, float]]):
         if not entries:
@@ -113,27 +132,40 @@ class TabulatedFrameFunction(FrameFunction):
         if len(dims) > 1:
             raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
         self.dim = entries[0][0].dim
-        # key -> (first projector stored under it, value), in input order
-        self._table: dict[str, tuple[Projector, float]] = {}
-        for p, v in entries:
-            v = float(v)
-            if not 0.0 <= v <= 1.0:
-                raise ValueOutOfRange(f"tabulated value {v} outside [0, 1]")
-            k = projector_key(p)
-            stored = self._table.setdefault(k, (p, v))[1]
-            if stored != v:
-                raise ContextualConflict(k, stored, v)
+        projectors = [p for p, _ in entries]
+        vals = np.array([float(v) for _, v in entries])
+        coords = projector_coords(np.array([p.matrix for p in projectors], dtype=complex))
+        classes = projector_classes(coords)
+        bad = ~((vals >= 0.0) & (vals <= 1.0)) | (vals != vals[classes])
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not 0.0 <= vals[i] <= 1.0:
+                raise ValueOutOfRange(f"tabulated value {float(vals[i])} outside [0, 1]")
+            c = int(classes[i])
+            raise ContextualConflict(projector_key(projectors[c]), float(vals[c]), float(vals[i]))
+        self._projectors = projectors
+        self._reps = np.flatnonzero(classes == np.arange(len(entries)))
+        self._coords = coords[self._reps]
+        self._values = vals[self._reps]
 
     @property
     def entries(self) -> tuple[tuple[Projector, float], ...]:
-        return tuple(self._table.values())
+        """(first projector, value) of each class, in input order."""
+        return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._values.tolist()))
 
     def __call__(self, p: Projector) -> float:
-        k = projector_key(p)
-        try:
-            return self._table[k][1]
-        except KeyError:
-            raise UndefinedProjector(k) from None
+        return float(self.values((p,), p.matrix[np.newaxis])[0])
+
+    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+        if stack.shape[1:] != (self.dim, self.dim):
+            if not len(projectors):
+                return np.zeros(0)
+            raise UndefinedProjector(projector_key(projectors[0]))
+        idx = first_match(projector_coords(stack), self._coords)
+        missing = idx < 0
+        if missing.any():
+            raise UndefinedProjector(projector_key(projectors[int(np.argmax(missing))]))
+        return self._values[idx]
 
 
 class InducedFrameFunction(FrameFunction):
@@ -185,8 +217,10 @@ AXIS_BLOCH: dict[str, tuple[float, float, float]] = {
 }
 
 
+@functools.cache
 def axis_projector(axis: str) -> Projector:
-    """Rank-1 qubit projector along one of the six signed Pauli axes."""
+    """Rank-1 qubit projector along one of the six signed Pauli axes,
+    built once per axis and shared: a Projector is immutable."""
     try:
         x, y, z = AXIS_BLOCH[axis]
     except KeyError:

@@ -6,6 +6,7 @@ intertwine-graph analysis over sets of measurements.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,11 +203,12 @@ def embed_pvm(m: PVM, d_b: int) -> PVM:
 
 
 def projector_key(p: Projector) -> str:
-    """Stable canonical key for a projector, robust to round-off.
+    """Printed label of a projector: its Hermitized entries snapped to a
+    grid of size TOL.key and hashed.
 
-    Entries are Hermitized, snapped to a grid of size TOL.key and hashed;
-    projectors within Frobenius distance TOL.key/10 collide on generic
-    inputs. Near-boundary adversarial inputs are out of contract.
+    Labels name a class of projectors in reports and errors; tables and
+    intertwine graphs match projectors with ``projector_classes`` and
+    ``first_match``, never by comparing labels.
     """
     m = hermitize(p.matrix)
     scaled = m / TOL.key
@@ -215,6 +217,97 @@ def projector_key(p: Projector) -> str:
     payload = grid_re.tobytes() + grid_im.tobytes()
     digest = hashlib.sha256(str(p.dim).encode() + b"|" + payload).hexdigest()
     return digest[:16]
+
+
+def projector_coords(stack: np.ndarray) -> np.ndarray:
+    """Matching coordinates of an (n, d, d) stack: one row of 2d² floats
+    per matrix, the real and imaginary parts of its Hermitization, the
+    numbers projector_key snaps to its grid."""
+    n, d = stack.shape[0], stack.shape[1]
+    h = stack + stack.conj().transpose(0, 2, 1)
+    h *= 0.5
+    return h.reshape(n, d * d).view(np.float64)
+
+
+# Entries of one Gram block. Matching works through its queries, and
+# groups its rows, in blocks of this many Gram entries, so the working
+# memory of a match stays a few MB however many projectors it holds.
+_GRAM_BLOCK = 1 << 18
+
+
+def _candidates(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(n_q, n_r) mask of coordinate rows whose squared Euclidean
+    distance is <= TOL.key, from one Gram product.
+
+    Every pair within max-abs TOL.key is a candidate: its squared
+    distance is <= 2d²·TOL.key², and the product's round-off on
+    projector coordinates at d <= 64 is orders of magnitude below the
+    cut. ``_within_key`` then checks the candidates exactly.
+    """
+    sq_q = (q * q).sum(axis=1)
+    sq_r = sq_q if r is q else (r * r).sum(axis=1)
+    return sq_q[:, None] + sq_r - 2.0 * (q @ r.T) <= TOL.key
+
+
+def _within_key(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise max|a - b| <= TOL.key."""
+    return np.abs(a - b).max(axis=1, initial=0.0) <= TOL.key
+
+
+def first_match(queries: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """For each coordinate row of queries, the index of the first row of
+    reps within max-abs TOL.key, or -1 where there is none."""
+    out = np.full(len(queries), -1, dtype=np.intp)
+    step = max(1, _GRAM_BLOCK // max(len(reps), 1))
+    for start in range(0, len(queries), step):
+        q = queries[start : start + step]
+        i, j = np.nonzero(_candidates(q, reps))
+        close = _within_key(q[i], reps[j])
+        i, j = i[close], j[close]
+        first = np.ones(len(i), dtype=bool)
+        first[1:] = i[1:] != i[:-1]
+        out[start + i[first]] = j[first]
+    return out
+
+
+def projector_classes(coords: np.ndarray) -> np.ndarray:
+    """Group coordinate rows, in input order, into classes: a row joins
+    the class of the first earlier representative within max-abs
+    TOL.key, or starts a class of its own. Returns, per row, the index
+    of its class's representative, the class's first row.
+
+    Rows go in blocks. A block's rows first look for the
+    representatives of earlier blocks; the rest are grouped among
+    themselves, settling representatives in index order, so when one is
+    reached every later row near it is either unclaimed or taken by an
+    earlier representative. Only representatives with a later candidate
+    cost a pass.
+    """
+    n = len(coords)
+    rep = np.arange(n)
+    reps = np.zeros(0, dtype=np.intp)   # representatives of earlier blocks, ascending
+    step = math.isqrt(_GRAM_BLOCK)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        if len(reps):
+            hit = first_match(coords[rows], coords[reps])
+            found = hit >= 0
+            rep[rows[found]] = reps[hit[found]]
+            rows = rows[~found]
+        block = coords[rows]
+        local = np.arange(len(rows))
+        later, earlier = np.nonzero(_candidates(block, block))
+        keep = earlier < later
+        later, earlier = later[keep], earlier[keep]
+        for a in sorted(set(earlier.tolist())):
+            if local[a] != a:
+                continue
+            b = later[earlier == a]
+            b = b[local[b] == b]
+            local[b[_within_key(block[b], block[a])]] = a
+        rep[rows] = rows[local]
+        reps = np.concatenate([reps, rows[local == np.arange(len(rows))]])
+    return rep
 
 
 @dataclass(frozen=True)
@@ -226,10 +319,11 @@ class GraphNode:
 
 @dataclass(frozen=True, eq=False)
 class IntertwineGraph:
-    """Incidence structure between deduplicated projectors and PVMs.
+    """Incidence structure between projector classes and PVMs.
 
-    ``incidence`` keeps the raw (key, pvm_index) pairs in input order;
-    ``nodes`` carries per-projector degrees, counting distinct PVMs.
+    ``incidence`` keeps one (class key, pvm_index) pair per PVM element,
+    in input order; ``nodes`` carries per-class degrees, counting
+    distinct PVMs.
     """
 
     nodes: tuple[GraphNode, ...]
@@ -248,22 +342,30 @@ class IntertwineGraph:
 def intertwine_graph(pvms: Iterable[PVM]) -> IntertwineGraph:
     """Build the projector/measurement incidence graph for a PVM list.
 
-    A node's degree is the number of distinct PVMs containing a projector
-    within the key quantization of it. Construction is a single pass and
-    deterministic for a fixed input order.
+    The elements of all PVMs, in input order, are grouped into
+    ``projector_classes``; a node is a class, keyed by the
+    ``projector_key`` of its first projector, and its degree is the
+    number of distinct PVMs holding a member of the class. Construction
+    is deterministic for a fixed input order.
     """
     pvm_list = list(pvms)
     dims = {m.dim for m in pvm_list}
     if len(dims) > 1:
         raise DimensionMismatch(f"PVMs live on mixed dimensions {sorted(dims)}")
-    incidence: list[tuple[str, int]] = []
-    nodes: dict[str, tuple[int, set[int]]] = {}   # key -> (rank, PVM indices)
-    for idx, m in enumerate(pvm_list):
-        for e in m.elements:
-            k = projector_key(e)
-            incidence.append((k, idx))
-            nodes.setdefault(k, (e.rank, set()))[1].add(idx)
+    elements = [e for m in pvm_list for e in m.elements]
+    if not elements:
+        return IntertwineGraph(nodes=(), incidence=())
+    owners = [idx for idx, m in enumerate(pvm_list) for _ in m.elements]
+    coords = projector_coords(np.concatenate([m.stack for m in pvm_list]))
+    classes = projector_classes(coords).tolist()
+    members: dict[int, set[int]] = {}   # representative -> PVM indices, in first-seen order
+    for c, idx in zip(classes, owners):
+        members.setdefault(c, set()).add(idx)
+    keys = {c: projector_key(elements[c]) for c in members}
     return IntertwineGraph(
-        nodes=tuple(GraphNode(key=k, rank=r, degree=len(s)) for k, (r, s) in nodes.items()),
-        incidence=tuple(incidence),
+        nodes=tuple(
+            GraphNode(key=keys[c], rank=elements[c].rank, degree=len(s))
+            for c, s in members.items()
+        ),
+        incidence=tuple((keys[c], idx) for c, idx in zip(classes, owners)),
     )

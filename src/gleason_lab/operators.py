@@ -152,9 +152,21 @@ def make_projector(matrix) -> Projector:
 
 
 def projector_from_ket(ket) -> Projector:
-    """Rank-1 projector |psi><psi| from a (not necessarily normalized) vector."""
+    """Rank-1 projector |psi><psi| from a (not necessarily normalized) vector.
+
+    A finite ket whose squared norm overflows to inf or underflows to 0
+    is first divided by its largest real or imaginary component, so a
+    non-zero ket never yields a rank-0 projector; other kets are divided
+    by their norm alone.
+    """
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = frobenius(v)
+    if n == 0 or n == math.inf:
+        x = np.ascontiguousarray(v).view(np.float64)
+        s = float(np.abs(x).max(initial=0.0))
+        if 0.0 < s < math.inf:
+            v = (x / s).view(complex)
+            n = frobenius(v)
     if n == 0:
         raise ValueOutOfRange("cannot project onto the zero vector")
     v = v / n

@@ -13,6 +13,7 @@ from gleason_lab.errors import (
     ValueOutOfRange,
 )
 from gleason_lab.frames import (
+    AXIS_BLOCH,
     InducedFrameFunction,
     axis_projector,
     axis_table,
@@ -25,8 +26,17 @@ from gleason_lab.frames import (
     tabulated,
 )
 from gleason_lab.marginality import spanning_projectors
-from gleason_lab.measurements import pvm_from_unitary, random_rank_partition, validate_pvm
+from gleason_lab.measurements import (
+    intertwine_graph,
+    projector_key,
+    pvm_from_unitary,
+    random_rank_partition,
+    validate_pvm,
+)
 from gleason_lab.operators import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     BlochVector,
     DensityMatrix,
     born_probability,
@@ -126,9 +136,9 @@ class TestTabulated:
         assert f(axis_projector("+x")) == 0.5
         assert f.dim == 2
 
-    def test_lookup_uses_the_key_grid_of_tol(self):
-        # An off-diagonal of TOL.key/100 rounds onto the cell of +z; one of
-        # 10 * TOL.key lies on another cell.
+    def test_lookup_matches_within_tol_key(self):
+        # An off-diagonal of TOL.key/100 is within TOL.key of +z; one of
+        # 10 * TOL.key is not.
         f = axis_table({"+z": 1.0, "-z": 0.0})
         assert f(projector_from_ket([1.0, TOL.key / 100])) == 1.0
         with pytest.raises(UndefinedProjector):
@@ -137,6 +147,34 @@ class TestTabulated:
     def test_contextual_conflict(self):
         with pytest.raises(ContextualConflict):
             tabulated([(P0, 0.3), (P0, 0.7)])
+
+    def test_entries_on_both_sides_of_a_grid_edge_form_one_class(self):
+        # Off-diagonals of 0.49 and 0.51 TOL.key round to different
+        # cells of the key grid but lie 0.02 TOL.key apart.
+        p = projector_from_ket([1.0, 0.49 * TOL.key])
+        q = projector_from_ket([1.0, 0.51 * TOL.key])
+        assert projector_key(p) != projector_key(q)
+        with pytest.raises(ContextualConflict) as exc:
+            tabulated([(p, 0.3), (q, 0.7)])
+        assert exc.value.key == projector_key(p)
+        f = tabulated([(p, 0.3), (q, 0.3), (P1, 0.7)])
+        assert [e[0] for e in f.entries] == [p, P1]
+        assert f(q) == f(p) == 0.3
+
+    def test_entry_joins_the_first_earlier_representative(self):
+        # b lies within TOL.key of a and of c, a and c do not: b joins a,
+        # and c, which b cannot claim, starts its own class.
+        a, b, c = (projector_from_ket([1.0, t * TOL.key]) for t in (0.0, 0.6, 1.2))
+        f = tabulated([(a, 0.2), (b, 0.2), (c, 0.9)])
+        assert [e[0] for e in f.entries] == [a, c]
+        assert f(b) == 0.2
+        assert f(projector_from_ket([1.0, 1.1 * TOL.key])) == 0.9
+
+    def test_first_failure_in_input_order_is_raised(self):
+        with pytest.raises(ValueOutOfRange):
+            tabulated([(P0, 0.3), (P1, 1.5), (P0, 0.7)])
+        with pytest.raises(ContextualConflict):
+            tabulated([(P0, 0.3), (P0, 0.7), (P1, 1.5)])
 
     def test_duplicate_with_equal_value_is_merged(self):
         f = tabulated([(P0, 0.3), (P0, 0.3), (P1, 0.7)])
@@ -191,6 +229,39 @@ class TestValues:
         pvm = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
         with pytest.raises(UndefinedProjector):
             f.values(pvm.elements, pvm.stack)
+
+    def test_tabulated_names_the_first_undefined_projector(self, rng):
+        s = spanning_projectors(3)
+        f = tabulated(list(zip(s.projectors[:-1], rng.uniform(0, 1, len(s) - 1))))
+        with pytest.raises(UndefinedProjector) as exc:
+            f.values(s.projectors, s.stack)
+        assert exc.value.key == projector_key(s.projectors[-1])
+
+    def test_tabulated_on_another_dimension(self, rng):
+        f = tabulated(list(zip(spanning_projectors(3).projectors, rng.uniform(0, 1, 15))))
+        for other in (2, 4):
+            s = spanning_projectors(other)
+            with pytest.raises(UndefinedProjector) as exc:
+                f.values(s.projectors, s.stack)
+            assert exc.value.key == projector_key(s.projectors[0])
+            with pytest.raises(UndefinedProjector):
+                f(s.projectors[0])
+        assert f.values((), np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
+
+    def test_tabulated_returns_stored_values_exactly(self, rng):
+        s = spanning_projectors(8)
+        vals = rng.uniform(0, 1, len(s))
+        f = tabulated(list(zip(s.projectors, vals)))
+        assert len(f.entries) == len(s) == 120
+        assert np.array_equal(f.values(s.projectors, s.stack), vals)
+        kets = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        projectors = [projector_from_ket(k) for k in kets]
+        vals = rng.uniform(0, 1, 64)
+        f = tabulated(list(zip(projectors, vals)))
+        assert len(f.entries) == 64
+        got = f.values(projectors, np.array([p.matrix for p in projectors]))
+        assert np.array_equal(got, vals)
+        assert [f(p) for p in projectors] == vals.tolist()
 
     def test_induced(self, rng):
         for d_b in (2, 3):
@@ -296,3 +367,75 @@ class TestDefiniteXzTable:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueOutOfRange):
             axis_table({"+w": 1.0})
+        for _ in range(2):
+            with pytest.raises(ValueOutOfRange):
+                axis_projector("+w")
+
+    @pytest.mark.parametrize("axis, pauli, sign", [
+        ("+x", 0, 1.0), ("-x", 0, -1.0), ("+y", 1, 1.0), ("-y", 1, -1.0), ("+z", 2, 1.0), ("-z", 2, -1.0),
+    ])
+    def test_axis_projector_is_built_once(self, axis, pauli, sign):
+        p = axis_projector(axis)
+        assert axis_projector(axis) is p
+        assert definite_xz_table().entries[list(AXIS_BLOCH).index(axis)][0] is p
+        assert np.array_equal(p.matrix, 0.5 * (identity(2) + sign * (PAULI_X, PAULI_Y, PAULI_Z)[pauli]))
+        assert p.rank == 1
+        assert not p.matrix.flags.writeable
+
+
+class TestPerturbationInvariance:
+    """Lookups and intertwine degrees survive perturbations below TOL.key."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_round_off_perturbed_kets_stay_defined(self, dim):
+        # 1e-11 on a unit ket moved 2/2000 keys at d = 2 and 11/2000 at
+        # d = 4 across a cell edge of the key grid.
+        rng = np.random.default_rng(0)
+        undefined = 0
+        for _ in range(2000):
+            ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            ket = ket / np.linalg.norm(ket)
+            f = tabulated([(projector_from_ket(ket), 0.5)])
+            try:
+                f(projector_from_ket(ket + 1e-11 * noise))
+            except UndefinedProjector:
+                undefined += 1
+        assert undefined == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 1.0),
+        on_edge=st.booleans(),
+    )
+    def test_small_perturbation_changes_no_lookup_or_degree(self, dim, seed, scale, on_edge):
+        rng = np.random.default_rng(seed)
+        kets = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        if on_edge:
+            # an off-diagonal entry on a cell edge of the key grid
+            kets[0] = 0.0
+            kets[0, :2] = 1.0, (int(rng.integers(0, 100)) + 0.5) * TOL.key
+        # |delta| <= TOL.key/40 moves each entry of |k><k| by about 2|delta|.
+        delta = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        delta *= scale * TOL.key / 40 / np.linalg.norm(delta, axis=1, keepdims=True)
+        ps = [projector_from_ket(k) for k in kets]
+        qs = [projector_from_ket(k) for k in kets + delta]
+        for p, q in zip(ps, qs):
+            assert np.max(np.abs(p.matrix - q.matrix)) <= TOL.key / 10
+
+        vals = rng.uniform(0, 1, 4)
+        f = tabulated(list(zip(ps, vals)))
+        assert f.values(qs, np.array([q.matrix for q in qs])).tolist() == vals.tolist()
+        assert [f(q) for q in qs] == vals.tolist()
+
+        def pvms(projectors):
+            return [validate_pvm([p, make_projector(identity(dim) - p.matrix)]) for p in projectors]
+
+        before = intertwine_graph(pvms(ps) + pvms(ps))
+        after = intertwine_graph(pvms(ps) + pvms(qs))
+        assert [n.degree for n in after.nodes] == [n.degree for n in before.nodes]
+        assert [n.key for n in after.nodes] == [n.key for n in before.nodes]
+        assert after.incidence == before.incidence

@@ -12,12 +12,16 @@ from gleason_lab.errors import (
     NotOrthogonal,
     PartitionMismatch,
 )
+from gleason_lab import measurements
 from gleason_lab.measurements import (
     embed,
     embed_pvm,
+    first_match,
     intertwine_graph,
     measurement_family_mpsi,
     orthogonal_complement_ket,
+    projector_classes,
+    projector_coords,
     projector_key,
     pvm_from_unitary,
     validate_pvm,
@@ -26,9 +30,11 @@ from gleason_lab.operators import (
     haar_unitary,
     identity,
     make_projector,
+    projector_from_ket,
     tensor,
 )
 from gleason_lab.serialization import pvm_from_json, pvm_to_json
+from gleason_lab.tolerances import TOL
 
 from conftest import frobenius_oracle, matmul_oracle, random_ket, rank1_projector
 
@@ -239,6 +245,75 @@ class TestProjectorKey:
             assert projector_key(before) == projector_key(after)
 
 
+def _classes_by_loop(coords):
+    """Reference: each row joins the first earlier representative within
+    max-abs TOL.key, checked one pair at a time."""
+    reps, out = [], []
+    for i, x in enumerate(coords):
+        near = [r for r in reps if np.max(np.abs(x - coords[r])) <= TOL.key]
+        out.append(near[0] if near else i)
+        if not near:
+            reps.append(i)
+    return out
+
+
+def _first_match_by_loop(queries, reps):
+    out = []
+    for q in queries:
+        near = [j for j, r in enumerate(reps) if np.max(np.abs(q - r)) <= TOL.key]
+        out.append(near[0] if near else -1)
+    return out
+
+
+class TestProjectorMatching:
+    def _chained_coords(self, dim, rng):
+        """Coordinates of random projectors, each followed by copies moved
+        along one coordinate in steps of 0.3 to 0.7 TOL.key, so that
+        neighbours match and rows further down a chain do not."""
+        rows = []
+        for _ in range(6):
+            base = projector_coords(rank1_projector(dim, rng).matrix[np.newaxis])[0]
+            rows.append(base)
+            axis = int(rng.integers(0, len(base)))
+            offset = 0.0
+            for _ in range(int(rng.integers(0, 5))):
+                offset += rng.uniform(0.3, 0.7) * TOL.key
+                moved = base.copy()
+                moved[axis] += offset
+                rows.append(moved)
+        return np.array(rows)[rng.permutation(len(rows))]
+
+    @pytest.mark.parametrize("block", [None, 1, 16, 40])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_agrees_with_a_pairwise_loop(self, dim, block, rng, monkeypatch):
+        # Small Gram blocks split the rows and queries into many blocks.
+        if block is not None:
+            monkeypatch.setattr(measurements, "_GRAM_BLOCK", block)
+        for _ in range(20):
+            coords = self._chained_coords(dim, rng)
+            classes = projector_classes(coords)
+            assert classes.tolist() == _classes_by_loop(coords)
+            reps = coords[np.flatnonzero(classes == np.arange(len(coords)))]
+            queries = self._chained_coords(dim, rng)
+            queries = np.concatenate([queries, coords])
+            assert first_match(queries, reps).tolist() == _first_match_by_loop(queries, reps)
+
+    def test_coordinates_are_the_hermitized_entries(self, rng):
+        p = rank1_projector(3, rng)
+        m = p.matrix + 1e-12j * np.eye(3)    # an anti-Hermitian part Hermitizing removes
+        h = 0.5 * (m + m.conj().T)
+        coords = projector_coords(m[np.newaxis])
+        assert coords.shape == (1, 18)
+        assert np.array_equal(coords[0, 0::2], h.real.ravel())
+        assert np.array_equal(coords[0, 1::2], h.imag.ravel())
+
+    def test_empty_inputs(self):
+        empty = np.zeros((0, 8))
+        assert projector_classes(empty).tolist() == []
+        assert first_match(empty, np.ones((2, 8))).tolist() == []
+        assert first_match(np.ones((2, 8)), empty).tolist() == [-1, -1]
+
+
 class TestIntertwineGraph:
     def test_generic_qubit_pvms_never_share_projectors(self, rng):
         pvms = [pvm_from_unitary(haar_unitary(2, rng), [1, 1]) for _ in range(50)]
@@ -267,6 +342,18 @@ class TestIntertwineGraph:
         qutrit = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
         with pytest.raises(DimensionMismatch):
             intertwine_graph([qubit, qutrit])
+
+    def test_projectors_across_a_grid_edge_share_a_node(self):
+        # Off-diagonals of 0.49 and 0.51 TOL.key round to different cells
+        # of the key grid but lie 0.02 TOL.key apart.
+        p = projector_from_ket([1.0, 0.49 * TOL.key])
+        q = projector_from_ket([1.0, 0.51 * TOL.key])
+        assert projector_key(p) != projector_key(q)
+        pvms = [validate_pvm([x, make_projector(identity(2) - x.matrix)]) for x in (p, q)]
+        graph = intertwine_graph(pvms)
+        keys = [projector_key(e) for e in pvms[0].elements]
+        assert [(n.key, n.rank, n.degree) for n in graph.nodes] == [(k, 1, 2) for k in keys]
+        assert graph.incidence == ((keys[0], 0), (keys[1], 0), (keys[0], 1), (keys[1], 1))
 
     def test_duplicate_pvm_counts_once_per_pvm(self):
         pvm = validate_pvm([P0, P1])

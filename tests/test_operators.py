@@ -28,6 +28,7 @@ from gleason_lab.operators import (
     make_projector,
     min_eigenvalue,
     partial_trace_b,
+    projector_from_ket,
     random_density_matrix,
     tensor,
 )
@@ -101,6 +102,37 @@ class TestMakeProjector:
             eigs = np.linalg.eigvalsh(m)
             assert int(np.sum(np.abs(eigs - 1.0) <= 1e-8)) == p.rank == k
             assert np.all((np.abs(eigs) <= 1e-8) | (np.abs(eigs - 1.0) <= 1e-8))
+
+
+class TestProjectorFromKet:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("ket, unit", [
+        ([1e200, 1e200], [1.0, 1.0]),     # squared norm overflows
+        ([1e155, 0.0], [1.0, 0.0]),       # squared norm overflows
+        ([1e-200, 1e-200], [1.0, 1.0]),   # squared norm underflows to 0
+        ([1e-170j, -1e-170], [1j, -1.0]),  # underflows, complex entries
+    ], ids=["huge-pair", "huge-single", "tiny-pair", "tiny-complex"])
+    def test_extreme_scales_give_the_rank_one_projector(self, ket, unit):
+        p = projector_from_ket(ket)
+        assert p.rank == 1
+        assert np.array_equal(p.matrix, projector_from_ket(unit).matrix)
+
+    def test_ordinary_kets_are_divided_by_their_norm(self, rng):
+        for dim in (2, 3, 8, 64):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            u = v / frobenius(v)
+            assert np.array_equal(projector_from_ket(v).matrix, u[:, None] * u.conj()[None, :])
+
+    @pytest.mark.parametrize("ket", [[0.0, 0.0], [0j, 0j, 0j]])
+    def test_zero_vector_rejected(self, ket):
+        with pytest.raises(ValueOutOfRange):
+            projector_from_ket(ket)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("ket", [[math.inf, 0.0], [math.nan, 1.0]])
+    def test_non_finite_ket_rejected(self, ket):
+        with pytest.raises(ValueOutOfRange):
+            projector_from_ket(ket)
 
 
 class TestFrobenius:
