@@ -41,11 +41,11 @@ from .operators import (
     BlochVector,
     DensityMatrix,
     Projector,
-    bloch_of_matrix,
     born_probability,
     born_values,
     identity,
     make_projector,
+    projector_from_ket,
 )
 
 
@@ -72,11 +72,12 @@ def lex_zxy_accepts(n: BlochVector) -> bool:
     accepted for every nonzero n, which makes the induced deterministic
     assignment normalize exactly on every qubit PVM.
     """
-    if n.z != 0.0:
-        return n.z > 0.0
-    if n.x != 0.0:
-        return n.x > 0.0
-    return n.y > 0.0
+    return bool(_lex_zxy(n.x, n.y, n.z))
+
+
+def _lex_zxy(x, y, z):
+    """The lex-zxy sign test on coordinates, elementwise over arrays."""
+    return (z > 0.0) | ((z == 0.0) & ((x > 0.0) | ((x == 0.0) & (y > 0.0))))
 
 
 class BornFrameFunction(FrameFunction):
@@ -101,15 +102,25 @@ class DeterministicFrameFunction(FrameFunction):
     rule = "lex-zxy"
 
     def __call__(self, p: Projector) -> float:
-        if p.dim != 2:
-            raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {p.dim}")
-        if p.rank == 0:
-            return 0.0
-        if p.rank == 2:
-            return 1.0
-        if p.rank != 1:
-            raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
-        return 1.0 if lex_zxy_accepts(bloch_of_matrix(p.matrix)) else 0.0
+        return float(self.values((p,), p.matrix[np.newaxis])[0])
+
+    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+        """0 on rank 0, 1 on rank 2, and on rank 1 the lex-zxy rule over
+        the Bloch coordinates of the whole stack, read off the entries as
+        ``bloch_of_matrix`` sums them: x = Re m01 + Re m10,
+        y = Im m10 - Im m01, z = Re m00 - Re m11."""
+        for p in projectors:
+            if p.dim != 2:
+                raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {p.dim}")
+            if p.rank not in (0, 1, 2):
+                raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
+        if not len(projectors):
+            return np.zeros(0)
+        ranks = np.array([p.rank for p in projectors])
+        x = stack[:, 0, 1].real + stack[:, 1, 0].real
+        y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
+        z = stack[:, 0, 0].real - stack[:, 1, 1].real
+        return np.where(ranks == 1, _lex_zxy(x, y, z), ranks == 2).astype(float)
 
 
 class TabulatedFrameFunction(FrameFunction):
@@ -258,7 +269,5 @@ def random_qubit_pvm_pair(rng: np.random.Generator) -> PVM:
     vectors are exactly antipodal in floating point, which makes
     deterministic assignments normalize with residual exactly zero.
     """
-    ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    ket = ket / np.linalg.norm(ket)
-    p = np.outer(ket, ket.conj())
-    return validate_pvm([make_projector(p), make_projector(identity(2) - p)])
+    p = projector_from_ket(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    return validate_pvm([p, make_projector(identity(2) - p.matrix)])

@@ -10,9 +10,12 @@ The matrices are tiny (dimension <= 64), so a gate's cost is mostly
 per-call numpy overhead rather than arithmetic. Each gate here is
 written to cost its arithmetic: one finiteness pass, a Frobenius norm
 as two real dot products, a tensor product as one broadcast multiply,
-and the positivity of a product state read from its factors' spectra.
-Every check, threshold and error class is that of the plain numpy
-spelling, and every returned matrix and norm is the same bit for bit.
+the positivity of a product state read from its factors' spectra, and
+the finiteness, rank and idempotency of a ket's projector read from the
+ket's norm and the projector's trace (within (2d + 4) * 2^-52 of the
+computed m @ m - m residual; see projector_from_ket). Every check,
+threshold and error class is that of the plain numpy spelling, and every
+returned matrix and norm is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -78,16 +81,21 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(h))[0])
 
 
-def _square_hermitian(matrix, what: str) -> np.ndarray:
-    """The one Hermitian gate: coerce, require a square shape, and
-    reject a Frobenius Hermiticity residual above TOL.herm."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """The one Hermitian gate: reject a Frobenius Hermiticity residual
+    above TOL.herm."""
     res = frobenius(m - m.conj().T)
     if res > TOL.herm:
         raise NotHermitian(res)
     return m
+
+
+def _square_hermitian(matrix, what: str) -> np.ndarray:
+    """Coerce, require a square shape, then the Hermitian gate."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
+    return _hermitian(m)
 
 
 def identity(dim: int) -> np.ndarray:
@@ -131,24 +139,43 @@ class BlochVector:
         return (self.x, self.y, self.z)
 
 
-def make_projector(matrix) -> Projector:
-    """Validate a matrix as a projector and compute its rank.
-
-    Raises NotHermitian or NotIdempotent with the offending Frobenius
-    residual. The idempotency gate pins every eigenvalue within roughly
-    the residual of {0, 1}, so the rank (the count of eigenvalues near
-    1) equals the rounded trace; the trace is what gets computed.
+def _projector(m: np.ndarray, idempotency_residual) -> Projector:
+    """The projector gate shared by make_projector and
+    projector_from_ket, on a matrix that has passed the Hermitian gate:
+    idempotency, then rank. The Frobenius residual of m @ m - m is taken
+    from idempotency_residual(m, trace) and rejected above TOL.proj. That
+    gate pins every eigenvalue within roughly the residual of {0, 1}, so
+    the rank (the count of eigenvalues near 1) equals the rounded trace;
+    the trace is what gets computed.
     """
-    m = _square_hermitian(matrix, "projector matrix")
     d = m.shape[0]
-    res_p = frobenius(m @ m - m)
+    trace = float(m.trace().real)
+    res_p = idempotency_residual(m, trace)
     if res_p > TOL.proj:
         raise NotIdempotent(res_p)
-    trace = float(m.trace().real)
     rank = int(round(trace))
     if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
         raise NotIdempotent(res_p)
     return Projector(dim=d, matrix=frozen_matrix(m), rank=rank)
+
+
+def _product_residual(m: np.ndarray, trace: float) -> float:
+    return frobenius(m @ m - m)
+
+
+def _ket_residual(m: np.ndarray, trace: float) -> float:
+    """||m @ m - m|| for m = w w†: m @ m = t m with t = ||w||^2 = Tr m,
+    so the residual is |t - 1| * t."""
+    return abs(trace - 1.0) * trace
+
+
+def make_projector(matrix) -> Projector:
+    """Validate a matrix as a projector and compute its rank.
+
+    Raises NotHermitian or NotIdempotent with the offending Frobenius
+    residual, in that order.
+    """
+    return _projector(_square_hermitian(matrix, "projector matrix"), _product_residual)
 
 
 def projector_from_ket(ket) -> Projector:
@@ -158,6 +185,16 @@ def projector_from_ket(ket) -> Projector:
     is first divided by its largest real or imaginary component, so a
     non-zero ket never yields a rank-0 projector; other kets are divided
     by their norm alone.
+
+    The gates are make_projector's, with two read from the ket. After
+    the rescale, the norm is finite exactly when every entry is, so a
+    non-finite norm raises ValueOutOfRange as a non-finite entry of the
+    matrix would. For m = w w† (w the unit ket, t = Tr m = ||w||^2),
+    m @ m - m = (t - 1) m has Frobenius norm |t - 1| * t, which stands
+    in for the computed residual: the two differ by at most
+    (2d + 4) * 2^-52 on the stored matrix (below 3e-14 at d = 64,
+    against TOL.proj = 1e-10). The Hermitian gate still runs on the
+    built matrix, whose complex products leave m - m† non-zero.
     """
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = frobenius(v)
@@ -169,8 +206,10 @@ def projector_from_ket(ket) -> Projector:
             n = frobenius(v)
     if n == 0:
         raise ValueOutOfRange("cannot project onto the zero vector")
+    if not n < math.inf:
+        raise ValueOutOfRange("matrix contains non-finite entries")
     v = v / n
-    return make_projector(v[:, None] * v.conj()[None, :])
+    return _projector(_hermitian(v[:, None] * v.conj()[None, :]), _ket_residual)
 
 
 def _density(matrix, smallest_eigenvalue) -> DensityMatrix:

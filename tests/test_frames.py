@@ -10,6 +10,7 @@ from gleason_lab.errors import (
     DimensionMismatch,
     UndefinedProjector,
     UnsupportedDimension,
+    UnsupportedRank,
     ValueOutOfRange,
 )
 from gleason_lab.frames import (
@@ -39,6 +40,8 @@ from gleason_lab.operators import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
+    Projector,
+    bloch_of_matrix,
     born_probability,
     haar_unitary,
     identity,
@@ -46,6 +49,7 @@ from gleason_lab.operators import (
     make_projector,
     partial_trace_b,
     projector_from_ket,
+    projector_stack,
     random_density_matrix,
     tensor,
 )
@@ -106,6 +110,19 @@ class TestDeterministicQubit:
         for _ in range(200):
             pvm = random_qubit_pvm_pair(rng)
             assert check_normalization(f, pvm) == 0.0
+
+    def test_random_pair_is_the_normalized_outer_product(self):
+        # The same draw through np.linalg.norm and np.outer gives the
+        # same bits, and the complement is I - P subtracted exactly.
+        for seed in range(200):
+            pvm = random_qubit_pvm_pair(np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            ket = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            ket = ket / np.linalg.norm(ket)
+            p = np.outer(ket, ket.conj())
+            assert np.array_equal(pvm.elements[0].matrix, p)
+            assert np.array_equal(pvm.elements[1].matrix, identity(2) - p)
+            assert [e.rank for e in pvm.elements] == [1, 1]
 
     def test_normalizes_exactly_on_unitary_pvms(self, rng):
         f = deterministic_qubit()
@@ -221,6 +238,46 @@ class TestValues:
 
     def test_deterministic(self, rng):
         self._agrees(deterministic_qubit(), _projector_sets(2, rng))
+
+    def test_deterministic_exactly(self, rng):
+        # values, a loop over __call__, and the lex-zxy rule applied to
+        # bloch_of_matrix one projector at a time agree exactly.
+        f = deterministic_qubit()
+        s = spanning_projectors(2)
+        sets = [(s.projectors, s.stack)]
+        for _ in range(100):
+            pvm = random_qubit_pvm_pair(rng)
+            sets.append((pvm.elements, pvm.stack))
+        mixed = [P0, make_projector(np.zeros((2, 2))), make_projector(identity(2)), P1,
+                 rank1_projector(2, rng)]
+        sets.append((mixed, projector_stack(mixed, 2)))
+        rank2 = pvm_from_unitary(haar_unitary(2, rng), [2]).elements
+        sets.append((rank2, projector_stack(rank2, 2)))
+        sets.append(((), np.zeros((0, 2, 2), dtype=complex)))
+        for projectors, stack in sets:
+            got = f.values(projectors, stack)
+            assert got.dtype == float and got.shape == (len(projectors),)
+            oracle = [
+                float(p.rank == 2 or (p.rank == 1 and lex_zxy_accepts(bloch_of_matrix(p.matrix))))
+                for p in projectors
+            ]
+            assert got.tolist() == [f(p) for p in projectors] == oracle
+
+    def test_deterministic_raises_for_the_first_offender(self, rng):
+        f = deterministic_qubit()
+        bad_rank = Projector(dim=2, matrix=identity(2), rank=3)
+        qutrit = rank1_projector(3, rng)
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        with pytest.raises(UnsupportedRank):
+            f.values([P0, bad_rank, qutrit], stack)
+        with pytest.raises(UnsupportedDimension):
+            f.values([P0, qutrit, bad_rank], stack)
+        with pytest.raises(UnsupportedRank):
+            f(bad_rank)
+        with pytest.raises(UnsupportedDimension):
+            f(qutrit)
+        with pytest.raises(UnsupportedDimension):
+            f(Projector(dim=3, matrix=identity(3), rank=5))
 
     def test_tabulated(self, rng):
         s = spanning_projectors(3)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gleason_lab import operators
 from gleason_lab.errors import (
     DimensionMismatch,
     DimensionOverflow,
@@ -123,16 +124,41 @@ class TestProjectorFromKet:
             u = v / frobenius(v)
             assert np.array_equal(projector_from_ket(v).matrix, u[:, None] * u.conj()[None, :])
 
-    @pytest.mark.parametrize("ket", [[0.0, 0.0], [0j, 0j, 0j]])
+    @pytest.mark.parametrize("ket", [[0.0, 0.0], [0j, 0j, 0j], []])
     def test_zero_vector_rejected(self, ket):
         with pytest.raises(ValueOutOfRange):
             projector_from_ket(ket)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("ket", [[math.inf, 0.0], [math.nan, 1.0]])
+    @pytest.mark.parametrize("ket", [
+        [math.inf, 0.0], [math.nan, 1.0], [1.0, complex(0.0, math.inf)],
+        [complex(0.0, math.nan), 0.0], [1e200, math.nan], [1e-200, -math.inf],
+        [math.inf, math.nan], [0.0, 0.0, math.nan],
+    ])
     def test_non_finite_ket_rejected(self, ket):
         with pytest.raises(ValueOutOfRange):
             projector_from_ket(ket)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        exponent=st.floats(-150.0, 150.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ket_gates_agree_with_make_projector(self, dim, exponent, seed):
+        # The idempotency residual read from the trace, |t - 1| * t, is
+        # within the documented (2d + 4) * 2^-52 of the residual that
+        # make_projector computes on the stored matrix, and make_projector
+        # accepts that matrix with the same rank.
+        rng = np.random.default_rng(seed)
+        ket = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 10.0**exponent
+        p = projector_from_ket(ket)
+        m = p.matrix
+        again = make_projector(m)
+        assert p.rank == again.rank == 1
+        assert np.array_equal(again.matrix, m)
+        derived = operators._ket_residual(m, float(m.trace().real))
+        assert abs(derived - frobenius(m @ m - m)) <= (2 * dim + 4) * 2.0**-52
 
 
 class TestFrobenius:
