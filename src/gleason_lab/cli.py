@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo-intertwine",
                        help="shared-projector degrees for the composite measurement family")
-    p.add_argument("--n-psi", type=int, default=10, help="number of family members")
+    p.add_argument("--n-psi", type=int, default=10,
+                   help="number of family members, at least 2 (at 1 degree n equals the qubit bound 1)")
     common(p)
 
     p = sub.add_parser("verify-suite", help="run the full invariant battery")
@@ -307,8 +308,8 @@ def _cmd_demo_counterexample(args, seed: int) -> Outcome:
 
 def _cmd_demo_intertwine(args, seed: int) -> Outcome:
     n = args.n_psi
-    if n < 1:
-        raise ValueOutOfRange(f"--n-psi must be >= 1, got {n}")
+    if n < 2:
+        raise ValueOutOfRange(f"--n-psi must be >= 2 (at 1, degree n is the bound 1), got {n}")
     rng = np.random.default_rng(seed)
     family = []
     for _ in range(n):

@@ -234,14 +234,15 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     fit = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
     rho_hat = frozen_matrix(hermitize(fit))
     misfit = values - (s.offsets + s.basis_design @ coeffs)
-    residual = float(np.max(np.abs(misfit)))
+    err = np.abs(misfit)
+    residual = float(err.max())
     low = min_eigenvalue(rho_hat)
     # Each witness reuses the numbers above. Misfits often tie exactly (an
     # antipodal qubit pair always does), so the residual witness names
     # the first projector within TOL.lin of the linear residual.
     verdict, witness = Verdict.NON_MARGINAL, None
     if residual > TOL.lin:
-        worst = int(np.argmax(np.abs(misfit) >= residual - TOL.lin))
+        worst = int(np.argmax(err >= residual - TOL.lin))
         witness = ResidualWitness(
             projector_key=projector_key(s.projectors[worst]),
             label=s.labels[worst],
@@ -334,4 +335,4 @@ def verify_extension(
     embedded[:, :, diag, :, diag] = stack
     lhs = born_values(embedded.reshape(len(stack), rho_big.dim, rho_big.dim), rho_big)
     rhs = born_values(stack, rho_f)
-    return pt_err, float(np.max(np.abs(lhs - rhs), initial=0.0))
+    return pt_err, float(np.abs(lhs - rhs).max(initial=0.0))

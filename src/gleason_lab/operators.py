@@ -4,7 +4,8 @@ drawn from an explicit generator.
 
 All public constructors validate their inputs and return immutable
 values (numpy arrays are frozen through ``frozen_matrix``), so
-every operation here is safe for concurrent use.
+every operation here is safe for concurrent use; ``identity`` returns
+one cached frozen array per dimension.
 
 The matrices are tiny (dimension <= 64), so a gate's cost is mostly
 per-call numpy overhead rather than arithmetic. Each gate here is
@@ -13,13 +14,15 @@ as two real dot products, a tensor product as one broadcast multiply,
 the positivity of a product state read from its factors' spectra, and
 the finiteness, rank and idempotency of a ket's projector read from the
 ket's norm and the projector's trace (within (2d + 4) * 2^-52 of the
-computed m @ m - m residual; see projector_from_ket). Every check,
+computed m @ m - m residual; see projector_from_ket), and the Born
+range gate as one min and one max over the values. Every check,
 threshold and error class is that of the plain numpy spelling, and every
 returned matrix and norm is the same bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,8 +101,11 @@ def _square_hermitian(matrix, what: str) -> np.ndarray:
     return _hermitian(m)
 
 
+@functools.cache
 def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+    """The d x d complex identity: one frozen array per dimension, shared
+    by every caller."""
+    return frozen_matrix(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,19 +282,25 @@ def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     The contraction sum_ij P_ij rho_ji (einsum "nij,ji->n") runs as one
     matrix-vector product of the flattened stack with vec(rho^T), which
     BLAS does several times faster than einsum's generic loop.
+
+    The gates are two reductions, the largest |Im t| and then the least
+    and greatest value (a NaN fails); the mask naming the first offender
+    is built only to raise. np.clip runs only on a value outside [0, 1];
+    otherwise a copy gives np.clip's bits, -0.0 included.
     """
     d = rho.dim
     if stack.ndim != 3 or stack.shape[1:] != (d, d):
         raise DimensionMismatch(f"projectors of shape {stack.shape[1:]} != state dim {d}")
     t = stack.reshape(len(stack), d * d) @ rho.matrix.T.reshape(d * d)
-    imag = float(np.max(np.abs(t.imag), initial=0.0))
+    imag = float(np.abs(t.imag).max(initial=0.0))
     if imag > TOL.herm:
         raise ValueOutOfRange(f"Born trace has imaginary residual {imag:.3e}")
     vals = t.real
-    bad = ~((vals >= -TOL.prob) & (vals <= 1.0 + TOL.prob))
-    if bad.any():
+    lo, hi = vals.min(initial=0.0), vals.max(initial=1.0)
+    if not (lo >= -TOL.prob and hi <= 1.0 + TOL.prob):
+        bad = ~((vals >= -TOL.prob) & (vals <= 1.0 + TOL.prob))
         raise ValueOutOfRange(f"Born value {vals[bad][0]} outside [0, 1] beyond tolerance")
-    return np.clip(vals, 0.0, 1.0)
+    return np.clip(vals, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else vals.copy()
 
 
 def born_probability(p: Projector, rho: DensityMatrix) -> float:

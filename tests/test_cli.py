@@ -311,9 +311,13 @@ class TestDemoIntertwine:
         assert report["summary"]["other_composite_max_degree"] == 1
 
     def test_single_member(self, capsys):
-        code, report = run_json(capsys, "demo-intertwine", "--n-psi", "1", "--seed", "5")
-        assert code == 0
-        assert report["summary"]["shared_projector_degree"] == 1
+        # At n = 1 degree n cannot be told apart from degree <= 1, so a
+        # pass would have shown nothing: the run is refused instead.
+        code = main(["demo-intertwine", "--n-psi", "1", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--n-psi must be >= 2 (at 1, degree n is the bound 1), got 1" in captured.err
 
     def test_rejects_zero_members(self, capsys):
         code, _ = run(capsys, "demo-intertwine", "--n-psi", "0")

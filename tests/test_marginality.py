@@ -169,6 +169,98 @@ class TestFit:
             assert cert.min_eig == float(np.linalg.eigvalsh(cert.rho_hat)[0])
 
 
+def certify_reference(f, s):
+    """certify_marginal's fit in its plain numpy spelling: a fresh np.eye
+    for I/d, np.max over the misfit, and min_eigenvalue's eigensolve."""
+    values = f.values(s.projectors, s.stack)
+    coeffs = s.pinv @ (values - s.offsets)
+    fit = np.eye(s.dim, dtype=complex) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
+    rho_hat = hermitize(fit)
+    misfit = values - (s.offsets + s.basis_design @ coeffs)
+    residual = float(np.max(np.abs(misfit)))
+    low = float(np.linalg.eigvalsh(hermitize(rho_hat))[0])
+    verdict, witness = Verdict.NON_MARGINAL, None
+    if residual > TOL.lin:
+        worst = int(np.argmax(np.abs(misfit) >= residual - TOL.lin))
+        witness = ("residual", s.labels[worst], residual)
+    elif low >= -TOL.psd:
+        verdict = Verdict.MARGINAL
+    elif low >= -TOL.margin:
+        verdict = Verdict.INCONCLUSIVE
+    elif s.dim == 2:
+        b = bloch_of_matrix(rho_hat)
+        witness = ("bloch", b.as_tuple(), b.norm())
+    else:
+        witness = ("eigen", low, np.linalg.eigh(rho_hat)[1][:, 0].tobytes())
+    return rho_hat.tobytes(), residual, low, verdict, witness
+
+
+def certificate_bits(cert):
+    w = cert.witness
+    if isinstance(w, ResidualWitness):
+        w = ("residual", w.label, w.residual)
+    elif isinstance(w, BlochWitness):
+        w = ("bloch", w.bloch, w.norm)
+    elif isinstance(w, EigenWitness):
+        w = ("eigen", w.min_eig, w.eigenvector.tobytes())
+    return cert.rho_hat.tobytes(), cert.linear_residual, cert.min_eig, cert.verdict, w
+
+
+def _table_frame(s, rng, lowest, noise):
+    """Values of a unit-trace Hermitian matrix with smallest eigenvalue
+    ``lowest`` on the spanning set, plus Gaussian noise, clamped to [0, 1]."""
+    d = s.dim
+    rest = rng.uniform(0.2, 1.0, d - 1)
+    rest = rest * (1.0 - lowest) / rest.sum()
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h = (q * np.concatenate([[lowest], rest])) @ q.conj().T
+    values = np.einsum("nij,ji->n", s.stack, h).real + noise * rng.standard_normal(len(s))
+    return tabulated(list(zip(s.projectors, np.clip(values, 0.0, 1.0))))
+
+
+class TestFitExactly:
+    """certify_marginal returns the bits of the plain spelling of its fit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_born_frames(self, rng, dim):
+        s = spanning_projectors(dim)
+        for _ in range(20):
+            f = born_backed(random_density_matrix(dim, rng))
+            assert certificate_bits(certify_marginal(f, s)) == certify_reference(f, s)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("lowest, noise", [(-0.05, 0.0), (-5e-8, 0.0), (0.1, 0.0), (0.1, 0.02)])
+    def test_tabulated_frames(self, rng, dim, lowest, noise):
+        s = spanning_projectors(dim)
+        for _ in range(10):
+            f = _table_frame(s, rng, lowest, noise)
+            assert certificate_bits(certify_marginal(f, s)) == certify_reference(f, s)
+
+    @pytest.mark.parametrize(
+        "frame", [deterministic_qubit, definite_xz_table], ids=["deterministic", "definite_xz"]
+    )
+    def test_qubit_counterexamples(self, frame):
+        f, s = frame(), spanning_projectors(2)
+        assert certificate_bits(certify_marginal(f, s)) == certify_reference(f, s)
+
+    def test_every_verdict_and_witness_is_covered(self, rng):
+        seen = set()
+        for dim in (3, 4):
+            s = spanning_projectors(dim)
+            for lowest, noise in [(-0.05, 0.0), (-5e-8, 0.0), (0.1, 0.0), (0.1, 0.02)]:
+                cert = certify_marginal(_table_frame(s, rng, lowest, noise), s)
+                seen.add((cert.verdict, type(cert.witness)))
+        cert = certify_marginal(definite_xz_table(), spanning_projectors(2))
+        seen.add((cert.verdict, type(cert.witness)))
+        assert seen == {
+            (Verdict.MARGINAL, type(None)),
+            (Verdict.INCONCLUSIVE, type(None)),
+            (Verdict.NON_MARGINAL, ResidualWitness),
+            (Verdict.NON_MARGINAL, EigenWitness),
+            (Verdict.NON_MARGINAL, BlochWitness),
+        }
+
+
 class TestCertifyMarginal:
     def test_born_backed_is_marginal(self, rng):
         for dim in (2, 3):

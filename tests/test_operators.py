@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gleason_lab import operators
 from gleason_lab.errors import (
     DimensionMismatch,
+    GleasonLabError,
     DimensionOverflow,
     NotHermitian,
     NotIdempotent,
@@ -33,6 +34,8 @@ from gleason_lab.operators import (
     random_density_matrix,
     tensor,
 )
+
+from gleason_lab.tolerances import TOL
 
 from conftest import (
     frobenius_oracle,
@@ -317,6 +320,122 @@ class TestBornProbability:
         assert (born_probability(p0, rho), born_probability(p1, rho)) == (1.0, 0.0)
 
 
+def born_values_reference(stack, rho):
+    """born_values in its plain numpy spelling: np.max over the imaginary
+    residual, the full range mask, then np.clip on every call."""
+    d = rho.dim
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise DimensionMismatch(f"projectors of shape {stack.shape[1:]} != state dim {d}")
+    t = stack.reshape(len(stack), d * d) @ rho.matrix.T.reshape(d * d)
+    imag = float(np.max(np.abs(t.imag), initial=0.0))
+    if imag > TOL.herm:
+        raise ValueOutOfRange(f"Born trace has imaginary residual {imag:.3e}")
+    vals = t.real
+    bad = ~((vals >= -TOL.prob) & (vals <= 1.0 + TOL.prob))
+    if bad.any():
+        raise ValueOutOfRange(f"Born value {vals[bad][0]} outside [0, 1] beyond tolerance")
+    return np.clip(vals, 0.0, 1.0)
+
+
+def born_outcome(fn, stack, rho):
+    """What a call returns, as bytes, dtype and shape, or the error it raises."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = fn(stack, rho)
+    except GleasonLabError as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+# Offsets of the state's diagonal around [0, 1]: exact, inside TOL.prob
+# (clamped), at its edge and beyond it (refused).
+_PROB_OFFSETS = st.sampled_from(
+    [0.0, -0.0, 1e-12, 5e-10, 1e-9, 1.0000001e-9, 2e-9, 1e-6, 0.25]
+) | st.floats(0.0, 3e-9)
+
+
+@st.composite
+def born_cases(draw):
+    """A (stack, rho) pair for born_values: n = 0..64 matrices of size
+    d = 1..8, each either a ket projector, a basis projector or a raw
+    complex matrix; a validated state or an unvalidated one whose values
+    overshoot [0, 1] or carry an imaginary residual; and optionally one
+    non-finite or signed-zero entry written into the stack."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["kets", "basis", "raw"]))
+    if kind == "kets":
+        kets = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        stack = kets[:, :, None] * kets.conj()[:, None, :]
+    elif kind == "basis":
+        stack = np.zeros((n, d, d), dtype=complex)
+        stack[np.arange(n), np.arange(n) % d, np.arange(n) % d] = 1.0
+    else:
+        scale = draw(st.sampled_from([1e-12, 0.1, 1.0, 10.0]))
+        stack = scale * (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+    state = draw(st.sampled_from(["valid", "diagonal", "anti_hermitian"]))
+    if state == "valid":
+        rho = random_density_matrix(d, rng)
+    else:
+        diag = np.zeros(d)
+        diag[0] = 1.0 + draw(_PROB_OFFSETS)
+        if d > 1:
+            diag[1] = -draw(_PROB_OFFSETS)
+        m = np.diag(diag).astype(complex)
+        if state == "anti_hermitian":
+            # i * eps * I adds i * eps * Tr P to every value.
+            m = m + 1j * draw(st.sampled_from([1e-12, 1e-10, 2e-10, 1e-6])) * np.eye(d)
+        rho = DensityMatrix(dim=d, matrix=m)
+    special = draw(st.sampled_from([None, math.nan, math.inf, -math.inf, -0.0, 1j * math.nan]))
+    if special is not None and n:
+        stack[draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = special
+    return stack, rho, special
+
+
+class TestBornValuesExactly:
+    @settings(max_examples=400, deadline=None)
+    @given(born_cases())
+    def test_same_bits_and_errors_as_the_plain_spelling(self, case):
+        stack, rho, special = case
+        got = born_outcome(born_values, stack, rho)
+        assert got == born_outcome(born_values_reference, stack, rho)
+        if special is not None and len(stack) and not np.isfinite(special):
+            assert got[0] is ValueOutOfRange
+
+    def test_round_off_takes_the_clip_path(self):
+        rho = DensityMatrix(dim=3, matrix=np.diag([1.0 + 5e-10, -5e-10, 0.0]).astype(complex))
+        stack = np.eye(3, dtype=complex)[:, :, None] * np.eye(3)[:, None, :]
+        out = born_values(stack, rho)
+        assert out.tobytes() == born_values_reference(stack, rho).tobytes()
+        assert list(out) == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("offset", [1.0000001e-9, 1e-6])
+    def test_the_first_offender_is_named(self, offset):
+        rho = DensityMatrix(dim=2, matrix=np.diag([1.0 + offset, -offset]).astype(complex))
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        stack = np.stack([identity(2) / 2, p0 * 0, identity(2) - p0, p0])
+        for fn in (born_values, born_values_reference):
+            with pytest.raises(ValueOutOfRange, match=rf"Born value {-offset} outside"):
+                fn(stack, rho)
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_raise(self, special):
+        rho = make_density(identity(2) / 2)
+        stack = np.stack([identity(2) / 2, np.full((2, 2), special, dtype=complex)])
+        with pytest.raises(ValueOutOfRange), np.errstate(invalid="ignore"):
+            born_values(stack, rho)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0]) | st.floats(0.0, 1.0), max_size=64))
+    def test_in_range_copy_is_the_clip_bit_for_bit(self, reals):
+        # The copy born_values returns when no value needs clamping is the
+        # array np.clip would return, -0.0 included.
+        t = np.array(reals, dtype=float) + 0j
+        assert t.real.copy().tobytes() == np.clip(t.real, 0.0, 1.0).tobytes()
+
+
 class TestBloch:
     def test_center_is_maximally_mixed(self):
         assert bloch_of_matrix(identity(2) / 2).as_tuple() == (0.0, 0.0, 0.0)
@@ -389,6 +508,16 @@ class TestBlochVectorType:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueOutOfRange):
             BlochVector(float("nan"), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 65))
+def test_identity_is_one_frozen_array_per_dimension(dim):
+    eye = identity(dim)
+    assert identity(dim) is eye
+    assert eye.dtype == complex
+    assert np.array_equal(eye, np.eye(dim))
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
 
 
 def test_validated_matrices_are_read_only(rng):
