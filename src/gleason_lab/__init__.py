@@ -75,7 +75,6 @@ from .operators import (
     BlochVector,
     DensityMatrix,
     Projector,
-    born_probability,
     born_values,
     haar_unitary,
     make_density,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GleasonLabError, SerializationError, ValueOutOfRange
 from .frames import (
+    InducedFrameFunction,
     born_backed,
     check_normalization,
     deterministic_qubit,
@@ -43,7 +44,6 @@ from .marginality import (
 )
 from .measurements import (
     PVM,
-    embed,
     embed_pvm,
     intertwine_graph,
     measurement_family_mpsi,
@@ -52,7 +52,6 @@ from .measurements import (
     random_rank_partition,
 )
 from .operators import (
-    born_probability,
     frobenius,
     haar_unitary,
     partial_trace_b,
@@ -214,7 +213,7 @@ def _cmd_eval(args, seed: int) -> Outcome:
         source = {"dim": args.dim, "ranks": ranks}
     if frame.dim != pvm.dim:
         raise DimensionMismatch(f"frame dim {frame.dim} != PVM dim {pvm.dim}")
-    values = frame.values(pvm.elements, pvm.stack)
+    values = frame.values(pvm.stack)
     residual = abs(float(values.sum()) - 1.0)
     results = {
         "values": [
@@ -321,7 +320,7 @@ def _cmd_demo_intertwine(args, seed: int) -> Outcome:
     qubit_graph = intertwine_graph(qubit_pvms)
     composite = family + [embed_pvm(m, 2) for m in qubit_pvms]
     graph = intertwine_graph(composite)
-    pi_key = projector_key(family[0].elements[0])
+    pi_key = projector_key(family[0].stack[0])
     pi_degree = graph.degree(pi_key)
     other_max = max((node.degree for node in graph.nodes if node.key != pi_key), default=0)
     ok = pi_degree == n and qubit_graph.max_degree() <= 1 and other_max <= 1
@@ -344,7 +343,7 @@ def _normalization_trial(rng, d, perturb) -> float:
     rho = random_density_matrix(d, rng)
     pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng))
     frame = born_backed(rho)
-    total = float(frame.values(pvm.elements, pvm.stack).sum()) + perturb
+    total = float(frame.values(pvm.stack).sum()) + perturb
     return abs(total - 1.0)
 
 
@@ -352,8 +351,8 @@ def _trace_identity_trial(rng, d) -> float:
     rho_ab = random_density_matrix(d * 2, rng)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     p = projector_from_ket(ket)
-    full = born_probability(embed(p, 2), rho_ab)
-    reduced = born_probability(p, partial_trace_b(rho_ab, d, 2))
+    full = InducedFrameFunction(born_backed(rho_ab), d, 2)(p)
+    reduced = born_backed(partial_trace_b(rho_ab, d, 2))(p)
     return abs(full - reduced)
 
 

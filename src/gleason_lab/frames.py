@@ -7,13 +7,13 @@ hemisphere functions assign definite 0/1 outcomes to qubit projectors;
 they are valid frame functions on a single qubit because each qubit
 projector occurs in exactly one measurement, yet they correspond to no
 quantum state. Tabulated functions hold finitely many explicit values
-and are partial by design.
+and are partial by design. Induced ones restrict a composite function
+through P -> P x I_b. Every kind evaluates an (n, d, d) stack in ``values``.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .operators import (
     BlochVector,
     DensityMatrix,
     Projector,
-    born_probability,
     born_values,
     identity,
     make_projector,
@@ -50,17 +49,18 @@ from .operators import (
 
 
 class FrameFunction:
-    """Base class; subclasses implement evaluation on projectors."""
+    """Base class; subclasses implement ``values``, and f(p) is ``values``
+    on a stack of one."""
 
     dim: int
 
     def __call__(self, p: Projector) -> float:
-        raise NotImplementedError
+        return float(self.values(p.matrix[np.newaxis])[0])
 
-    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
-        """f on every projector, as a float vector; ``stack`` holds their
-        matrices as one (n, d, d) array for kinds that evaluate it whole."""
-        return np.array([self(p) for p in projectors], dtype=float)
+    def values(self, stack: np.ndarray) -> np.ndarray:
+        """f on every matrix of an (n, d, d) projector stack, as a float
+        vector."""
+        raise NotImplementedError
 
 
 def lex_zxy_accepts(n: BlochVector) -> bool:
@@ -87,10 +87,7 @@ class BornFrameFunction(FrameFunction):
         self.rho = rho
         self.dim = rho.dim
 
-    def __call__(self, p: Projector) -> float:
-        return born_probability(p, self.rho)
-
-    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+    def values(self, stack: np.ndarray) -> np.ndarray:
         return born_values(stack, self.rho)
 
 
@@ -101,22 +98,17 @@ class DeterministicFrameFunction(FrameFunction):
     dim = 2
     rule = "lex-zxy"
 
-    def __call__(self, p: Projector) -> float:
-        return float(self.values((p,), p.matrix[np.newaxis])[0])
-
-    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+    def values(self, stack: np.ndarray) -> np.ndarray:
         """0 on rank 0, 1 on rank 2, and on rank 1 the lex-zxy rule over
         the Bloch coordinates of the whole stack, read off the entries as
-        ``bloch_of_matrix`` sums them: x = Re m01 + Re m10,
-        y = Im m10 - Im m01, z = Re m00 - Re m11."""
-        for p in projectors:
-            if p.dim != 2:
-                raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {p.dim}")
-            if p.rank not in (0, 1, 2):
-                raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
-        if not len(projectors):
-            return np.zeros(0)
-        ranks = np.array([p.rank for p in projectors])
+        ``bloch_of_matrix`` sums them: x = Re m01 + Re m10, y = Im m10 -
+        Im m01, z = Re m00 - Re m11. A row's rank is its rounded trace."""
+        if stack.shape[1:] != (2, 2):
+            raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {stack.shape[-1]}")
+        ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
+        bad = ~((ranks >= 0.0) & (ranks <= 2.0))
+        if bad.any():
+            raise UnsupportedRank(f"rank {ranks[int(np.argmax(bad))]:.0f} projector on a qubit")
         x = stack[:, 0, 1].real + stack[:, 1, 0].real
         y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
         z = stack[:, 0, 0].real - stack[:, 1, 1].real
@@ -153,7 +145,7 @@ class TabulatedFrameFunction(FrameFunction):
             if not 0.0 <= vals[i] <= 1.0:
                 raise ValueOutOfRange(f"tabulated value {float(vals[i])} outside [0, 1]")
             c = int(classes[i])
-            raise ContextualConflict(projector_key(projectors[c]), float(vals[c]), float(vals[i]))
+            raise ContextualConflict(projector_key(projectors[c].matrix), float(vals[c]), float(vals[i]))
         self._projectors = projectors
         self._reps = np.flatnonzero(classes == np.arange(len(entries)))
         self._coords = coords[self._reps]
@@ -164,29 +156,28 @@ class TabulatedFrameFunction(FrameFunction):
         """(first projector, value) of each class, in input order."""
         return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._values.tolist()))
 
-    def __call__(self, p: Projector) -> float:
-        return float(self.values((p,), p.matrix[np.newaxis])[0])
-
-    def values(self, projectors: Sequence[Projector], stack: np.ndarray) -> np.ndarray:
+    def values(self, stack: np.ndarray) -> np.ndarray:
         if stack.shape[1:] != (self.dim, self.dim):
-            if not len(projectors):
+            if not len(stack):
                 return np.zeros(0)
-            raise UndefinedProjector(projector_key(projectors[0]))
+            raise UndefinedProjector(projector_key(stack[0]))
         idx = first_match(projector_coords(stack), self._coords)
         missing = idx < 0
         if missing.any():
-            raise UndefinedProjector(projector_key(projectors[int(np.argmax(missing))]))
+            raise UndefinedProjector(projector_key(stack[int(np.argmax(missing))]))
         return self._values[idx]
 
 
 class InducedFrameFunction(FrameFunction):
     """Subsystem restriction of a composite frame function.
 
-    Evaluates the composite function on P x I_b, i.e. on the local
-    measurement outcome as represented in the composite system.
+    Evaluates the composite function on P x I_b, one ``embed`` of the
+    whole stack: the local outcome as represented in the composite system.
     """
 
     def __init__(self, composite: FrameFunction, dim_a: int, dim_b: int):
+        if dim_b < 2:
+            raise DimensionMismatch(f"ancilla dimension must be >= 2, got {dim_b}")
         if composite.dim != dim_a * dim_b:
             raise DimensionMismatch(
                 f"composite dim {composite.dim} is not {dim_a} * {dim_b}"
@@ -195,10 +186,10 @@ class InducedFrameFunction(FrameFunction):
         self.dim = dim_a
         self.dim_b = dim_b
 
-    def __call__(self, p: Projector) -> float:
-        if p.dim != self.dim:
-            raise DimensionMismatch(f"projector dim {p.dim} != subsystem dim {self.dim}")
-        return self.composite(embed(p, self.dim_b))
+    def values(self, stack: np.ndarray) -> np.ndarray:
+        if stack.shape[1:] != (self.dim, self.dim):
+            raise DimensionMismatch(f"projector dim {stack.shape[-1]} != subsystem dim {self.dim}")
+        return self.composite.values(embed(stack, self.dim_b))
 
 
 def born_backed(rho: DensityMatrix) -> BornFrameFunction:
@@ -215,7 +206,7 @@ def tabulated(entries: list[tuple[Projector, float]]) -> TabulatedFrameFunction:
 
 def check_normalization(f: FrameFunction, m: PVM) -> float:
     """|sum_x f(P_x) - 1| over the PVM's outcomes."""
-    return abs(float(f.values(m.elements, m.stack).sum()) - 1.0)
+    return abs(float(f.values(m.stack).sum()) - 1.0)
 
 
 AXIS_BLOCH: dict[str, tuple[float, float, float]] = {

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IllConditioned, NotApplicable, UnsupportedDimension
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
-from .measurements import projector_key
+from .measurements import embed, projector_key
 from .operators import (
     DensityMatrix,
     Projector,
@@ -229,7 +229,7 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
         s = spanning_projectors(f.dim)
     if s.condition_number > MAX_CONDITION_NUMBER:
         raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
-    values = f.values(s.projectors, s.stack)
+    values = f.values(s.stack)
     coeffs = s.pinv @ (values - s.offsets)
     fit = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
     rho_hat = frozen_matrix(hermitize(fit))
@@ -244,7 +244,7 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     if residual > TOL.lin:
         worst = int(np.argmax(err >= residual - TOL.lin))
         witness = ResidualWitness(
-            projector_key=projector_key(s.projectors[worst]),
+            projector_key=projector_key(s.stack[worst]),
             label=s.labels[worst],
             residual=residual,
         )
@@ -322,17 +322,14 @@ def verify_extension(
     Returns (partial-trace error, max embedding-probability deviation):
     the Frobenius distance between Tr_B of the extension and rho_f, and
     the largest |Tr((P x I) rho_F) - Tr(P rho_f)| over the projectors
-    (0.0 for none). The embedded projectors P x I are built as one
-    stack, entry (n, (i, k), (j, l)) = P_n[i, j] * delta_kl.
+    (0.0 for none). The embedded projectors P x I are one ``embed``
+    stack.
     """
     d_a, d_b = rho_f.dim, sigma_b.dim
     rho_big = extend_to_composite(rho_f, sigma_b)
     back = partial_trace_b(rho_big, d_a, d_b)
     pt_err = frobenius(back.matrix - rho_f.matrix)
     stack = projector_stack(projectors, d_a)
-    embedded = np.zeros((len(stack), d_a, d_b, d_a, d_b), dtype=complex)
-    diag = np.arange(d_b)
-    embedded[:, :, diag, :, diag] = stack
-    lhs = born_values(embedded.reshape(len(stack), rho_big.dim, rho_big.dim), rho_big)
+    lhs = born_values(embed(stack, d_b), rho_big)
     rhs = born_values(stack, rho_f)
     return pt_err, float(np.abs(lhs - rhs).max(initial=0.0))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DimensionOverflow,
     EmptySet,
     Incomplete,
     NotNormalized,
@@ -25,14 +26,13 @@ from .operators import (
     Projector,
     as_complex_matrix,
     frobenius,
-    frozen_matrix,
     hermitize,
     identity,
     make_projector,
     projector_stack,
     tensor,
 )
-from .tolerances import TOL
+from .tolerances import MAX_COMPOSITE_DIM, TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,46 +183,64 @@ def measurement_family_mpsi(psi) -> PVM:
     return validate_pvm(elements, labels=("pi", "one_psi", "one_perp"))
 
 
-def embed(p: Projector, d_b: int) -> Projector:
-    """Represent a subsystem outcome on the composite space: P -> P x I_b.
+def embed(stack: np.ndarray, d_b: int) -> np.ndarray:
+    """Represent subsystem outcomes on the composite space: P -> P x I_b
+    for every matrix of an (n, d, d) stack, as one frozen array.
 
     Tensoring with the identity is the trivial measurement on the second
     factor, so the embedded outcome carries no information about it.
+    Each row equals tensor(P, identity(d_b)) under ==, with +0.0 zeros.
+    A non-stack input or d_b < 2 raises DimensionMismatch, and d * d_b
+    above MAX_COMPOSITE_DIM raises DimensionOverflow.
     """
+    s = np.asarray(stack)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise DimensionMismatch(f"embed needs an (n, d, d) stack, got shape {s.shape}")
     if d_b < 2:
         raise DimensionMismatch(f"ancilla dimension must be >= 2, got {d_b}")
-    m = tensor(p.matrix, identity(d_b))
-    # Rank scales exactly; residuals are inherited from the validated input.
-    return Projector(dim=p.dim * d_b, matrix=frozen_matrix(m), rank=p.rank * d_b)
+    n, d = s.shape[0], s.shape[1]
+    if d * d_b > MAX_COMPOSITE_DIM:
+        raise DimensionOverflow(d * d_b, MAX_COMPOSITE_DIM)
+    out = np.zeros((n, d, d_b, d, d_b), dtype=complex)
+    diag = np.arange(d_b)
+    out[:, :, diag, :, diag] = s
+    out = out.reshape(n, d * d_b, d * d_b)
+    out.setflags(write=False)
+    return out
 
 
 def embed_pvm(m: PVM, d_b: int) -> PVM:
     """Element-wise embedding; the outcome count is unchanged."""
-    elements = tuple(embed(e, d_b) for e in m.elements)
+    stack = embed(m.stack, d_b)
+    # Rank scales exactly; residuals are inherited from the validated input.
+    elements = tuple(
+        Projector(dim=stack.shape[1], matrix=row, rank=e.rank * d_b)
+        for e, row in zip(m.elements, stack)
+    )
     return validate_pvm(elements, labels=m.labels)
 
 
-def projector_key(p: Projector) -> str:
-    """Printed label of a projector: its Hermitized entries snapped to a
-    grid of size TOL.key and hashed.
+def projector_key(m: np.ndarray) -> str:
+    """Printed label of a projector matrix: its Hermitized entries snapped
+    to a grid of size TOL.key and hashed with its dimension.
 
     Labels name a class of projectors in reports and errors; tables and
     intertwine graphs match projectors with ``projector_classes`` and
     ``first_match``, never by comparing labels.
     """
-    m = hermitize(p.matrix)
-    scaled = m / TOL.key
+    scaled = hermitize(m) / TOL.key
     grid_re = np.round(scaled.real).astype(np.int64)
     grid_im = np.round(scaled.imag).astype(np.int64)
     payload = grid_re.tobytes() + grid_im.tobytes()
-    digest = hashlib.sha256(str(p.dim).encode() + b"|" + payload).hexdigest()
+    digest = hashlib.sha256(str(m.shape[0]).encode() + b"|" + payload).hexdigest()
     return digest[:16]
 
 
 def projector_coords(stack: np.ndarray) -> np.ndarray:
     """Matching coordinates of an (n, d, d) stack: one row of 2d² floats
     per matrix, the real and imaginary parts of its Hermitization, the
-    numbers projector_key snaps to its grid."""
+    numbers projector_key snaps to its grid, a real stack read as complex."""
+    stack = np.asarray(stack, dtype=complex)
     n, d = stack.shape[0], stack.shape[1]
     h = stack + stack.conj().transpose(0, 2, 1)
     h *= 0.5
@@ -361,7 +379,7 @@ def intertwine_graph(pvms: Iterable[PVM]) -> IntertwineGraph:
     members: dict[int, set[int]] = {}   # representative -> PVM indices, in first-seen order
     for c, idx in zip(classes, owners):
         members.setdefault(c, set()).add(idx)
-    keys = {c: projector_key(elements[c]) for c in members}
+    keys = {c: projector_key(elements[c].matrix) for c in members}
     return IntertwineGraph(
         nodes=tuple(
             GraphNode(key=keys[c], rank=elements[c].rank, degree=len(s))

@@ -303,11 +303,6 @@ def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else vals.copy()
 
 
-def born_probability(p: Projector, rho: DensityMatrix) -> float:
-    """Tr(P rho) for one projector: born_values on a stack of one."""
-    return float(born_values(p.matrix[np.newaxis], rho)[0])
-
-
 def bloch_of_matrix(m: np.ndarray) -> BlochVector:
     """Pauli expectations of an arbitrary 2x2 Hermitian matrix (no
     positivity assumed, e.g. reconstruction candidates)."""

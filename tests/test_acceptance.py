@@ -195,7 +195,7 @@ def test_criterion_6_intertwining_dichotomy():
 
     family = [measurement_family_mpsi(random_ket(2, rng)) for _ in range(10)]
     family_graph = intertwine_graph(family)
-    pi_degree = family_graph.degree(projector_key(family[0].elements[0]))
+    pi_degree = family_graph.degree(projector_key(family[0].elements[0].matrix))
     elapsed = time.perf_counter() - started
     _report(
         "criterion 6 (intertwining dichotomy)",

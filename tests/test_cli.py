@@ -160,9 +160,9 @@ class TestEval:
             class Counting(FrameFunction):
                 dim = frame.dim
 
-                def __call__(self, p):
-                    calls.append(p)
-                    return frame(p)
+                def values(self, stack):
+                    calls.extend(stack)
+                    return frame.values(stack)
 
             return Counting()
 

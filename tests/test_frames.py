@@ -42,7 +42,7 @@ from gleason_lab.operators import (
     DensityMatrix,
     Projector,
     bloch_of_matrix,
-    born_probability,
+    born_values,
     haar_unitary,
     identity,
     make_density,
@@ -170,10 +170,10 @@ class TestTabulated:
         # cells of the key grid but lie 0.02 TOL.key apart.
         p = projector_from_ket([1.0, 0.49 * TOL.key])
         q = projector_from_ket([1.0, 0.51 * TOL.key])
-        assert projector_key(p) != projector_key(q)
+        assert projector_key(p.matrix) != projector_key(q.matrix)
         with pytest.raises(ContextualConflict) as exc:
             tabulated([(p, 0.3), (q, 0.7)])
-        assert exc.value.key == projector_key(p)
+        assert exc.value.key == projector_key(p.matrix)
         f = tabulated([(p, 0.3), (q, 0.3), (P1, 0.7)])
         assert [e[0] for e in f.entries] == [p, P1]
         assert f(q) == f(p) == 0.3
@@ -223,11 +223,11 @@ def _projector_sets(dim, rng):
 
 
 class TestValues:
-    """f.values(projectors, stack) against one __call__ per projector."""
+    """f.values(stack) against one __call__ per projector."""
 
     def _agrees(self, f, sets):
         for projectors, stack in sets:
-            got = f.values(projectors, stack)
+            got = f.values(stack)
             assert got.shape == (len(projectors),)
             assert np.max(np.abs(got - [f(p) for p in projectors])) <= 1e-15
 
@@ -255,7 +255,7 @@ class TestValues:
         sets.append((rank2, projector_stack(rank2, 2)))
         sets.append(((), np.zeros((0, 2, 2), dtype=complex)))
         for projectors, stack in sets:
-            got = f.values(projectors, stack)
+            got = f.values(stack)
             assert got.dtype == float and got.shape == (len(projectors),)
             oracle = [
                 float(p.rank == 2 or (p.rank == 1 and lex_zxy_accepts(bloch_of_matrix(p.matrix))))
@@ -264,16 +264,19 @@ class TestValues:
             assert got.tolist() == [f(p) for p in projectors] == oracle
 
     def test_deterministic_raises_for_the_first_offender(self, rng):
+        # A row's rank is its rounded trace: 3 and -1 here.
         f = deterministic_qubit()
-        bad_rank = Projector(dim=2, matrix=identity(2), rank=3)
+        rank3 = np.diag([2.0, 1.0]).astype(complex)
+        rank_neg = np.diag([-1.0, 0.0]).astype(complex)
         qutrit = rank1_projector(3, rng)
-        stack = np.zeros((3, 2, 2), dtype=complex)
-        with pytest.raises(UnsupportedRank):
-            f.values([P0, bad_rank, qutrit], stack)
+        with pytest.raises(UnsupportedRank, match="rank 3 "):
+            f.values(np.stack([P0.matrix, rank3, rank_neg]))
+        with pytest.raises(UnsupportedRank, match="rank -1 "):
+            f.values(np.stack([P0.matrix, rank_neg, rank3]))
         with pytest.raises(UnsupportedDimension):
-            f.values([P0, qutrit, bad_rank], stack)
-        with pytest.raises(UnsupportedRank):
-            f(bad_rank)
+            f.values(np.stack([qutrit.matrix, qutrit.matrix]))
+        with pytest.raises(UnsupportedRank, match="rank 3 "):
+            f(Projector(dim=2, matrix=rank3, rank=3))
         with pytest.raises(UnsupportedDimension):
             f(qutrit)
         with pytest.raises(UnsupportedDimension):
@@ -285,38 +288,50 @@ class TestValues:
         self._agrees(f, [(s.projectors, s.stack)])
         pvm = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
         with pytest.raises(UndefinedProjector):
-            f.values(pvm.elements, pvm.stack)
+            f.values(pvm.stack)
 
     def test_tabulated_names_the_first_undefined_projector(self, rng):
         s = spanning_projectors(3)
         f = tabulated(list(zip(s.projectors[:-1], rng.uniform(0, 1, len(s) - 1))))
         with pytest.raises(UndefinedProjector) as exc:
-            f.values(s.projectors, s.stack)
-        assert exc.value.key == projector_key(s.projectors[-1])
+            f.values(s.stack)
+        assert exc.value.key == projector_key(s.projectors[-1].matrix)
 
     def test_tabulated_on_another_dimension(self, rng):
         f = tabulated(list(zip(spanning_projectors(3).projectors, rng.uniform(0, 1, 15))))
         for other in (2, 4):
             s = spanning_projectors(other)
             with pytest.raises(UndefinedProjector) as exc:
-                f.values(s.projectors, s.stack)
-            assert exc.value.key == projector_key(s.projectors[0])
+                f.values(s.stack)
+            assert exc.value.key == projector_key(s.projectors[0].matrix)
             with pytest.raises(UndefinedProjector):
                 f(s.projectors[0])
-        assert f.values((), np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
+        assert f.values(np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
+
+    def test_tabulated_on_a_real_stack(self, rng):
+        s = spanning_projectors(3)
+        f = tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s)))))
+        twin = np.array([m for m in s.stack if not m.imag.any()])
+        real = np.ascontiguousarray(twin.real)
+        assert real.dtype == np.float64 and len(real) == 9
+        assert f.values(real).tobytes() == f.values(twin).tobytes()
+        stray = projector_from_ket([1.0, 2.0, 0.0]).matrix.real
+        with pytest.raises(UndefinedProjector) as exc:
+            f.values(np.concatenate([real, stray[np.newaxis]]))
+        assert exc.value.key == projector_key(stray)
 
     def test_tabulated_returns_stored_values_exactly(self, rng):
         s = spanning_projectors(8)
         vals = rng.uniform(0, 1, len(s))
         f = tabulated(list(zip(s.projectors, vals)))
         assert len(f.entries) == len(s) == 120
-        assert np.array_equal(f.values(s.projectors, s.stack), vals)
+        assert np.array_equal(f.values(s.stack), vals)
         kets = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         projectors = [projector_from_ket(k) for k in kets]
         vals = rng.uniform(0, 1, 64)
         f = tabulated(list(zip(projectors, vals)))
         assert len(f.entries) == 64
-        got = f.values(projectors, np.array([p.matrix for p in projectors]))
+        got = f.values(np.array([p.matrix for p in projectors]))
         assert np.array_equal(got, vals)
         assert [f(p) for p in projectors] == vals.tolist()
 
@@ -333,15 +348,144 @@ class TestValues:
         f = born_backed(DensityMatrix(dim=2, matrix=np.asarray(matrix, dtype=complex)))
         s = spanning_projectors(2)
         with pytest.raises(ValueOutOfRange):
-            f.values(s.projectors, s.stack)
+            f.values(s.stack)
         with pytest.raises(ValueOutOfRange):
             for p in s.projectors:
-                born_probability(p, f.rho)
+                f(p)
 
     def test_stack_of_wrong_dimension(self, rng):
         s = spanning_projectors(3)
         with pytest.raises(DimensionMismatch):
-            born_backed(random_density_matrix(2, rng)).values(s.projectors, s.stack)
+            born_backed(random_density_matrix(2, rng)).values(s.stack)
+
+
+def _born_of_one(p, rho):
+    """Tr(P rho) for one projector, spelled as born_values on a stack of
+    one, the spelling f(p) replaced."""
+    return float(born_values(p.matrix[np.newaxis], rho)[0])
+
+
+def _deterministic_reference(projectors, stack):
+    """The deterministic rule with dimension and rank read from the
+    Projector fields, one projector at a time."""
+    for p in projectors:
+        if p.dim != 2:
+            raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {p.dim}")
+        if p.rank not in (0, 1, 2):
+            raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
+    if not len(projectors):
+        return np.zeros(0)
+    ranks = np.array([p.rank for p in projectors])
+    x = stack[:, 0, 1].real + stack[:, 1, 0].real
+    y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
+    z = stack[:, 0, 0].real - stack[:, 1, 1].real
+    accepted = (z > 0.0) | ((z == 0.0) & ((x > 0.0) | ((x == 0.0) & (y > 0.0))))
+    return np.where(ranks == 1, accepted, ranks == 2).astype(float)
+
+
+def _raised(call):
+    """(class, message) of the error call raises."""
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestOnePath:
+    """values(stack) and f(p) against spellings that evaluate Projector
+    objects one at a time: bit for bit (tobytes), or by error class and
+    message."""
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_born(self, dim, rng):
+        for _ in range(3):
+            rho = random_density_matrix(dim, rng)
+            f = born_backed(rho)
+            for projectors, stack in _projector_sets(dim, rng):
+                got = f.values(stack)
+                assert got.tobytes() == born_values(stack, rho).tobytes()
+                loop = np.array([f(p) for p in projectors])
+                assert loop.tobytes() == np.array([_born_of_one(p, rho) for p in projectors]).tobytes()
+                # One product over n rows and n products over one row sum
+                # in different orders, so they agree to round-off only.
+                assert np.max(np.abs(got - loop)) <= 1e-15
+
+    def test_deterministic(self, rng):
+        f = deterministic_qubit()
+        sets = _projector_sets(2, rng)
+        for _ in range(50):
+            pvm = random_qubit_pvm_pair(rng)
+            sets.append((pvm.elements, pvm.stack))
+        mixed = [P0, make_projector(np.zeros((2, 2))), make_projector(identity(2)), P1,
+                 rank1_projector(2, rng)]
+        sets.append((mixed, projector_stack(mixed, 2)))
+        sets.append(((), np.zeros((0, 2, 2), dtype=complex)))
+        for projectors, stack in sets:
+            got = f.values(stack)
+            assert got.tobytes() == _deterministic_reference(projectors, stack).tobytes()
+            assert got.tobytes() == np.array([f(p) for p in projectors], dtype=float).tobytes()
+
+    def test_deterministic_errors(self, rng):
+        f = deterministic_qubit()
+        rank3 = Projector(dim=2, matrix=np.diag([2.0, 1.0]).astype(complex), rank=3)
+        qutrit = rank1_projector(3, rng)
+        for projectors in ([P0, rank3], [qutrit]):
+            stack = np.stack([p.matrix for p in projectors])
+            expected = _raised(lambda: _deterministic_reference(projectors, stack))
+            assert _raised(lambda: f.values(stack)) == expected
+            assert _raised(lambda: f(projectors[-1])) == expected
+
+    def test_tabulated(self, rng):
+        for dim in (2, 3, 4):
+            s = spanning_projectors(dim)
+            f = tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s)))))
+            assert f.values(s.stack).tobytes() == np.array([f(p) for p in s.projectors]).tobytes()
+            pvm = pvm_from_unitary(haar_unitary(dim, rng), [1] * dim)
+            stack = np.concatenate([s.stack, pvm.stack])
+            expected = (UndefinedProjector, str(UndefinedProjector(projector_key(pvm.elements[0].matrix))))
+            assert _raised(lambda: f.values(stack)) == expected
+            assert _raised(lambda: f(pvm.elements[0])) == expected
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_induced(self, d_b, rng):
+        for dim in (2, 3):
+            rho = random_density_matrix(dim * d_b, rng)
+            f = InducedFrameFunction(born_backed(rho), dim, d_b)
+            for projectors, stack in _projector_sets(dim, rng):
+                tensored = [tensor(p.matrix, identity(d_b)) for p in projectors]
+                got = f.values(stack)
+                assert got.tobytes() == born_values(np.array(tensored), rho).tobytes()
+                one = [float(born_values(t[np.newaxis], rho)[0]) for t in tensored]
+                assert np.array([f(p) for p in projectors]).tobytes() == np.array(one).tobytes()
+                assert np.max(np.abs(got - one)) <= 1e-15
+            qutrit = rank1_projector(dim + 1, rng)
+            expected = (DimensionMismatch, f"projector dim {dim + 1} != subsystem dim {dim}")
+            assert _raised(lambda: f(qutrit)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ket=st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rounded_trace_is_the_rank(self, ket, seed):
+        # The deterministic kind counts a row's rank as its rounded trace;
+        # every qubit projector the constructors return agrees.
+        v = np.array(ket[:2]) + 1j * np.array(ket[2:])
+        assume(np.linalg.norm(v) > 1e-150)
+        rng = np.random.default_rng(seed)
+        u = v / np.linalg.norm(v)
+        p = projector_from_ket(v)
+        projectors = [
+            p,
+            make_projector(identity(2) - p.matrix),
+            make_projector(np.outer(u, u.conj())),
+            make_projector(np.zeros((2, 2))),
+            make_projector(identity(2)),
+            *pvm_from_unitary(haar_unitary(2, rng), [1, 1]).elements,
+            *pvm_from_unitary(haar_unitary(2, rng), [2]).elements,
+        ]
+        stack = projector_stack(projectors, 2)
+        ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
+        assert ranks.tolist() == [p.rank for p in projectors]
 
 
 class TestCheckNormalization:
@@ -403,6 +547,14 @@ class TestInduce:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             InducedFrameFunction(born_backed(random_density_matrix(6, rng)), 2, 2)
+
+    def test_ancilla_below_two_is_refused(self, rng):
+        # (-2)(-1) = 2 matches the composite's dimension; neither ancilla
+        # can be embedded.
+        f2 = born_backed(random_density_matrix(2, rng))
+        for dim_a, dim_b in ((2, 1), (-2, -1)):
+            with pytest.raises(DimensionMismatch):
+                InducedFrameFunction(f2, dim_a, dim_b)
 
 
 class TestDefiniteXzTable:
@@ -485,7 +637,7 @@ class TestPerturbationInvariance:
 
         vals = rng.uniform(0, 1, 4)
         f = tabulated(list(zip(ps, vals)))
-        assert f.values(qs, np.array([q.matrix for q in qs])).tolist() == vals.tolist()
+        assert f.values(np.array([q.matrix for q in qs])).tolist() == vals.tolist()
         assert [f(q) for q in qs] == vals.tolist()
 
         def pvms(projectors):

@@ -41,12 +41,15 @@ from gleason_lab.marginality import (
 )
 from gleason_lab.operators import (
     bloch_of_matrix,
+    born_values,
+    frobenius,
     hermitize,
     identity,
     make_density,
     make_projector,
     min_eigenvalue,
     partial_trace_b,
+    projector_stack,
     random_density_matrix,
     tensor,
 )
@@ -172,7 +175,7 @@ class TestFit:
 def certify_reference(f, s):
     """certify_marginal's fit in its plain numpy spelling: a fresh np.eye
     for I/d, np.max over the misfit, and min_eigenvalue's eigensolve."""
-    values = f.values(s.projectors, s.stack)
+    values = f.values(s.stack)
     coeffs = s.pinv @ (values - s.offsets)
     fit = np.eye(s.dim, dtype=complex) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
     rho_hat = hermitize(fit)
@@ -362,9 +365,9 @@ class TestCertifyMarginal:
             dim = 3
             calls = 0
 
-            def __call__(self, p):
-                self.calls += 1
-                return table(p)
+            def values(self, stack):
+                self.calls += len(stack)
+                return table.values(stack)
 
         f = Counting()
         cert = certify_marginal(f, s)
@@ -492,6 +495,30 @@ class TestExtendToComposite:
         projectors = [rank1_projector(2, rng), rank1_projector(3, rng)]
         with pytest.raises(DimensionMismatch):
             verify_extension(rho, sigma, projectors)
+
+    def test_matches_the_inline_embedding(self, rng):
+        def reference(rho_f, sigma_b, projectors):
+            # verify_extension with P x I assigned inline on the ancilla
+            # diagonal, entry (n, (i, k), (j, l)) = P_n[i, j] * delta_kl.
+            d_a, d_b = rho_f.dim, sigma_b.dim
+            rho_big = extend_to_composite(rho_f, sigma_b)
+            back = partial_trace_b(rho_big, d_a, d_b)
+            pt_err = frobenius(back.matrix - rho_f.matrix)
+            stack = projector_stack(projectors, d_a)
+            embedded = np.zeros((len(stack), d_a, d_b, d_a, d_b), dtype=complex)
+            diag = np.arange(d_b)
+            embedded[:, :, diag, :, diag] = stack
+            lhs = born_values(embedded.reshape(len(stack), rho_big.dim, rho_big.dim), rho_big)
+            rhs = born_values(stack, rho_f)
+            return pt_err, float(np.abs(lhs - rhs).max(initial=0.0))
+
+        for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 8), (8, 8)):
+            for n in (0, 1, 20):
+                rho = random_density_matrix(d_a, rng)
+                sigma = random_density_matrix(d_b, rng)
+                projectors = [rank1_projector(d_a, rng) for _ in range(n)]
+                got = np.array(verify_extension(rho, sigma, projectors))
+                assert got.tobytes() == np.array(reference(rho, sigma, projectors)).tobytes()
 
     def test_no_projectors_gives_zero_deviation(self, rng):
         rho = random_density_matrix(3, rng)

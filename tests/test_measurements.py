@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from gleason_lab.measurements import (
 )
 from gleason_lab.operators import (
     haar_unitary,
+    hermitize,
     identity,
     make_projector,
     projector_from_ket,
@@ -165,41 +167,68 @@ class TestMeasurementFamily:
 
 class TestEmbed:
     def test_basis_projector(self):
-        embedded = embed(P0, 2)
-        assert np.array_equal(embedded.matrix, np.diag([1, 1, 0, 0]).astype(complex))
-        assert embedded.rank == 2
+        embedded = embed(P0.matrix[None], 2)[0]
+        assert np.array_equal(embedded, np.diag([1, 1, 0, 0]).astype(complex))
+        assert make_projector(embedded).rank == 2
 
     def test_identity(self):
-        embedded = embed(make_projector(identity(2)), 2)
-        assert np.array_equal(embedded.matrix, identity(4))
+        embedded = embed(identity(2)[None], 2)[0]
+        assert np.array_equal(embedded, identity(4))
 
     def test_orthogonality_preserved(self, rng):
         for _ in range(20):
             u = haar_unitary(2, rng)
             p = make_projector(np.outer(u[:, 0], u[:, 0].conj()))
             q = make_projector(np.outer(u[:, 1], u[:, 1].conj()))
-            product = embed(p, 3).matrix @ embed(q, 3).matrix
+            product = embed(p.matrix[None], 3)[0] @ embed(q.matrix[None], 3)[0]
             assert np.linalg.norm(product, "fro") <= 1e-12
 
     def test_sum_homomorphism(self, rng):
         p = rank1_projector(2, rng)
         q_mat = identity(2) - p.matrix
         q = make_projector(q_mat)
-        lhs = embed(p, 3).matrix + embed(q, 3).matrix
+        lhs = embed(p.matrix[None], 3)[0] + embed(q.matrix[None], 3)[0]
         rhs = tensor(p.matrix + q.matrix, identity(3))
         assert np.array_equal(lhs, rhs)
         assert np.allclose(lhs, identity(6), atol=1e-15)
 
     def test_injectivity_on_distinct_inputs(self):
-        assert projector_key(embed(P0, 2)) != projector_key(embed(P1, 2))
+        assert projector_key(embed(P0.matrix[None], 2)[0]) != projector_key(embed(P1.matrix[None], 2)[0])
 
     def test_dimension_overflow(self, rng):
         with pytest.raises(DimensionOverflow):
-            embed(rank1_projector(8, rng), 16)
+            embed(rank1_projector(8, rng).matrix[None], 16)
 
     def test_rejects_trivial_ancilla(self):
         with pytest.raises(DimensionMismatch):
-            embed(P0, 1)
+            embed(P0.matrix[None], 1)
+
+    def test_rows_are_the_tensor_with_identity(self, rng):
+        for d in range(1, 33):
+            for d_b in range(2, 64 // d + 1):
+                stack = np.array([rank1_projector(d, rng).matrix for _ in range(2)])
+                out = embed(stack, d_b)
+                assert out.shape == (2, d * d_b, d * d_b)
+                assert not out.flags.writeable
+                for m, row in zip(stack, out):
+                    assert (row == tensor(m, identity(d_b))).all()
+        assert embed(np.zeros((0, 3, 3)), 2).shape == (0, 6, 6)
+
+    @pytest.mark.parametrize("stack", [
+        np.zeros((2, 2)), np.zeros((1, 2, 3)), np.zeros((1, 2, 2, 1)), np.zeros(3), 0.5, [[1.0]],
+    ])
+    def test_non_stack_input_is_refused(self, stack):
+        with pytest.raises(DimensionMismatch):
+            embed(stack, 2)
+
+    def test_stack_gates(self):
+        for d_b in (1, 0, -2):
+            with pytest.raises(DimensionMismatch):
+                embed(np.zeros((1, 2, 2)), d_b)
+        for d, d_b in ((8, 9), (33, 2), (2, 33)):
+            with pytest.raises(DimensionOverflow) as exc:
+                embed(np.zeros((0, d, d)), d_b)
+            assert exc.value.dim == d * d_b
 
 
 class TestEmbedPvm:
@@ -231,10 +260,25 @@ class TestProjectorKey:
         _, vecs = np.linalg.eigh(perturbed)
         top = vecs[:, -1]
         q = make_projector(np.outer(top, top.conj()))
-        assert projector_key(p) == projector_key(q)
+        assert projector_key(p.matrix) == projector_key(q.matrix)
+
+    def test_key_of_the_matrix_is_the_key_of_the_projector(self, rng):
+        # The key hashes the matrix's row count where it once hashed the
+        # Projector's dim field, so every label is unchanged.
+        def key_of_projector(p):
+            scaled = hermitize(p.matrix) / TOL.key
+            payload = (np.round(scaled.real).astype(np.int64).tobytes()
+                       + np.round(scaled.imag).astype(np.int64).tobytes())
+            return hashlib.sha256(str(p.dim).encode() + b"|" + payload).hexdigest()[:16]
+
+        for d in range(1, 9):
+            for p in [rank1_projector(d, rng), make_projector(identity(d))]:
+                assert projector_key(p.matrix) == key_of_projector(p)
+            pvm = pvm_from_unitary(haar_unitary(d, rng), [d])
+            assert projector_key(pvm.stack[0]) == key_of_projector(pvm.elements[0])
 
     def test_distinct_projectors_distinct_keys(self):
-        assert projector_key(P0) != projector_key(P1)
+        assert projector_key(P0.matrix) != projector_key(P1.matrix)
 
     def test_key_stable_across_serialization(self, rng):
         import json
@@ -242,7 +286,7 @@ class TestProjectorKey:
         pvm = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
         round_tripped = pvm_from_json(json.loads(json.dumps(pvm_to_json(pvm))))
         for before, after in zip(pvm.elements, round_tripped.elements):
-            assert projector_key(before) == projector_key(after)
+            assert projector_key(before.matrix) == projector_key(after.matrix)
 
 
 def _classes_by_loop(coords):
@@ -324,7 +368,7 @@ class TestIntertwineGraph:
     def test_shared_projector_has_family_degree(self, rng):
         family = [measurement_family_mpsi(random_ket(2, rng)) for _ in range(10)]
         graph = intertwine_graph(family)
-        pi_key = projector_key(family[0].elements[0])
+        pi_key = projector_key(family[0].elements[0].matrix)
         assert graph.degree(pi_key) == 10
         for node in graph.nodes:
             if node.key != pi_key:
@@ -348,15 +392,15 @@ class TestIntertwineGraph:
         # of the key grid but lie 0.02 TOL.key apart.
         p = projector_from_ket([1.0, 0.49 * TOL.key])
         q = projector_from_ket([1.0, 0.51 * TOL.key])
-        assert projector_key(p) != projector_key(q)
+        assert projector_key(p.matrix) != projector_key(q.matrix)
         pvms = [validate_pvm([x, make_projector(identity(2) - x.matrix)]) for x in (p, q)]
         graph = intertwine_graph(pvms)
-        keys = [projector_key(e) for e in pvms[0].elements]
+        keys = [projector_key(e.matrix) for e in pvms[0].elements]
         assert [(n.key, n.rank, n.degree) for n in graph.nodes] == [(k, 1, 2) for k in keys]
         assert graph.incidence == ((keys[0], 0), (keys[1], 0), (keys[0], 1), (keys[1], 1))
 
     def test_duplicate_pvm_counts_once_per_pvm(self):
         pvm = validate_pvm([P0, P1])
         graph = intertwine_graph([pvm, pvm])
-        assert graph.degree(projector_key(P0)) == 2
+        assert graph.degree(projector_key(P0.matrix)) == 2
         assert len(graph.incidence) == 4

@@ -21,7 +21,6 @@ from gleason_lab.operators import (
     BlochVector,
     DensityMatrix,
     bloch_of_matrix,
-    born_probability,
     born_values,
     frobenius,
     haar_unitary,
@@ -286,12 +285,12 @@ class TestBornProbability:
     def test_eigenstate(self):
         p = make_projector(np.outer(KET0, KET0.conj()))
         rho = make_density(np.outer(KET0, KET0.conj()))
-        assert born_probability(p, rho) == pytest.approx(1.0, abs=1e-15)
+        assert born_values(p.matrix[None], rho)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed(self):
         p = make_projector(np.outer(KET0, KET0.conj()))
         rho = make_density(identity(2) / 2)
-        assert born_probability(p, rho) == pytest.approx(0.5, abs=1e-15)
+        assert born_values(p.matrix[None], rho)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_plus_state_against_explicit_trace(self):
         p = make_projector(np.outer(KET_PLUS, KET_PLUS.conj()))
@@ -299,15 +298,15 @@ class TestBornProbability:
         product = matmul_oracle(p.matrix, rho.matrix)
         expected = sum(product[i, i] for i in range(2)).real
         assert expected == pytest.approx(0.5, abs=1e-15)
-        assert born_probability(p, rho) == pytest.approx(expected, abs=1e-15)
+        assert born_values(p.matrix[None], rho)[0] == pytest.approx(expected, abs=1e-15)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
-            born_probability(rank1_projector(2, rng), random_density_matrix(3, rng))
+            born_values(rank1_projector(2, rng).matrix[None], random_density_matrix(3, rng))
 
     def test_range_on_random_inputs(self, rng):
         for _ in range(100):
-            value = born_probability(rank1_projector(3, rng), random_density_matrix(3, rng))
+            value = born_values(rank1_projector(3, rng).matrix[None], random_density_matrix(3, rng))[0]
             assert 0.0 <= value <= 1.0
 
     def test_round_off_beyond_the_range_is_clamped(self):
@@ -317,7 +316,7 @@ class TestBornProbability:
         p1 = make_projector(identity(2) - p0.matrix)
         stack = np.stack([p0.matrix, p1.matrix])
         assert list(born_values(stack, rho)) == [1.0, 0.0]
-        assert (born_probability(p0, rho), born_probability(p1, rho)) == (1.0, 0.0)
+        assert (born_values(p0.matrix[None], rho)[0], born_values(p1.matrix[None], rho)[0]) == (1.0, 0.0)
 
 
 def born_values_reference(stack, rho):
