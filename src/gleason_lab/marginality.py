@@ -20,20 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NotApplicable, UnsupportedDimension
+from .errors import (
+    IllConditioned, NotApplicable, NotHermitian, NotPositive, NotUnitTrace, UnsupportedDimension,
+)
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
 from .measurements import embed, projector_key
 from .operators import (
     DensityMatrix,
     Projector,
-    _density,
+    _frozen,
     bloch_of_matrix,
     born_values,
     frobenius,
     frozen_matrix,
     hermitize,
     identity,
-    min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
     projector_stack,
@@ -232,11 +233,12 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     values = f.values(s.stack)
     coeffs = s.pinv @ (values - s.offsets)
     fit = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
-    rho_hat = frozen_matrix(hermitize(fit))
+    rho_hat = _frozen(hermitize(fit))
     misfit = values - (s.offsets + s.basis_design @ coeffs)
     err = np.abs(misfit)
     residual = float(err.max())
-    low = min_eigenvalue(rho_hat)
+    # rho_hat is exactly Hermitian, so it is eigensolved as it stands.
+    low = float(np.linalg.eigvalsh(rho_hat)[0])
     # Each witness reuses the numbers above. Misfits often tie exactly (an
     # antipodal qubit pair always does), so the residual witness names
     # the first projector within TOL.lin of the linear residual.
@@ -269,6 +271,11 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     )
 
 
+def _least_product_eigenvalue(ea: np.ndarray, eb: np.ndarray) -> float:
+    """Least eigenvalue of A x B: the least product of extreme eigenvalues."""
+    return float(min(ea[0] * eb[0], ea[0] * eb[-1], ea[-1] * eb[0], ea[-1] * eb[-1]))
+
+
 def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> DensityMatrix:
     """Product extension rho x sigma on the composite space.
 
@@ -276,22 +283,31 @@ def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> Density
     Born frame function it induces restricts to the one of rho; this is
     the constructive existence half of the marginality decision.
 
-    The product passes the Hermitian and trace gates of make_density
-    on its own matrix. Its positivity is read from the factors: the
-    spectrum of A x B is every product of an eigenvalue of A with one
-    of B, so its smallest eigenvalue is the least of the four products
-    of the factors' extreme eigenvalues. Hermitizing the factors
-    instead of the product moves that figure by at most
-    ||(A - A†) x (B - B†)||/4 <= TOL.herm**2/4.
+    A x B is gated through its factors, with make_density's error
+    classes, on bounds its gates on them imply, so two states it accepted
+    always extend. With d the larger factor dimension, a factor has
+    Hermitian residual r <= TOL.herm, |Tr - 1| <= TOL.tr and eigenvalues
+    in [-TOL.psd, 1 + TOL.tr + (d - 1) TOL.psd], so norm below 1 + 2d
+    TOL.psd. Hence A x B - (A x B)† = (A - A†) x B + A† x (B - B†) has
+    norm <= r_A ||B|| + ||A|| r_B <= 2 TOL.herm (1 + 2d TOL.psd); Tr(A x B)
+    = Tr A Tr B is within (2 + TOL.tr) TOL.tr of 1, plus 2^-50 of
+    rounding; and the least eigenvalue of A x B, a product of the
+    factors' cached extreme ones, is >= -TOL.psd (1 + TOL.tr + (d - 1)
+    TOL.psd), gated at -TOL.psd (1 + d TOL.psd) with room for rounding.
     """
     a, b = rho_f.matrix, sigma_b.matrix
-
-    def smallest_eigenvalue(_product: np.ndarray) -> float:
-        ea = np.linalg.eigvalsh(hermitize(a))
-        eb = np.linalg.eigvalsh(hermitize(b))
-        return float(min(ea[0] * eb[0], ea[0] * eb[-1], ea[-1] * eb[0], ea[-1] * eb[-1]))
-
-    return _density(tensor(a, b), smallest_eigenvalue)
+    m = tensor(a, b)
+    d = max(rho_f.dim, sigma_b.dim)
+    herm = frobenius(a - a.conj().T) * frobenius(b) + frobenius(a) * frobenius(b - b.conj().T)
+    if herm > 2 * TOL.herm * (1 + 2 * d * TOL.psd):
+        raise NotHermitian(herm)
+    tr = complex(a.trace()) * complex(b.trace())
+    if abs(tr - 1.0) > (2 + TOL.tr) * TOL.tr + 2**-50:
+        raise NotUnitTrace(tr)
+    low = _least_product_eigenvalue(rho_f.spectrum, sigma_b.spectrum)
+    if low < -TOL.psd * (1 + d * TOL.psd):
+        raise NotPositive(low)
+    return DensityMatrix(dim=m.shape[0], matrix=_frozen(m))
 
 
 def marginality_witness(cert: MarginalityCertificate) -> str:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .operators import (
     Projector,
+    _frozen,
     as_complex_matrix,
     frobenius,
     hermitize,
@@ -204,9 +205,7 @@ def embed(stack: np.ndarray, d_b: int) -> np.ndarray:
     out = np.zeros((n, d, d_b, d, d_b), dtype=complex)
     diag = np.arange(d_b)
     out[:, :, diag, :, diag] = s
-    out = out.reshape(n, d * d_b, d * d_b)
-    out.setflags(write=False)
-    return out
+    return _frozen(out.reshape(n, d * d_b, d * d_b))
 
 
 def embed_pvm(m: PVM, d_b: int) -> PVM:

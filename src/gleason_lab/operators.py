@@ -3,21 +3,23 @@ tensor products, partial traces, Bloch coordinates and Haar unitaries
 drawn from an explicit generator.
 
 All public constructors validate their inputs and return immutable
-values (numpy arrays are frozen through ``frozen_matrix``), so
-every operation here is safe for concurrent use; ``identity`` returns
-one cached frozen array per dimension.
+values (``frozen_matrix`` copies a caller's array, ``_frozen`` freezes
+one built here in place), so every operation here is safe for
+concurrent use; ``identity`` returns one cached frozen array per
+dimension.
 
 The matrices are tiny (dimension <= 64), so a gate's cost is mostly
 per-call numpy overhead rather than arithmetic. Each gate here is
 written to cost its arithmetic: one finiteness pass, a Frobenius norm
 as two real dot products, a tensor product as one broadcast multiply,
-the positivity of a product state read from its factors' spectra, and
-the finiteness, rank and idempotency of a ket's projector read from the
-ket's norm and the projector's trace (within (2d + 4) * 2^-52 of the
-computed m @ m - m residual; see projector_from_ket), and the Born
-range gate as one min and one max over the values. Every check,
-threshold and error class is that of the plain numpy spelling, and every
-returned matrix and norm is the same bit for bit.
+a state's spectrum kept from its positivity gate, a ket projector's
+finiteness, rank, idempotency and Hermiticity read from the ket's norm
+and trace (within proved rounding bounds of the residuals on the
+matrix; see projector_from_ket), and the Born range gate as one min and
+one max over the values. Every check, threshold and error class is that
+of the plain numpy spelling, and every returned matrix and norm is the
+same bit for bit; a reduced or product state is gated through the state
+it comes from.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ def frozen_matrix(m: np.ndarray) -> np.ndarray:
     out = np.array(m, order="C", copy=True)
     out.setflags(write=False)
     return out
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """Freeze in place a C-contiguous array built here; caller data goes
+    through frozen_matrix."""
+    m.setflags(write=False)
+    return m
 
 
 PAULI_X = frozen_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -84,21 +93,16 @@ def min_eigenvalue(h: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(h))[0])
 
 
-def _hermitian(m: np.ndarray) -> np.ndarray:
-    """The one Hermitian gate: reject a Frobenius Hermiticity residual
-    above TOL.herm."""
+def _square_hermitian(matrix, what: str) -> np.ndarray:
+    """Coerce, require a square shape, then the Hermitian gate: reject a
+    Frobenius Hermiticity residual above TOL.herm."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
     res = frobenius(m - m.conj().T)
     if res > TOL.herm:
         raise NotHermitian(res)
     return m
-
-
-def _square_hermitian(matrix, what: str) -> np.ndarray:
-    """Coerce, require a square shape, then the Hermitian gate."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got {m.shape}")
-    return _hermitian(m)
 
 
 @functools.cache
@@ -119,10 +123,16 @@ class Projector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated non-negative unit-trace Hermitian operator."""
+    """Validated non-negative unit-trace Hermitian operator; ``spectrum``,
+    the ascending eigvalsh(hermitize(matrix)), is make_density's own or
+    computed when first read."""
 
     dim: int
     matrix: np.ndarray
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        return _frozen(np.linalg.eigvalsh(hermitize(self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -147,12 +157,12 @@ class BlochVector:
 
 def _projector(m: np.ndarray, idempotency_residual) -> Projector:
     """The projector gate shared by make_projector and
-    projector_from_ket, on a matrix that has passed the Hermitian gate:
-    idempotency, then rank. The Frobenius residual of m @ m - m is taken
-    from idempotency_residual(m, trace) and rejected above TOL.proj. That
-    gate pins every eigenvalue within roughly the residual of {0, 1}, so
-    the rank (the count of eigenvalues near 1) equals the rounded trace;
-    the trace is what gets computed.
+    projector_from_ket, on a frozen matrix: idempotency, then rank. The
+    Frobenius residual of m @ m - m is taken from idempotency_residual(m,
+    trace) and rejected above TOL.proj. That gate pins every eigenvalue
+    within roughly the residual of {0, 1}, so the rank (the count of
+    eigenvalues near 1) equals the rounded trace; the trace is what gets
+    computed.
     """
     d = m.shape[0]
     trace = float(m.trace().real)
@@ -162,7 +172,7 @@ def _projector(m: np.ndarray, idempotency_residual) -> Projector:
     rank = int(round(trace))
     if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
         raise NotIdempotent(res_p)
-    return Projector(dim=d, matrix=frozen_matrix(m), rank=rank)
+    return Projector(dim=d, matrix=m, rank=rank)
 
 
 def _product_residual(m: np.ndarray, trace: float) -> float:
@@ -170,8 +180,11 @@ def _product_residual(m: np.ndarray, trace: float) -> float:
 
 
 def _ket_residual(m: np.ndarray, trace: float) -> float:
-    """||m @ m - m|| for m = w w†: m @ m = t m with t = ||w||^2 = Tr m,
-    so the residual is |t - 1| * t."""
+    """The Hermitian gate on 8u * t, then ||m @ m - m|| = |t - 1| * t, for
+    m = w w† and t = Tr m (see projector_from_ket)."""
+    herm = 8 * 2**-53 * trace
+    if herm > TOL.herm:
+        raise NotHermitian(herm)
     return abs(trace - 1.0) * trace
 
 
@@ -181,30 +194,34 @@ def make_projector(matrix) -> Projector:
     Raises NotHermitian or NotIdempotent with the offending Frobenius
     residual, in that order.
     """
-    return _projector(_square_hermitian(matrix, "projector matrix"), _product_residual)
+    m = frozen_matrix(_square_hermitian(matrix, "projector matrix"))
+    return _projector(m, _product_residual)
 
 
 def projector_from_ket(ket) -> Projector:
     """Rank-1 projector |psi><psi| from a (not necessarily normalized) vector.
 
-    A finite ket whose squared norm overflows to inf or underflows to 0
-    is first divided by its largest real or imaginary component, so a
-    non-zero ket never yields a rank-0 projector; other kets are divided
-    by their norm alone.
+    A finite ket whose squared norm overflows to inf or underflows below
+    2^-1022 (where it loses precision) is first divided by its largest
+    real or imaginary component, so a non-zero ket always yields the
+    rank-1 projector; other kets are divided by their norm alone.
 
-    The gates are make_projector's, with two read from the ket. After
+    The gates are make_projector's, with three read from the ket. After
     the rescale, the norm is finite exactly when every entry is, so a
     non-finite norm raises ValueOutOfRange as a non-finite entry of the
     matrix would. For m = w w† (w the unit ket, t = Tr m = ||w||^2),
-    m @ m - m = (t - 1) m has Frobenius norm |t - 1| * t, which stands
-    in for the computed residual: the two differ by at most
-    (2d + 4) * 2^-52 on the stored matrix (below 3e-14 at d = 64,
-    against TOL.proj = 1e-10). The Hermitian gate still runs on the
-    built matrix, whose complex products leave m - m† non-zero.
+    each stored entry is within sqrt(2) gamma_2 |w_i| |w_j| of w_i w_j*
+    (Higham, Accuracy and Stability, Lemma 3.5; gamma_2 = 2u / (1 - 2u),
+    u = 2^-53), so ||m - m†|| <= 2 sqrt(2) gamma_2 ||w||^2 <= 8u * t,
+    which stands in for the Hermitian residual (about 1e-15, against
+    TOL.herm = 1e-10). m @ m - m = (t - 1) m has Frobenius norm
+    |t - 1| * t, which stands in for the computed idempotency residual:
+    the two differ by at most (2d + 4) * 2^-52 on the stored matrix
+    (below 3e-14 at d = 64, against TOL.proj = 1e-10).
     """
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = frobenius(v)
-    if n == 0 or n == math.inf:
+    if n < 2.0**-511 or n == math.inf:
         x = np.ascontiguousarray(v).view(np.float64)
         s = float(np.abs(x).max(initial=0.0))
         if 0.0 < s < math.inf:
@@ -215,27 +232,23 @@ def projector_from_ket(ket) -> Projector:
     if not n < math.inf:
         raise ValueOutOfRange("matrix contains non-finite entries")
     v = v / n
-    return _projector(_hermitian(v[:, None] * v.conj()[None, :]), _ket_residual)
+    return _projector(_frozen(v[:, None] * v.conj()[None, :]), _ket_residual)
 
 
-def _density(matrix, smallest_eigenvalue) -> DensityMatrix:
-    """The density gate shared by make_density and
-    marginality.extend_to_composite: Hermitian residual, then unit
-    trace, then positivity, with the smallest eigenvalue taken from
-    smallest_eigenvalue(m) once the first two gates have passed."""
+def make_density(matrix) -> DensityMatrix:
+    """Validate Hermiticity, unit trace and positivity of a density
+    matrix, in that order; the positivity gate's eigensolve is kept as
+    the state's spectrum."""
     m = _square_hermitian(matrix, "density matrix")
     tr = complex(m.trace())
     if abs(tr - 1.0) > TOL.tr:
         raise NotUnitTrace(tr)
-    low = smallest_eigenvalue(m)
-    if low < -TOL.psd:
-        raise NotPositive(low)
-    return DensityMatrix(dim=m.shape[0], matrix=frozen_matrix(m))
-
-
-def make_density(matrix) -> DensityMatrix:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
-    return _density(matrix, min_eigenvalue)
+    spectrum = _frozen(np.linalg.eigvalsh(hermitize(m)))
+    if spectrum[0] < -TOL.psd:
+        raise NotPositive(float(spectrum[0]))
+    state = DensityMatrix(dim=m.shape[0], matrix=frozen_matrix(m))
+    vars(state)["spectrum"] = spectrum
+    return state
 
 
 def tensor(a, b) -> np.ndarray:
@@ -256,13 +269,15 @@ def tensor(a, b) -> np.ndarray:
 
 
 def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMatrix:
-    """Reduced state of subsystem A: (Tr_B rho)_ij = sum_k rho_(i,k),(j,k)."""
+    """Reduced state of subsystem A: (Tr_B rho)_ij = sum_k rho_(i,k),(j,k),
+    not gated again: the partial trace keeps Hermiticity, trace and
+    positivity, so a gate could only refuse the reduction of a state."""
     if rho_ab.dim != dim_a * dim_b:
         raise DimensionMismatch(
             f"composite dimension {rho_ab.dim} is not dim_a * dim_b = {dim_a * dim_b}"
         )
     m = rho_ab.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    return make_density(np.einsum("ikjk->ij", m))
+    return DensityMatrix(dim=dim_a, matrix=_frozen(np.einsum("ikjk->ij", m)))
 
 
 def projector_stack(projectors, dim: int) -> np.ndarray:
@@ -272,7 +287,7 @@ def projector_stack(projectors, dim: int) -> np.ndarray:
         if p.dim != dim:
             raise DimensionMismatch(f"projector dim {p.dim} != expected dim {dim}")
     stack = np.array([p.matrix for p in projectors], dtype=complex)
-    return frozen_matrix(stack.reshape(len(projectors), dim, dim))
+    return _frozen(stack.reshape(len(projectors), dim, dim))
 
 
 def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:

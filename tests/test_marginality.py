@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gleason_lab import marginality
 from gleason_lab.errors import (
     DimensionMismatch,
     DimensionOverflow,
+    GleasonLabError,
     IllConditioned,
     NotApplicable,
+    NotHermitian,
     NotPositive,
     NotUnitTrace,
     UndefinedProjector,
@@ -40,9 +42,11 @@ from gleason_lab.marginality import (
     verify_extension,
 )
 from gleason_lab.operators import (
+    DensityMatrix,
     bloch_of_matrix,
     born_values,
     frobenius,
+    haar_unitary,
     hermitize,
     identity,
     make_density,
@@ -199,6 +203,7 @@ def certify_reference(f, s):
 
 
 def certificate_bits(cert):
+    assert not cert.rho_hat.flags.writeable and cert.rho_hat.flags.c_contiguous
     w = cert.witness
     if isinstance(w, ResidualWitness):
         w = ("residual", w.label, w.residual)
@@ -231,7 +236,7 @@ class TestFitExactly:
             f = born_backed(random_density_matrix(dim, rng))
             assert certificate_bits(certify_marginal(f, s)) == certify_reference(f, s)
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     @pytest.mark.parametrize("lowest, noise", [(-0.05, 0.0), (-5e-8, 0.0), (0.1, 0.0), (0.1, 0.02)])
     def test_tabulated_frames(self, rng, dim, lowest, noise):
         s = spanning_projectors(dim)
@@ -403,6 +408,30 @@ class TestTwoDeterministicAxes:
         assert cert.witness.norm == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+@st.composite
+def gate_boundary_matrices(draw, dim):
+    """Raw d x d matrices at and inside make_density's three gates: the
+    least eigenvalue down to -TOL.psd, the trace within TOL.tr of 1 and
+    an anti-Hermitian part of residual up to TOL.herm, boundaries
+    included, in a rotated or the computational basis."""
+    low = draw(st.sampled_from([-TOL.psd, 0.0]) | st.floats(-TOL.psd, 0.5 / dim))
+    offset = draw(st.sampled_from([-TOL.tr, TOL.tr, 0.0]) | st.floats(-TOL.tr, TOL.tr))
+    skew = draw(st.sampled_from([TOL.herm, 0.0]) | st.floats(0.0, TOL.herm))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = rng.uniform(0.2, 1.0, dim - 1)
+    spectrum = np.concatenate([[low], rest * (1.0 + offset - low) / rest.sum()])
+    if dim == 1:
+        spectrum = np.array([1.0 + offset])
+    if draw(st.booleans()):
+        u = haar_unitary(dim, rng)
+        m = (u * spectrum) @ u.conj().T
+    else:
+        m = np.diag(spectrum).astype(complex)
+    k = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    k = k - k.conj().T
+    return m + k * (skew / (2 * frobenius(k)))
+
+
 class TestExtendToComposite:
     def test_partial_trace_returns_first_factor(self, rng):
         for d, d_b in ((2, 2), (2, 3), (3, 2), (3, 3)):
@@ -417,19 +446,62 @@ class TestExtendToComposite:
         big = extend_to_composite(rho, rho)
         assert np.allclose(big.matrix, identity(4) / 4, atol=0)
 
-    def test_product_below_the_negativity_gate_is_refused(self):
+    def test_product_at_the_negativity_gate_extends(self):
         # Each factor's smallest eigenvalue, -1e-9, sits on -TOL.psd and
-        # passes; the product's, -(1 + 1e-9) * 1e-9, lies beyond it.
+        # passes; the product's, -(1 + 1e-9) * 1e-9, lies beyond -TOL.psd
+        # but within the bound the factors' gates imply.
         rho = make_density(np.diag([1 + 1e-9, -1e-9]).astype(complex))
-        with pytest.raises(NotPositive):
+        big = extend_to_composite(rho, rho)
+        assert np.linalg.eigvalsh(big.matrix)[0] < -TOL.psd
+        assert big.matrix.tobytes() == tensor(rho.matrix, rho.matrix).tobytes()
+
+    def test_product_at_the_trace_gate_extends(self):
+        # A trace of 1 + 9e-11 passes TOL.tr; the product's trace is its
+        # square, 1 + 1.8e-10, beyond TOL.tr but within (2 + TOL.tr) TOL.tr.
+        rho = make_density(np.diag([0.5 + 6e-11, 0.5 + 3e-11]).astype(complex))
+        big = extend_to_composite(rho, rho)
+        assert abs(np.trace(big.matrix) - 1.0) > TOL.tr
+        back = partial_trace_b(big, 2, 2)
+        assert frobenius(back.matrix - rho.matrix) <= 2 * TOL.tr
+
+    @pytest.mark.parametrize("matrix, error", [
+        (np.array([[0.5, 1e-9], [0.0, 0.5]], dtype=complex), NotHermitian),
+        (np.diag([0.5 + 2e-10, 0.5]).astype(complex), NotUnitTrace),
+        (np.diag([1 + 2e-9, -2e-9]).astype(complex), NotPositive),
+    ])
+    def test_products_beyond_the_implied_bounds_are_refused(self, matrix, error):
+        # Each factor here is one that make_density refuses with the same
+        # error class; its product with itself exceeds the composed bound.
+        with pytest.raises(error):
+            make_density(matrix)
+        rho = DensityMatrix(dim=2, matrix=matrix)
+        with pytest.raises(error):
             extend_to_composite(rho, rho)
 
-    def test_product_beyond_the_trace_gate_is_refused(self):
-        # A trace of 1 + 9e-11 passes TOL.tr; the product's trace is its
-        # square, 1 + 1.8e-10, which does not.
-        rho = make_density(np.diag([0.5 + 6e-11, 0.5 + 3e-11]).astype(complex))
-        with pytest.raises(NotUnitTrace):
-            extend_to_composite(rho, rho)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_pair_make_density_accepts_extends(self, data):
+        d_a = data.draw(st.integers(1, 64), label="d_a")
+        d_b = data.draw(st.integers(1, 64 // d_a), label="d_b")
+        raw_a = data.draw(gate_boundary_matrices(d_a), label="a")
+        raw_b = data.draw(gate_boundary_matrices(d_b), label="b")
+        try:
+            rho, sigma = make_density(raw_a), make_density(raw_b)
+        except GleasonLabError:
+            assume(False)
+        big = extend_to_composite(rho, sigma)
+        assert big.dim == d_a * d_b
+        back = partial_trace_b(big, d_a, d_b)
+        assert frobenius(back.matrix - rho.matrix) <= 2 * TOL.tr
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 8), (8, 8)])
+    def test_product_bits_are_the_kronecker_products(self, rng, d_a, d_b):
+        for _ in range(5):
+            rho, sigma = random_density_matrix(d_a, rng), random_density_matrix(d_b, rng)
+            big = extend_to_composite(rho, sigma)
+            assert big.dim == d_a * d_b
+            assert big.matrix.tobytes() == np.kron(rho.matrix, sigma.matrix).tobytes()
+            assert not big.matrix.flags.writeable and big.matrix.flags.c_contiguous
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -445,9 +517,9 @@ class TestExtendToComposite:
         rng = np.random.default_rng(seed)
         recorded = []
 
-        def recording(matrix, smallest_eigenvalue):
-            recorded.append((matrix, smallest_eigenvalue(matrix)))
-            return density(matrix, smallest_eigenvalue)
+        def recording(ea, eb):
+            recorded.append(least(ea, eb))
+            return recorded[-1]
 
         def state(d, rank):
             shape = (d, min(rank, d))
@@ -455,16 +527,15 @@ class TestExtendToComposite:
             m = g @ g.conj().T
             return make_density(m / np.trace(m).real)
 
-        density = marginality._density
+        least = marginality._least_product_eigenvalue
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(marginality, "_density", recording)
+            mp.setattr(marginality, "_least_product_eigenvalue", recording)
             for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 8), (8, 8)):
                 rho, sigma = state(d_a, rank_a), state(d_b, rank_b)
                 big = extend_to_composite(rho, sigma)
-                matrix, low = recorded[-1]
-                assert np.array_equal(matrix, tensor(rho.matrix, sigma.matrix))
+                matrix = tensor(rho.matrix, sigma.matrix)
                 assert np.array_equal(big.matrix, matrix)
-                assert abs(low - min_eigenvalue(matrix)) <= 1e-15
+                assert abs(recorded[-1] - min_eigenvalue(matrix)) <= 1e-15
         assert len(recorded) == 7
 
     def test_embedding_probabilities_agree(self, rng):

@@ -114,7 +114,10 @@ class TestProjectorFromKet:
         ([1e155, 0.0], [1.0, 0.0]),       # squared norm overflows
         ([1e-200, 1e-200], [1.0, 1.0]),   # squared norm underflows to 0
         ([1e-170j, -1e-170], [1j, -1.0]),  # underflows, complex entries
-    ], ids=["huge-pair", "huge-single", "tiny-pair", "tiny-complex"])
+        ([1e-160, 1e-160], [1.0, 1.0]),   # squared norm is subnormal
+        ([3e-155, 0.0], [1.0, 0.0]),      # squared norm is subnormal
+    ], ids=["huge-pair", "huge-single", "tiny-pair", "tiny-complex", "subnormal-pair",
+            "subnormal-single"])
     def test_extreme_scales_give_the_rank_one_projector(self, ket, unit):
         p = projector_from_ket(ket)
         assert p.rank == 1
@@ -161,6 +164,51 @@ class TestProjectorFromKet:
         assert np.array_equal(again.matrix, m)
         derived = operators._ket_residual(m, float(m.trace().real))
         assert abs(derived - frobenius(m @ m - m)) <= (2 * dim + 4) * 2.0**-52
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        exponent=st.floats(-200.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hermitian_stand_in_bounds_the_computed_residual(self, dim, exponent, seed):
+        # The Hermitian gate reads 8u * Tr m; the residual computed on the
+        # stored matrix never exceeds it, and it stays below TOL.herm.
+        # Exponents beyond about +-154 take the rescale path. The matrix
+        # and rank are the bits of the spelling that gated the matrix.
+        rng = np.random.default_rng(seed)
+        ket = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 10.0**exponent
+        p = projector_from_ket(ket)
+        m = p.matrix
+        trace = float(m.trace().real)
+        assert frobenius(m - m.conj().T) <= 8 * 2.0**-53 * trace <= TOL.herm
+        expected = projector_from_ket_reference(ket)
+        assert (p.matrix.tobytes(), p.rank) == (expected.matrix.tobytes(), expected.rank)
+
+
+def projector_from_ket_reference(ket):
+    """projector_from_ket as it was spelled before its Hermitian gate was
+    read from the ket: the residual computed on the built matrix, and a
+    defensive copy of it."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    n = frobenius(v)
+    if n < 2.0**-511 or n == math.inf:
+        x = np.ascontiguousarray(v).view(np.float64)
+        s = float(np.abs(x).max(initial=0.0))
+        if 0.0 < s < math.inf:
+            v = (x / s).view(complex)
+            n = frobenius(v)
+    v = v / n
+    m = v[:, None] * v.conj()[None, :]
+    res = frobenius(m - m.conj().T)
+    if res > TOL.herm:
+        raise NotHermitian(res)
+    trace = float(m.trace().real)
+    res_p = abs(trace - 1.0) * trace
+    if res_p > TOL.proj:
+        raise NotIdempotent(res_p)
+    return operators.Projector(dim=len(v), matrix=operators.frozen_matrix(m), rank=round(trace))
 
 
 class TestFrobenius:
@@ -523,3 +571,58 @@ def test_validated_matrices_are_read_only(rng):
     p = rank1_projector(3, rng)
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 0.0
+
+
+def test_built_arrays_are_frozen_and_contiguous(rng):
+    rho = random_density_matrix(6, rng)
+    built = [
+        projector_from_ket(rng.standard_normal(3)).matrix,
+        rho.spectrum,
+        partial_trace_b(rho, 2, 3).matrix,
+        operators.projector_stack([rank1_projector(3, rng) for _ in range(4)], 3),
+        operators.projector_stack([], 3),
+    ]
+    for a in built:
+        assert not a.flags.writeable
+        assert a.flags.c_contiguous
+
+
+@pytest.mark.parametrize("make, matrix", [
+    (make_density, np.diag([0.25, 0.75]).astype(complex)),
+    (make_projector, np.diag([1.0, 0.0, 1.0]).astype(complex)),
+    (projector_from_ket, np.array([0.6, 0.8j])),
+])
+def test_constructors_neither_freeze_nor_alias_the_callers_array(make, matrix):
+    before = matrix.copy()
+    result = make(matrix)
+    assert matrix.flags.writeable
+    matrix[0] = 7.0
+    assert np.array_equal(result.matrix, make(before).matrix)
+    assert not np.shares_memory(result.matrix, matrix)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_the_bits_of_an_eigensolve_of_the_hermitized_matrix(self, rng, dim):
+        for _ in range(5):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ g.conj().T
+            m = m / np.trace(m).real
+            expected = np.linalg.eigvalsh(operators.hermitize(m)).tobytes()
+            assert make_density(m).spectrum.tobytes() == expected
+            assert DensityMatrix(dim=dim, matrix=m).spectrum.tobytes() == expected
+
+    def test_make_density_keeps_its_positivity_gates_eigensolve(self, rng, monkeypatch):
+        rho = random_density_matrix(4, rng)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        state = make_density(rho.matrix)
+        assert len(calls) == 1
+        assert state.spectrum is state.spectrum
+        assert len(calls) == 1
+
+    def test_a_directly_built_state_computes_it_once(self):
+        rho = DensityMatrix(dim=2, matrix=np.diag([0.75, 0.25]).astype(complex))
+        assert rho.spectrum is rho.spectrum
+        assert rho.spectrum.tolist() == [0.25, 0.75]
