@@ -79,7 +79,6 @@ from .operators import (
     haar_unitary,
     make_density,
     make_projector,
-    min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
     projector_stack,

@@ -41,10 +41,12 @@ from .operators import (
     BlochVector,
     DensityMatrix,
     Projector,
+    _frozen,
     born_values,
     identity,
     make_projector,
     projector_from_ket,
+    projector_stack,
 )
 
 
@@ -137,7 +139,7 @@ class TabulatedFrameFunction(FrameFunction):
         self.dim = entries[0][0].dim
         projectors = [p for p, _ in entries]
         vals = np.array([float(v) for _, v in entries])
-        coords = projector_coords(np.array([p.matrix for p in projectors], dtype=complex))
+        coords = projector_coords(projector_stack(projectors, self.dim))
         classes = projector_classes(coords)
         bad = ~((vals >= 0.0) & (vals <= 1.0)) | (vals != vals[classes])
         if bad.any():
@@ -258,7 +260,8 @@ def random_qubit_pvm_pair(rng: np.random.Generator) -> PVM:
 
     The complement is formed by exact subtraction so the two Bloch
     vectors are exactly antipodal in floating point, which makes
-    deterministic assignments normalize with residual exactly zero.
+    deterministic assignments normalize with residual exactly zero. I - P
+    is a rank-1 projector when P is, so only the pair is validated.
     """
     p = projector_from_ket(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    return validate_pvm([p, make_projector(identity(2) - p.matrix)])
+    return validate_pvm([p, Projector(dim=2, matrix=_frozen(identity(2) - p.matrix), rank=1)])

@@ -32,7 +32,6 @@ from .operators import (
     bloch_of_matrix,
     born_values,
     frobenius,
-    frozen_matrix,
     hermitize,
     identity,
     partial_trace_b,
@@ -130,10 +129,10 @@ def _spanning_from_projectors(
         condition_number=cond,
         set_id=set_id,
         stack=projector_stack(projectors, dim),
-        offsets=frozen_matrix([p.rank / dim for p in projectors]),
-        basis_flat=frozen_matrix(basis.reshape(len(basis), dim * dim)),
-        basis_design=frozen_matrix(basis_design),
-        pinv=frozen_matrix(np.linalg.pinv(basis_design)),
+        offsets=_frozen(np.array([p.rank / dim for p in projectors])),
+        basis_flat=_frozen(basis.reshape(len(basis), dim * dim)),
+        basis_design=_frozen(basis_design),
+        pinv=_frozen(np.linalg.pinv(basis_design)),
     )
 
 
@@ -259,7 +258,7 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
         witness = BlochWitness(bloch=b.as_tuple(), norm=b.norm())
     else:
         _, eigvecs = np.linalg.eigh(rho_hat)
-        witness = EigenWitness(min_eig=low, eigenvector=frozen_matrix(eigvecs[:, 0]))
+        witness = EigenWitness(min_eig=low, eigenvector=_frozen(eigvecs[:, 0].copy()))
     return MarginalityCertificate(
         verdict=verdict,
         dim=s.dim,

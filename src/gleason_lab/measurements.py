@@ -27,7 +27,6 @@ from .operators import (
     _frozen,
     as_complex_matrix,
     frobenius,
-    hermitize,
     identity,
     make_projector,
     projector_stack,
@@ -177,7 +176,7 @@ def measurement_family_mpsi(psi) -> PVM:
     p0 = np.outer(ket0, ket0.conj())
     p1 = np.outer(ket1, ket1.conj())
     elements = [
-        make_projector(tensor(p0, identity(2))),
+        make_projector(embed(p0[None], 2)[0]),
         make_projector(tensor(p1, np.outer(v, v.conj()))),
         make_projector(tensor(p1, np.outer(perp, perp.conj()))),
     ]
@@ -209,36 +208,37 @@ def embed(stack: np.ndarray, d_b: int) -> np.ndarray:
 
 
 def embed_pvm(m: PVM, d_b: int) -> PVM:
-    """Element-wise embedding; the outcome count is unchanged."""
+    """Element-wise embedding P_x -> P_x x I_b, with the same labels. The
+    embedding of a PVM is a PVM, so it is not validated again: ranks
+    scale by d_b and both residuals by sqrt(d_b), as ||X x I_b||_F =
+    sqrt(d_b) ||X||_F."""
     stack = embed(m.stack, d_b)
-    # Rank scales exactly; residuals are inherited from the validated input.
-    elements = tuple(
-        Projector(dim=stack.shape[1], matrix=row, rank=e.rank * d_b)
-        for e, row in zip(m.elements, stack)
-    )
-    return validate_pvm(elements, labels=m.labels)
+    d, root = stack.shape[1], math.sqrt(d_b)
+    elements = tuple(Projector(dim=d, matrix=row, rank=e.rank * d_b) for e, row in zip(m.elements, stack))
+    return PVM(dim=d, elements=elements, stack=stack, labels=m.labels,
+               max_orthogonality_residual=m.max_orthogonality_residual * root,
+               completeness_residual=m.completeness_residual * root)
 
 
 def projector_key(m: np.ndarray) -> str:
-    """Printed label of a projector matrix: its Hermitized entries snapped
-    to a grid of size TOL.key and hashed with its dimension.
+    """Printed label of a projector matrix: its ``projector_coords``
+    snapped to a grid of size TOL.key, real entries then imaginary
+    entries, hashed with its dimension.
 
     Labels name a class of projectors in reports and errors; tables and
     intertwine graphs match projectors with ``projector_classes`` and
     ``first_match``, never by comparing labels.
     """
-    scaled = hermitize(m) / TOL.key
-    grid_re = np.round(scaled.real).astype(np.int64)
-    grid_im = np.round(scaled.imag).astype(np.int64)
-    payload = grid_re.tobytes() + grid_im.tobytes()
-    digest = hashlib.sha256(str(m.shape[0]).encode() + b"|" + payload).hexdigest()
+    h = projector_coords(m[None])[0].view(complex) / TOL.key
+    grid = np.round([h.real, h.imag]).astype(np.int64)
+    digest = hashlib.sha256(str(m.shape[0]).encode() + b"|" + grid.tobytes()).hexdigest()
     return digest[:16]
 
 
 def projector_coords(stack: np.ndarray) -> np.ndarray:
     """Matching coordinates of an (n, d, d) stack: one row of 2d² floats
-    per matrix, the real and imaginary parts of its Hermitization, the
-    numbers projector_key snaps to its grid, a real stack read as complex."""
+    per matrix, the real and imaginary parts of its Hermitization, a real
+    stack read as complex."""
     stack = np.asarray(stack, dtype=complex)
     n, d = stack.shape[0], stack.shape[1]
     h = stack + stack.conj().transpose(0, 2, 1)

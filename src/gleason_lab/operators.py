@@ -3,10 +3,11 @@ tensor products, partial traces, Bloch coordinates and Haar unitaries
 drawn from an explicit generator.
 
 All public constructors validate their inputs and return immutable
-values (``frozen_matrix`` copies a caller's array, ``_frozen`` freezes
-one built here in place), so every operation here is safe for
-concurrent use; ``identity`` returns one cached frozen array per
-dimension.
+values, so every operation here is safe for concurrent use. The freeze
+rule has one way per kind of array: ``frozen_matrix`` copies caller
+data, and ``_frozen`` freezes in place an array the library built
+(``identity``, the Pauli constants, stacks, spectra, fits).
+``identity`` returns one cached frozen array per dimension.
 
 The matrices are tiny (dimension <= 64), so a gate's cost is mostly
 per-call numpy overhead rather than arithmetic. Each gate here is
@@ -57,9 +58,9 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-PAULI_X = frozen_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-PAULI_Y = frozen_matrix(np.array([[0, -1j], [1j, 0]], dtype=complex))
-PAULI_Z = frozen_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -86,13 +87,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a square complex matrix its caller has
-    already found Hermitian; the Hermitization drops round-off asymmetry
-    and leaves an exactly Hermitian matrix unchanged."""
-    return float(np.linalg.eigvalsh(hermitize(h))[0])
-
-
 def _square_hermitian(matrix, what: str) -> np.ndarray:
     """Coerce, require a square shape, then the Hermitian gate: reject a
     Frobenius Hermiticity residual above TOL.herm."""
@@ -109,7 +103,7 @@ def _square_hermitian(matrix, what: str) -> np.ndarray:
 def identity(dim: int) -> np.ndarray:
     """The d x d complex identity: one frozen array per dimension, shared
     by every caller."""
-    return frozen_matrix(np.eye(dim, dtype=complex))
+    return _frozen(np.eye(dim, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +118,8 @@ class Projector:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated non-negative unit-trace Hermitian operator; ``spectrum``,
-    the ascending eigvalsh(hermitize(matrix)), is make_density's own or
-    computed when first read."""
+    the ascending eigvalsh(hermitize(matrix)), is computed when first
+    read (by make_density's positivity gate) and kept."""
 
     dim: int
     matrix: np.ndarray
@@ -155,37 +149,21 @@ class BlochVector:
         return (self.x, self.y, self.z)
 
 
-def _projector(m: np.ndarray, idempotency_residual) -> Projector:
-    """The projector gate shared by make_projector and
-    projector_from_ket, on a frozen matrix: idempotency, then rank. The
-    Frobenius residual of m @ m - m is taken from idempotency_residual(m,
-    trace) and rejected above TOL.proj. That gate pins every eigenvalue
-    within roughly the residual of {0, 1}, so the rank (the count of
-    eigenvalues near 1) equals the rounded trace; the trace is what gets
-    computed.
+def _projector(m: np.ndarray, trace: float, res_p: float) -> Projector:
+    """The idempotency and rank gates shared by make_projector and
+    projector_from_ket, on a frozen matrix m that passed its Hermitian
+    gate, with its trace and the Frobenius residual res_p of m @ m - m.
+    A residual above TOL.proj is rejected. That gate pins every
+    eigenvalue within roughly the residual of {0, 1}, so the rank (the
+    count of eigenvalues near 1) equals the rounded trace.
     """
     d = m.shape[0]
-    trace = float(m.trace().real)
-    res_p = idempotency_residual(m, trace)
     if res_p > TOL.proj:
         raise NotIdempotent(res_p)
     rank = int(round(trace))
     if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
         raise NotIdempotent(res_p)
     return Projector(dim=d, matrix=m, rank=rank)
-
-
-def _product_residual(m: np.ndarray, trace: float) -> float:
-    return frobenius(m @ m - m)
-
-
-def _ket_residual(m: np.ndarray, trace: float) -> float:
-    """The Hermitian gate on 8u * t, then ||m @ m - m|| = |t - 1| * t, for
-    m = w w† and t = Tr m (see projector_from_ket)."""
-    herm = 8 * 2**-53 * trace
-    if herm > TOL.herm:
-        raise NotHermitian(herm)
-    return abs(trace - 1.0) * trace
 
 
 def make_projector(matrix) -> Projector:
@@ -195,7 +173,7 @@ def make_projector(matrix) -> Projector:
     residual, in that order.
     """
     m = frozen_matrix(_square_hermitian(matrix, "projector matrix"))
-    return _projector(m, _product_residual)
+    return _projector(m, float(m.trace().real), frobenius(m @ m - m))
 
 
 def projector_from_ket(ket) -> Projector:
@@ -232,22 +210,25 @@ def projector_from_ket(ket) -> Projector:
     if not n < math.inf:
         raise ValueOutOfRange("matrix contains non-finite entries")
     v = v / n
-    return _projector(_frozen(v[:, None] * v.conj()[None, :]), _ket_residual)
+    m = _frozen(v[:, None] * v.conj()[None, :])
+    t = float(m.trace().real)
+    herm = 8 * 2**-53 * t
+    if herm > TOL.herm:
+        raise NotHermitian(herm)
+    return _projector(m, t, abs(t - 1.0) * t)
 
 
 def make_density(matrix) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity of a density
-    matrix, in that order; the positivity gate's eigensolve is kept as
-    the state's spectrum."""
+    matrix, in that order; the positivity gate reads the state's
+    spectrum, so the eigensolve is kept."""
     m = _square_hermitian(matrix, "density matrix")
     tr = complex(m.trace())
     if abs(tr - 1.0) > TOL.tr:
         raise NotUnitTrace(tr)
-    spectrum = _frozen(np.linalg.eigvalsh(hermitize(m)))
-    if spectrum[0] < -TOL.psd:
-        raise NotPositive(float(spectrum[0]))
     state = DensityMatrix(dim=m.shape[0], matrix=frozen_matrix(m))
-    vars(state)["spectrum"] = spectrum
+    if state.spectrum[0] < -TOL.psd:
+        raise NotPositive(float(state.spectrum[0]))
     return state
 
 

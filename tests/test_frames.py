@@ -124,6 +124,25 @@ class TestDeterministicQubit:
             assert np.array_equal(pvm.elements[1].matrix, identity(2) - p)
             assert [e.rank for e in pvm.elements] == [1, 1]
 
+    def test_random_pair_is_the_bits_of_the_gated_complement(self):
+        # The complement was once gated by make_projector; built as a
+        # Projector it has the same stack, residuals and ranks, and the
+        # deterministic assignment still normalizes with residual 0.
+        def pair_reference(rng):
+            p = projector_from_ket(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            return validate_pvm([p, make_projector(identity(2) - p.matrix)])
+
+        f = deterministic_qubit()
+        for seed in range(1000):
+            pvm = random_qubit_pvm_pair(np.random.default_rng(seed))
+            expected = pair_reference(np.random.default_rng(seed))
+            assert pvm.stack.tobytes() == expected.stack.tobytes()
+            assert pvm.max_orthogonality_residual == expected.max_orthogonality_residual
+            assert pvm.completeness_residual == expected.completeness_residual
+            assert pvm.ranks() == expected.ranks() == (1, 1)
+            assert not pvm.elements[1].matrix.flags.writeable
+            assert check_normalization(f, pvm) == 0.0
+
     def test_normalizes_exactly_on_unitary_pvms(self, rng):
         f = deterministic_qubit()
         for _ in range(200):

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gleason_lab.errors import (
     DimensionMismatch,
     DimensionOverflow,
     EmptySet,
+    GleasonLabError,
     Incomplete,
     NotNormalized,
     NotOrthogonal,
@@ -25,14 +28,18 @@ from gleason_lab.measurements import (
     projector_coords,
     projector_key,
     pvm_from_unitary,
+    random_rank_partition,
     validate_pvm,
 )
 from gleason_lab.operators import (
+    Projector,
+    frobenius,
     haar_unitary,
     hermitize,
     identity,
     make_projector,
     projector_from_ket,
+    projector_stack,
     tensor,
 )
 from gleason_lab.serialization import pvm_from_json, pvm_to_json
@@ -164,6 +171,29 @@ class TestMeasurementFamily:
             assert abs(leading.imag) <= 1e-12
             assert leading.real > 0
 
+    def test_stack_is_the_bits_of_the_tensor_spelling(self, rng):
+        # Pi = |0><0| x I was spelled tensor(p0, identity(2)); embed gives
+        # the same bits, signed zeros included, and so does every element.
+        def family_reference(psi):
+            v = np.asarray(psi, dtype=complex).reshape(-1)
+            perp = orthogonal_complement_ket(v)
+            p0 = np.outer(KET0, KET0.conj())
+            p1 = np.outer(KET1, KET1.conj())
+            return validate_pvm([
+                make_projector(tensor(p0, identity(2))),
+                make_projector(tensor(p1, np.outer(v, v.conj()))),
+                make_projector(tensor(p1, np.outer(perp, perp.conj()))),
+            ], labels=("pi", "one_psi", "one_perp"))
+
+        for psi in [KET0, KET1, KET_PLUS] + [random_ket(2, rng) for _ in range(200)]:
+            pvm = measurement_family_mpsi(psi)
+            expected = family_reference(psi)
+            assert pvm.stack.tobytes() == expected.stack.tobytes()
+            assert pvm.ranks() == expected.ranks() == (2, 1, 1)
+            assert pvm.labels == expected.labels
+            assert pvm.max_orthogonality_residual == expected.max_orthogonality_residual
+            assert pvm.completeness_residual == expected.completeness_residual
+
 
 class TestEmbed:
     def test_basis_projector(self):
@@ -249,6 +279,59 @@ class TestEmbedPvm:
         assert len(embedded) == len(pvm)
         assert embedded.labels == pvm.labels
 
+    @pytest.mark.parametrize("d_b", [2, 3, 8])
+    def test_accepted_pvm_near_the_threshold_embeds(self, d_b):
+        # Orthogonality 6.0e-11 and completeness 8.5e-11 pass validate_pvm;
+        # gated again on the embedded matrices they once failed, as
+        # Incomplete (1.2e-10) at d_b = 2 and NotOrthogonal at 3 and 8.
+        pvm = validate_pvm([projector_from_ket([1.0, 0.0]), projector_from_ket([6e-11, 1.0])])
+        assert pvm.max_orthogonality_residual == pytest.approx(6.0e-11, rel=1e-3)
+        assert pvm.completeness_residual == pytest.approx(8.5e-11, rel=1e-2)
+        embedded = embed_pvm(pvm, d_b)
+        assert embedded.ranks() == (d_b, d_b)
+        assert embedded.stack.tobytes() == embed(pvm.stack, d_b).tobytes()
+        root = math.sqrt(d_b)
+        assert embedded.max_orthogonality_residual == pvm.max_orthogonality_residual * root
+        assert embedded.completeness_residual == pvm.completeness_residual * root
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        data=st.data(),
+        scale=st.floats(0.0, TOL.pvm),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_accepted_pvm_embeds(self, d, data, scale, seed):
+        # A unitary perturbed by up to TOL.pvm in Frobenius norm gives PVMs
+        # on both sides of validate_pvm's thresholds; each one it accepts
+        # embeds, with the elements' bits and the residuals scaled by
+        # sqrt(d_b), which are those of the embedded matrices up to
+        # round-off.
+        d_b = data.draw(st.integers(2, 64 // d), label="d_b")
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = haar_unitary(d, rng) + scale * g / frobenius(g)
+        try:
+            pvm = pvm_from_unitary(u, random_rank_partition(d, rng))
+        except GleasonLabError:
+            assume(False)
+        embedded = embed_pvm(pvm, d_b)
+        rows = embed(pvm.stack, d_b)
+        expected = projector_stack(
+            [Projector(dim=d * d_b, matrix=row, rank=e.rank * d_b) for e, row in zip(pvm, rows)],
+            d * d_b,
+        )
+        assert embedded.stack.tobytes() == expected.tobytes()
+        assert [e.matrix.tobytes() for e in embedded] == [row.tobytes() for row in rows]
+        assert embedded.ranks() == tuple(r * d_b for r in pvm.ranks())
+        assert embedded.labels == pvm.labels
+        orth = max(
+            (frobenius(a @ b) for i, a in enumerate(rows) for b in rows[i + 1:]), default=0.0
+        )
+        complete = frobenius(rows.sum(axis=0) - identity(d * d_b))
+        assert abs(embedded.max_orthogonality_residual - orth) <= 1e-13
+        assert abs(embedded.completeness_residual - complete) <= 1e-13
+
 
 class TestProjectorKey:
     def test_tiny_perturbation_same_key(self, rng):
@@ -280,6 +363,33 @@ class TestProjectorKey:
     def test_distinct_projectors_distinct_keys(self):
         assert projector_key(P0.matrix) != projector_key(P1.matrix)
 
+    def test_keys_are_the_bits_of_the_hermitize_spelling(self, rng):
+        # projector_key snaps projector_coords where it once snapped its
+        # own Hermitization; every key is unchanged.
+        for d in range(1, 9):
+            ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            matrices = [
+                make_projector(np.outer(ket, ket.conj()) / np.vdot(ket, ket).real).matrix,
+                make_projector(identity(d)).matrix,
+                projector_from_ket(ket).matrix,
+                *pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng)).stack,
+            ]
+            for m in matrices:
+                assert projector_key(m) == _projector_key_reference(m)
+
+    def test_keys_across_a_grid_edge_are_the_reference_keys(self):
+        # Two off-diagonals one ulp apart on either side of a rounding
+        # boundary of the key grid.
+        x = 0.5 * TOL.key
+        while _projector_key_reference(_off_diagonal(x)) == _projector_key_reference(
+            _off_diagonal(np.nextafter(x, 1.0))
+        ):
+            x = np.nextafter(x, 1.0)
+        pair = [_off_diagonal(x), _off_diagonal(np.nextafter(x, 1.0))]
+        keys = [projector_key(m) for m in pair]
+        assert keys == [_projector_key_reference(m) for m in pair]
+        assert keys[0] != keys[1]
+
     def test_key_stable_across_serialization(self, rng):
         import json
 
@@ -287,6 +397,18 @@ class TestProjectorKey:
         round_tripped = pvm_from_json(json.loads(json.dumps(pvm_to_json(pvm))))
         for before, after in zip(pvm.elements, round_tripped.elements):
             assert projector_key(before.matrix) == projector_key(after.matrix)
+
+
+def _projector_key_reference(m):
+    """projector_key as spelled before it read projector_coords."""
+    scaled = hermitize(m) / TOL.key
+    payload = (np.round(scaled.real).astype(np.int64).tobytes()
+               + np.round(scaled.imag).astype(np.int64).tobytes())
+    return hashlib.sha256(str(m.shape[0]).encode() + b"|" + payload).hexdigest()[:16]
+
+
+def _off_diagonal(x):
+    return np.array([[1.0, x], [x, 0.0]], dtype=complex)
 
 
 def _classes_by_loop(coords):

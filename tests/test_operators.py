@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from gleason_lab.errors import (
     DimensionOverflow,
     NotHermitian,
     NotIdempotent,
+    NotPositive,
     ValueOutOfRange,
 )
+from gleason_lab.marginality import spanning_projectors
 from gleason_lab.operators import (
     PAULI_X,
     PAULI_Y,
@@ -27,7 +30,6 @@ from gleason_lab.operators import (
     identity,
     make_density,
     make_projector,
-    min_eigenvalue,
     partial_trace_b,
     projector_from_ket,
     random_density_matrix,
@@ -162,7 +164,8 @@ class TestProjectorFromKet:
         again = make_projector(m)
         assert p.rank == again.rank == 1
         assert np.array_equal(again.matrix, m)
-        derived = operators._ket_residual(m, float(m.trace().real))
+        t = float(m.trace().real)
+        derived = abs(t - 1.0) * t
         assert abs(derived - frobenius(m @ m - m)) <= (2 * dim + 4) * 2.0**-52
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -185,6 +188,54 @@ class TestProjectorFromKet:
         assert frobenius(m - m.conj().T) <= 8 * 2.0**-53 * trace <= TOL.herm
         expected = projector_from_ket_reference(ket)
         assert (p.matrix.tobytes(), p.rank) == (expected.matrix.tobytes(), expected.rank)
+
+
+def _gates_reference(m, from_ket):
+    """The projector gates as spelled with a residual callback: the
+    Hermitian residual (8u * t from a ket), then idempotency, then rank."""
+    tol = operators.TOL
+    d = m.shape[0]
+    trace = float(m.trace().real)
+    herm = 8 * 2**-53 * trace if from_ket else frobenius(m - m.conj().T)
+    if herm > tol.herm:
+        raise NotHermitian(herm)
+    res_p = abs(trace - 1.0) * trace if from_ket else frobenius(m @ m - m)
+    if res_p > tol.proj:
+        raise NotIdempotent(res_p)
+    rank = int(round(trace))
+    if not 0 <= rank <= d or abs(trace - rank) > d * tol.eig:
+        raise NotIdempotent(res_p)
+    return rank
+
+
+def _gate_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except (NotHermitian, NotIdempotent) as exc:
+        return (type(exc).__name__, exc.residual)
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"herm": 0.0}, {"proj": 0.0}, {"eig": 0.0}, {"proj": 0.0, "eig": 0.0},
+    {"herm": 0.0, "proj": 0.0, "eig": 0.0}, {"herm": 1.0, "proj": 1.0},
+], ids=lambda c: "-".join(c) or "default")
+def test_projector_gates_keep_their_order_and_figures(rng, monkeypatch, changes):
+    monkeypatch.setattr(operators, "TOL", dataclasses.replace(TOL, **changes))
+    matrices = [np.diag([0.5, 0.5]).astype(complex), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
+    kets = [[1.0, 1.0, 1.0], [0.6, 0.8j]]
+    for d in range(1, 9):
+        ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kets.append(ket)
+        p = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        matrices += [p, p + 1e-13 * noise, p + 1e-9 * (noise + noise.conj().T)]
+    for m in matrices:
+        assert _gate_outcome(lambda: make_projector(m).rank) == _gate_outcome(_gates_reference, m, False)
+    for ket in kets:
+        v = np.asarray(ket, dtype=complex)
+        v = v / frobenius(v)
+        built = v[:, None] * v.conj()[None, :]
+        assert _gate_outcome(lambda: projector_from_ket(ket).rank) == _gate_outcome(_gates_reference, built, True)
 
 
 def projector_from_ket_reference(ket):
@@ -539,16 +590,16 @@ class TestRandomUnitary:
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue(identity(2)) == pytest.approx(1.0, abs=1e-12)
+        assert DensityMatrix(dim=2, matrix=identity(2)).spectrum[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
-        assert min_eigenvalue(np.diag([1.0, -0.25]).astype(complex)) == pytest.approx(-0.25, abs=1e-12)
+        assert DensityMatrix(dim=2, matrix=np.diag([1.0, -0.25]).astype(complex)).spectrum[0] == pytest.approx(-0.25, abs=1e-12)
 
     def test_definite_x_and_z_reconstruction(self):
         # Eigenvalues of (I + sigma_x + sigma_z)/2 are (1 +- sqrt(2))/2.
         m = 0.5 * (identity(2) + PAULI_X + PAULI_Z)
         expected = (1.0 - math.sqrt(2)) / 2.0
-        assert min_eigenvalue(m) == pytest.approx(expected, abs=1e-12)
+        assert DensityMatrix(dim=2, matrix=m).spectrum[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestBlochVectorType:
@@ -575,12 +626,19 @@ def test_validated_matrices_are_read_only(rng):
 
 def test_built_arrays_are_frozen_and_contiguous(rng):
     rho = random_density_matrix(6, rng)
+    spanning = [spanning_projectors(d) for d in (2, 3)]
     built = [
         projector_from_ket(rng.standard_normal(3)).matrix,
         rho.spectrum,
         partial_trace_b(rho, 2, 3).matrix,
         operators.projector_stack([rank1_projector(3, rng) for _ in range(4)], 3),
         operators.projector_stack([], 3),
+        identity(1),
+        identity(5),
+        PAULI_X,
+        PAULI_Y,
+        PAULI_Z,
+        *(a for s in spanning for a in (s.offsets, s.basis_flat, s.basis_design, s.pinv)),
     ]
     for a in built:
         assert not a.flags.writeable
@@ -621,6 +679,22 @@ class TestSpectrum:
         assert len(calls) == 1
         assert state.spectrum is state.spectrum
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_not_positive_reports_the_least_eigenvalue_of_the_eigensolve(self, rng, dim):
+        # The figure is that of eigvalsh(hermitize(m))[0], as spelled when
+        # make_density solved before it built the state.
+        for _ in range(20):
+            eigs = rng.uniform(0.5, 1.0, dim)
+            eigs[0] = -rng.uniform(1e-6, 0.25)
+            u = haar_unitary(dim, rng)
+            m = (u * eigs) @ u.conj().T
+            m = m / np.trace(m).real
+            expected = float(np.linalg.eigvalsh(operators.hermitize(m))[0])
+            assert expected < -TOL.psd
+            with pytest.raises(NotPositive) as exc:
+                make_density(m)
+            assert exc.value.min_eig == expected
 
     def test_a_directly_built_state_computes_it_once(self):
         rho = DensityMatrix(dim=2, matrix=np.diag([0.75, 0.25]).astype(complex))
