@@ -159,15 +159,23 @@ class TabulatedFrameFunction(FrameFunction):
         return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._values.tolist()))
 
     def values(self, stack: np.ndarray) -> np.ndarray:
-        if stack.shape[1:] != (self.dim, self.dim):
-            if not len(stack):
-                return np.zeros(0)
-            raise UndefinedProjector(projector_key(stack[0]))
-        idx = first_match(projector_coords(stack), self._coords)
-        missing = idx < 0
-        if missing.any():
-            raise UndefinedProjector(projector_key(stack[int(np.argmax(missing))]))
-        return self._values[idx]
+        """Only the paths that raise check more: a stack not (n, m, m)
+        raises DimensionMismatch, and the first unmatched row
+        ValueOutOfRange if it is not finite, else UndefinedProjector."""
+        if stack.shape[1:] == (self.dim, self.dim):
+            idx = first_match(projector_coords(stack), self._coords)
+            if (idx >= 0).all():
+                return self._values[idx]
+            row = stack[int(np.argmax(idx < 0))]
+        elif stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise DimensionMismatch(f"projector stack must be (n, d, d), got shape {stack.shape}")
+        elif not len(stack):
+            return np.zeros(0)
+        else:
+            row = stack[0]
+        if not np.isfinite(row).all():
+            raise ValueOutOfRange("projector matrix contains non-finite entries")
+        raise UndefinedProjector(projector_key(row))
 
 
 class InducedFrameFunction(FrameFunction):

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    IllConditioned, NotApplicable, NotHermitian, NotPositive, NotUnitTrace, UnsupportedDimension,
+    IllConditioned, NotApplicable, NotHermitian, NotIdempotent, NotPositive, NotUnitTrace,
+    UnsupportedDimension,
 )
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
 from .measurements import embed, projector_key
@@ -29,13 +29,14 @@ from .operators import (
     DensityMatrix,
     Projector,
     _frozen,
+    _Record,
+    _Value,
     bloch_of_matrix,
     born_values,
     frobenius,
     hermitize,
     identity,
     partial_trace_b,
-    projector_from_ket,
     projector_stack,
     tensor,
 )
@@ -48,45 +49,35 @@ class Verdict(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def hermitian_coords(m: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
-
-    Coordinates are (diagonal, sqrt(2) Re upper, sqrt(2) Im upper), so the
-    Euclidean dot product of two coordinate vectors equals Tr(A B).
-    """
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate(
-        [np.real(np.diagonal(m)), math.sqrt(2) * np.real(m[iu]), math.sqrt(2) * np.imag(m[iu])]
-    )
+def hermitian_coords(stack: np.ndarray) -> np.ndarray:
+    """Isometric real coordinates of an (n, d, d) stack of Hermitian
+    matrices, one row (diagonal, sqrt(2) Re upper, sqrt(2) Im upper) per
+    matrix, so the Euclidean dot product of two rows equals Tr(A B)."""
+    d = stack.shape[1]
+    i, j = np.triu_indices(d, k=1)
+    diag, upper = np.arange(d), stack[:, i, j]
+    parts = [stack[:, diag, diag].real, math.sqrt(2) * upper.real, math.sqrt(2) * upper.imag]
+    return np.concatenate(parts, axis=1)
 
 
 def traceless_hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) traceless Hermitian basis, shape
-    (dim^2 - 1, dim, dim): symmetric and antisymmetric pair matrices
-    followed by the diagonal ladder."""
-    mats = []
-    for j in range(1, dim):
-        for i in range(j):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / math.sqrt(2)
-            mats.append(sym)
-            antisym = np.zeros((dim, dim), dtype=complex)
-            antisym[i, j] = -1j / math.sqrt(2)
-            antisym[j, i] = 1j / math.sqrt(2)
-            mats.append(antisym)
-    for level in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        scale = 1.0 / math.sqrt(level * (level + 1))
-        for k in range(level):
-            diag[k, k] = scale
-        diag[level, level] = -level * scale
-        mats.append(diag)
-    return np.stack(mats, axis=0)
+    (dim^2 - 1, dim, dim): for each pair i < j, taken by j then i, its
+    symmetric and antisymmetric matrix, followed by the diagonal ladder."""
+    j, i = np.tril_indices(dim, -1)
+    k, level = 2 * np.arange(len(i)), np.arange(1, dim)
+    scale = 1.0 / np.sqrt(level * (level + 1))
+    basis = np.zeros((dim * dim - 1, dim, dim), dtype=complex)
+    basis[k, i, j] = basis[k, j, i] = 1.0 / math.sqrt(2)
+    basis[k + 1, i, j] = -1j / math.sqrt(2)
+    basis[k + 1, j, i] = 1j / math.sqrt(2)
+    diag = np.arange(dim)
+    basis[2 * len(i):, diag, diag] = np.tri(dim - 1, dim) * scale[:, None]
+    basis[2 * len(i) + level - 1, level, level] = -level * scale
+    return basis
 
 
-@dataclass(frozen=True, eq=False)
-class SpanningSet:
+class SpanningSet(_Record):
     """Projectors whose real span is the full Hermitian space.
 
     ``condition_number`` is sigma_max / sigma_min of the vectorized
@@ -98,42 +89,54 @@ class SpanningSet:
     pseudo-inverse.
     """
 
-    dim: int
-    projectors: tuple[Projector, ...]
-    labels: tuple[str, ...]
-    condition_number: float
-    set_id: str
-    stack: np.ndarray           # projector matrices, (n, d, d)
-    offsets: np.ndarray         # rank / d per projector, (n,)
-    basis_flat: np.ndarray      # traceless Hermitian basis, (d^2-1, d^2)
-    basis_design: np.ndarray    # design restricted to the traceless basis, (n, d^2-1)
-    pinv: np.ndarray            # pseudo-inverse of basis_design, (d^2-1, n)
+    __slots__ = __match_args__ = ("dim", "projectors", "labels", "condition_number", "set_id",
+                                  "stack", "offsets", "basis_flat", "basis_design", "pinv")
+
+    def __init__(self, dim: int, projectors: tuple[Projector, ...], labels: tuple[str, ...],
+                 condition_number: float, set_id: str, stack: np.ndarray, offsets: np.ndarray,
+                 basis_flat: np.ndarray, basis_design: np.ndarray, pinv: np.ndarray):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "condition_number", condition_number)
+        object.__setattr__(self, "set_id", set_id)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "basis_flat", basis_flat)
+        object.__setattr__(self, "basis_design", basis_design)
+        object.__setattr__(self, "pinv", pinv)
 
     def __len__(self) -> int:
         return len(self.projectors)
 
 
-def _spanning_from_projectors(
-    dim: int, projectors: list[Projector], labels: list[str], set_id: str
+def _spanning_set(
+    dim: int, stack: np.ndarray, projectors: list[Projector], labels: list[str], set_id: str
 ) -> SpanningSet:
-    design = np.stack([hermitian_coords(p.matrix) for p in projectors], axis=0)
+    """The set of projectors whose matrices form the frozen stack."""
+    design = hermitian_coords(stack)
     singulars = np.linalg.svd(design, compute_uv=False)
     cond = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else float("inf")
     basis = traceless_hermitian_basis(dim)
-    basis_coords = np.stack([hermitian_coords(b) for b in basis], axis=0)
-    basis_design = design @ basis_coords.T
+    basis_design = design @ hermitian_coords(basis).T
     return SpanningSet(
         dim=dim,
         projectors=tuple(projectors),
         labels=tuple(labels),
         condition_number=cond,
         set_id=set_id,
-        stack=projector_stack(projectors, dim),
+        stack=stack,
         offsets=_frozen(np.array([p.rank / dim for p in projectors])),
         basis_flat=_frozen(basis.reshape(len(basis), dim * dim)),
         basis_design=_frozen(basis_design),
         pinv=_frozen(np.linalg.pinv(basis_design)),
     )
+
+
+def _spanning_from_projectors(
+    dim: int, projectors: list[Projector], labels: list[str], set_id: str
+) -> SpanningSet:
+    return _spanning_set(dim, projector_stack(projectors, dim), projectors, labels, set_id)
 
 
 def spanning_projectors(dim: int) -> SpanningSet:
@@ -142,7 +145,9 @@ def spanning_projectors(dim: int) -> SpanningSet:
     For dim 2 these are the six signed Pauli-axis projectors. For larger
     dimensions: the basis states e_i, plus (e_i +- e_j)/sqrt(2) and
     (e_i +- i e_j)/sqrt(2) for every pair, which together span the full
-    dim^2-dimensional Hermitian space.
+    dim^2-dimensional Hermitian space. Their kets are one array, projected
+    and passed through projector_from_ket's gates as one stack, and the
+    projectors are views of the rows of the frozen stack the set keeps.
     """
     if not 2 <= dim <= 8:
         raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim}")
@@ -150,64 +155,77 @@ def spanning_projectors(dim: int) -> SpanningSet:
         labels = list(AXIS_BLOCH)
         projectors = [axis_projector(axis) for axis in labels]
         return _spanning_from_projectors(2, projectors, labels, "axes-d2")
-    projectors = []
-    labels = []
     eye = np.eye(dim, dtype=complex)
-    for i in range(dim):
-        projectors.append(projector_from_ket(eye[i]))
-        labels.append(f"e{i}")
-    for j in range(1, dim):
-        for i in range(j):
-            for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                projectors.append(projector_from_ket(eye[i] + sign * eye[j]))
-                labels.append(f"e{i}{tag}e{j}")
-            for sign, tag in ((1j, "+i"), (-1j, "-i")):
-                projectors.append(projector_from_ket(eye[i] + sign * eye[j]))
-                labels.append(f"e{i}{tag}e{j}")
-    return _spanning_from_projectors(dim, projectors, labels, f"grid-d{dim}")
+    j, i = np.tril_indices(dim, -1)   # the pairs i < j, by j then i
+    pairs = eye[i][:, None] + np.array([1.0, -1.0, 1j, -1j])[:, None] * eye[j][:, None]
+    kets = np.concatenate([eye, pairs.reshape(-1, dim)])
+    v = kets / np.linalg.norm(kets, axis=1)[:, None]
+    stack = _frozen(v[:, :, None] * v.conj()[:, None, :])
+    t = stack.trace(axis1=1, axis2=2).real
+    rank, herm, res_p = np.rint(t), 8 * 2**-53 * t, np.abs(t - 1.0) * t
+    ok = (herm <= TOL.herm) & (res_p <= TOL.proj) & (rank >= 0) & (rank <= dim)
+    bad = ~(ok & (np.abs(t - rank) <= dim * TOL.eig))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NotHermitian(float(herm[k])) if herm[k] > TOL.herm else NotIdempotent(float(res_p[k]))
+    projectors = [Projector(dim, m, r) for m, r in zip(stack, rank.astype(int).tolist())]
+    labels = [f"e{a}" for a in range(dim)] + [
+        f"e{a}{tag}e{b}" for a, b in zip(i.tolist(), j.tolist()) for tag in ("+", "-", "+i", "-i")
+    ]
+    return _spanning_set(dim, stack, projectors, labels, f"grid-d{dim}")
 
 
-@dataclass(frozen=True)
-class BlochWitness:
+class BlochWitness(_Value):
     """Non-physical qubit reconstruction: Bloch vector outside the ball."""
 
-    bloch: tuple[float, float, float]
-    norm: float
+    __slots__ = __match_args__ = ("bloch", "norm")
+
+    def __init__(self, bloch: tuple[float, float, float], norm: float):
+        object.__setattr__(self, "bloch", bloch)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def excess(self) -> float:
         return self.norm - 1.0
 
 
-@dataclass(frozen=True, eq=False)
-class EigenWitness:
+class EigenWitness(_Record):
     """Negative direction of the reconstructed operator for dim >= 3."""
 
-    min_eig: float
-    eigenvector: np.ndarray
+    __slots__ = __match_args__ = ("min_eig", "eigenvector")
+
+    def __init__(self, min_eig: float, eigenvector: np.ndarray):
+        object.__setattr__(self, "min_eig", min_eig)
+        object.__setattr__(self, "eigenvector", eigenvector)
 
 
-@dataclass(frozen=True)
-class ResidualWitness:
+class ResidualWitness(_Value):
     """Spanning-set outcome whose value no Hermitian fit reproduces."""
 
-    projector_key: str
-    label: str
-    residual: float
+    __slots__ = __match_args__ = ("projector_key", "label", "residual")
+
+    def __init__(self, projector_key: str, label: str, residual: float):
+        object.__setattr__(self, "projector_key", projector_key)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "residual", residual)
 
 
 Witness = BlochWitness | EigenWitness | ResidualWitness
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalityCertificate:
-    verdict: Verdict
-    dim: int
-    rho_hat: np.ndarray
-    linear_residual: float
-    min_eig: float
-    witness: Witness | None
-    spanning_set_id: str
+class MarginalityCertificate(_Record):
+    __slots__ = __match_args__ = ("verdict", "dim", "rho_hat", "linear_residual", "min_eig",
+                                  "witness", "spanning_set_id")
+
+    def __init__(self, verdict: Verdict, dim: int, rho_hat: np.ndarray, linear_residual: float,
+                 min_eig: float, witness: Witness | None, spanning_set_id: str):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rho_hat", rho_hat)
+        object.__setattr__(self, "linear_residual", linear_residual)
+        object.__setattr__(self, "min_eig", min_eig)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "spanning_set_id", spanning_set_id)
 
 
 def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> MarginalityCertificate:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +23,8 @@ from .errors import (
 )
 from .operators import (
     Projector,
+    _Record,
+    _Value,
     _frozen,
     as_complex_matrix,
     frobenius,
@@ -35,8 +36,7 @@ from .operators import (
 from .tolerances import MAX_COMPOSITE_DIM, TOL
 
 
-@dataclass(frozen=True, eq=False)
-class PVM:
+class PVM(_Record):
     """Ordered set of mutually orthogonal projectors summing to identity.
 
     Element order and labels are part of the operational description and
@@ -46,12 +46,17 @@ class PVM:
     ``stack`` holds the element matrices as one (n, d, d) array.
     """
 
-    dim: int
-    elements: tuple[Projector, ...]
-    stack: np.ndarray
-    labels: tuple[str, ...]
-    max_orthogonality_residual: float
-    completeness_residual: float
+    __slots__ = __match_args__ = ("dim", "elements", "stack", "labels",
+                                  "max_orthogonality_residual", "completeness_residual")
+
+    def __init__(self, dim: int, elements: tuple[Projector, ...], stack: np.ndarray,
+                 labels: tuple[str, ...], max_orthogonality_residual: float, completeness_residual: float):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "max_orthogonality_residual", max_orthogonality_residual)
+        object.__setattr__(self, "completeness_residual", completeness_residual)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -327,15 +332,16 @@ def projector_classes(coords: np.ndarray) -> np.ndarray:
     return rep
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    key: str
-    rank: int
-    degree: int
+class GraphNode(_Value):
+    __slots__ = __match_args__ = ("key", "rank", "degree")
+
+    def __init__(self, key: str, rank: int, degree: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
 
 
-@dataclass(frozen=True, eq=False)
-class IntertwineGraph:
+class IntertwineGraph(_Record):
     """Incidence structure between projector classes and PVMs.
 
     ``incidence`` keeps one (class key, pvm_index) pair per PVM element,
@@ -343,8 +349,11 @@ class IntertwineGraph:
     distinct PVMs.
     """
 
-    nodes: tuple[GraphNode, ...]
-    incidence: tuple[tuple[str, int], ...]
+    __slots__ = __match_args__ = ("nodes", "incidence")
+
+    def __init__(self, nodes: tuple[GraphNode, ...], incidence: tuple[tuple[str, int], ...]):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "incidence", incidence)
 
     def degree(self, key: str) -> int:
         for node in self.nodes:

@@ -21,13 +21,21 @@ one max over the values. Every check, threshold and error class is that
 of the plain numpy spelling, and every returned matrix and norm is the
 same bit for bit; a reduced or product state is gated through the state
 it comes from.
+
+Every record of the library is a slotted ``_Record`` that sets each of
+its ``__match_args__`` fields once in an explicit ``__init__``, so the
+import generates no code. Assignment and deletion raise
+dataclasses.FrozenInstanceError, ``repr`` is the dataclass text, pickle
+and copy rebuild a record through its constructor, and records compare
+by identity, ``_Value`` records (Bloch vectors, graph nodes, Bloch and
+residual witnesses) by their fields.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -106,41 +114,88 @@ def identity(dim: int) -> np.ndarray:
     return _frozen(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
+class _Record:
+    """Immutable slotted record (the record rule is in the module docstring)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Value(_Record):
+    """A record that compares and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Projector(_Record):
     """Validated Hermitian idempotent on a d-dimensional space."""
 
-    dim: int
-    matrix: np.ndarray
-    rank: int
+    __slots__ = __match_args__ = ("dim", "matrix", "rank")
+
+    def __init__(self, dim: int, matrix: np.ndarray, rank: int):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", rank)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Validated non-negative unit-trace Hermitian operator; ``spectrum``,
     the ascending eigvalsh(hermitize(matrix)), is computed when first
-    read (by make_density's positivity gate) and kept."""
+    read (by make_density's positivity gate) and kept. Two threads that
+    read it first at once may each solve; both keep the same bits."""
 
-    dim: int
-    matrix: np.ndarray
+    __slots__ = ("dim", "matrix", "_spectrum")
+    __match_args__ = ("dim", "matrix")
 
-    @functools.cached_property
+    def __init__(self, dim: int, matrix: np.ndarray):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_spectrum", None)
+
+    @property
     def spectrum(self) -> np.ndarray:
-        return _frozen(np.linalg.eigvalsh(hermitize(self.matrix)))
+        s = self._spectrum
+        if s is None:
+            s = _frozen(np.linalg.eigvalsh(hermitize(self.matrix)))
+            object.__setattr__(self, "_spectrum", s)
+        return s
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(_Value):
     """Real 3-vector of qubit Pauli expectations; may lie outside the ball."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = __match_args__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        for c in (self.x, self.y, self.z):
+    def __init__(self, x: float, y: float, z: float):
+        for c in (x, y, z):
             if not math.isfinite(c):
                 raise ValueOutOfRange("Bloch components must be finite")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)

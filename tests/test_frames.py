@@ -327,6 +327,22 @@ class TestValues:
                 f(s.projectors[0])
         assert f.values(np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tabulated_malformed_stacks_raise_library_errors(self):
+        f = definite_xz_table()
+        for shape in ((1, 2, 3), (1, 3, 2), (2, 2), (0, 2, 3)):
+            with pytest.raises(DimensionMismatch):
+                f.values(np.zeros(shape, dtype=complex))
+        for bad in (np.full((1, 2, 2), np.nan), np.full((1, 3, 3), np.inf)):
+            with pytest.raises(ValueOutOfRange):
+                f.values(bad)
+        nan_later = np.stack([axis_projector("+x").matrix, np.full((2, 2), np.nan)])
+        with pytest.raises(ValueOutOfRange):
+            f.values(nan_later)
+        undefined_first = np.stack([0.5 * identity(2), np.full((2, 2), np.nan)])
+        with pytest.raises(UndefinedProjector):
+            f.values(undefined_first)
+
     def test_tabulated_on_a_real_stack(self, rng):
         s = spanning_projectors(3)
         f = tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s)))))

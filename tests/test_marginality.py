@@ -20,6 +20,7 @@ from gleason_lab.errors import (
     UnsupportedDimension,
 )
 from gleason_lab.frames import (
+    AXIS_BLOCH,
     FrameFunction,
     InducedFrameFunction,
     axis_projector,
@@ -52,6 +53,7 @@ from gleason_lab.operators import (
     make_density,
     make_projector,
     partial_trace_b,
+    projector_from_ket,
     projector_stack,
     random_density_matrix,
     tensor,
@@ -72,7 +74,90 @@ def design_rank_oracle(projectors) -> int:
     return int(np.linalg.matrix_rank(np.stack(rows), tol=1e-10))
 
 
+def loop_hermitian_coords(m):
+    """Coordinates of one Hermitian matrix, as spelled per matrix."""
+    iu = np.triu_indices(m.shape[0], k=1)
+    return np.concatenate(
+        [np.real(np.diagonal(m)), math.sqrt(2) * np.real(m[iu]), math.sqrt(2) * np.imag(m[iu])]
+    )
+
+
+def loop_traceless_basis(dim):
+    mats = []
+    for j in range(1, dim):
+        for i in range(j):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / math.sqrt(2)
+            mats.append(sym)
+            antisym = np.zeros((dim, dim), dtype=complex)
+            antisym[i, j] = -1j / math.sqrt(2)
+            antisym[j, i] = 1j / math.sqrt(2)
+            mats.append(antisym)
+    for level in range(1, dim):
+        diag = np.zeros((dim, dim), dtype=complex)
+        scale = 1.0 / math.sqrt(level * (level + 1))
+        for k in range(level):
+            diag[k, k] = scale
+        diag[level, level] = -level * scale
+        mats.append(diag)
+    return np.stack(mats, axis=0)
+
+
+def loop_spanning_reference(dim):
+    """A spanning set built one ket and one matrix at a time:
+    projector_from_ket per ket, per-matrix coordinates, then np.stack."""
+    if dim == 2:
+        labels = list(AXIS_BLOCH)
+        projectors = [axis_projector(axis) for axis in labels]
+    else:
+        projectors, labels = [], []
+        eye = np.eye(dim, dtype=complex)
+        for i in range(dim):
+            projectors.append(projector_from_ket(eye[i]))
+            labels.append(f"e{i}")
+        for j in range(1, dim):
+            for i in range(j):
+                for sign, tag in ((1.0, "+"), (-1.0, "-"), (1j, "+i"), (-1j, "-i")):
+                    projectors.append(projector_from_ket(eye[i] + sign * eye[j]))
+                    labels.append(f"e{i}{tag}e{j}")
+    design = np.stack([loop_hermitian_coords(p.matrix) for p in projectors], axis=0)
+    singulars = np.linalg.svd(design, compute_uv=False)
+    basis = loop_traceless_basis(dim)
+    basis_design = design @ np.stack([loop_hermitian_coords(b) for b in basis], axis=0).T
+    return {
+        "projectors": projectors,
+        "labels": tuple(labels),
+        "condition_number": float(singulars[0] / singulars[-1]),
+        "stack": np.stack([p.matrix for p in projectors]),
+        "offsets": np.array([p.rank / dim for p in projectors]),
+        "basis_flat": basis.reshape(len(basis), dim * dim),
+        "basis_design": basis_design,
+        "pinv": np.linalg.pinv(basis_design),
+    }
+
+
 class TestSpanningProjectors:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_the_bits_of_the_loop_spelling(self, dim):
+        s, ref = spanning_projectors(dim), loop_spanning_reference(dim)
+        assert s.labels == ref["labels"]
+        assert s.set_id == ("axes-d2" if dim == 2 else f"grid-d{dim}")
+        assert s.condition_number == ref["condition_number"]
+        for name in ("stack", "offsets", "basis_flat", "basis_design", "pinv"):
+            got = getattr(s, name)
+            assert got.dtype == ref[name].dtype and got.shape == ref[name].shape, name
+            assert got.tobytes() == ref[name].tobytes(), name
+        assert not s.stack.flags.writeable
+        assert len(s.projectors) == len(ref["projectors"])
+        for k, (p, q) in enumerate(zip(s.projectors, ref["projectors"])):
+            assert p.dim == dim and type(p.rank) is int and p.rank == q.rank
+            assert p.matrix.tobytes() == q.matrix.tobytes()
+            assert not p.matrix.flags.writeable
+            if dim == 2:
+                assert p is q   # the cached axis projectors
+            else:
+                assert p.matrix.base is s.stack and np.shares_memory(p.matrix, s.stack[k])
+
     def test_qubit_set_is_the_six_axis_projectors(self):
         s = spanning_projectors(2)
         assert len(s) == 6
