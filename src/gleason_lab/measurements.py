@@ -1,10 +1,18 @@
 """PVM construction and validation, the intertwined three-outcome
 measurement family on two qubits, subsystem embedding, and
 intertwine-graph analysis over sets of measurements.
+
+A PVM cut from a unitary is gated by one Gram matrix: a bound on
+||U^dagger U - I||_F decides every projector and PVM gate when it
+passes every tolerance, and its two residual figures are measured when
+first read (see pvm_from_unitary). Otherwise, and for every other
+constructor, the blocks go through make_projector and the set through
+validate_pvm, which measures both figures as it gates.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Iterable, Sequence
@@ -41,22 +49,49 @@ class PVM(_Record):
 
     Element order and labels are part of the operational description and
     are preserved as given; no canonical sorting is applied. The two
-    residuals are the Frobenius norms validate_pvm measured: the largest
+    residuals are the Frobenius norms validate_pvm measures: the largest
     pairwise product P_x P_y and the distance of the sum from I.
     ``stack`` holds the element matrices as one (n, d, d) array.
+
+    A residual given as None is measured when first read, by the loop
+    validate_pvm runs, on the same matrices, and kept; reading either
+    measures both. pvm_from_unitary builds its PVMs so when its Gram
+    gate decides. Two threads that read first at once may each measure;
+    both keep the same bits. ``repr``, pickle, copy and embed_pvm read
+    the figures, and so measure them.
     """
 
-    __slots__ = __match_args__ = ("dim", "elements", "stack", "labels",
-                                  "max_orthogonality_residual", "completeness_residual")
+    __slots__ = ("dim", "elements", "stack", "labels", "_orthogonality", "_completeness")
+    __match_args__ = ("dim", "elements", "stack", "labels",
+                      "max_orthogonality_residual", "completeness_residual")
 
     def __init__(self, dim: int, elements: tuple[Projector, ...], stack: np.ndarray,
-                 labels: tuple[str, ...], max_orthogonality_residual: float, completeness_residual: float):
+                 labels: tuple[str, ...], max_orthogonality_residual: float | None,
+                 completeness_residual: float | None):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "max_orthogonality_residual", max_orthogonality_residual)
-        object.__setattr__(self, "completeness_residual", completeness_residual)
+        object.__setattr__(self, "_orthogonality", max_orthogonality_residual)
+        object.__setattr__(self, "_completeness", completeness_residual)
+
+    def _measured(self) -> tuple[float, float]:
+        orth, complete = _residuals([e.matrix for e in self.elements], self.dim, gate=False)
+        if self._orthogonality is None:
+            object.__setattr__(self, "_orthogonality", orth)
+        if self._completeness is None:
+            object.__setattr__(self, "_completeness", complete)
+        return self._orthogonality, self._completeness
+
+    @property
+    def max_orthogonality_residual(self) -> float:
+        r = self._orthogonality
+        return self._measured()[0] if r is None else r
+
+    @property
+    def completeness_residual(self) -> float:
+        r = self._completeness
+        return self._measured()[1] if r is None else r
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -66,6 +101,33 @@ class PVM(_Record):
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(e.rank for e in self.elements)
+
+
+def _residuals(mats: Sequence[np.ndarray], d: int, gate: bool) -> tuple[float, float]:
+    """The largest Frobenius norm of P_x P_y over pairs x < y, then that
+    of sum_x P_x - I, summed in element order. With gate, the first
+    figure above TOL.pvm raises NotOrthogonal or Incomplete."""
+    max_orth = 0.0
+    for x in range(len(mats)):
+        for y in range(x + 1, len(mats)):
+            res = frobenius(mats[x] @ mats[y])
+            if gate and res > TOL.pvm:
+                raise NotOrthogonal(x, y, res)
+            max_orth = max(max_orth, res)
+    total = np.zeros((d, d), dtype=complex)
+    for m in mats:
+        total = total + m
+    completeness = frobenius(total - identity(d))
+    if gate and completeness > TOL.pvm:
+        raise Incomplete(completeness)
+    return max_orth, completeness
+
+
+@functools.lru_cache(maxsize=64)
+def _default_labels(n: int) -> tuple[str, ...]:
+    """The labels "0", "1", ... of a PVM given none, kept for the
+    element counts seen most recently."""
+    return tuple(str(i) for i in range(n))
 
 
 def validate_pvm(
@@ -83,23 +145,11 @@ def validate_pvm(
     if len(dims) > 1:
         raise DimensionMismatch(f"projectors live on mixed dimensions {sorted(dims)}")
     d = elems[0].dim
-    max_orth = 0.0
-    for x in range(len(elems)):
-        for y in range(x + 1, len(elems)):
-            res = frobenius(elems[x].matrix @ elems[y].matrix)
-            if res > TOL.pvm:
-                raise NotOrthogonal(x, y, res)
-            max_orth = max(max_orth, res)
-    total = np.zeros((d, d), dtype=complex)
-    for e in elems:
-        total = total + e.matrix
-    completeness = frobenius(total - identity(d))
-    if completeness > TOL.pvm:
-        raise Incomplete(completeness)
+    max_orth, completeness = _residuals([e.matrix for e in elems], d, gate=True)
     if sum(e.rank for e in elems) != d:
         raise Incomplete(completeness)
     if labels is None:
-        labels = tuple(str(i) for i in range(len(elems)))
+        labels = _default_labels(len(elems))
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(elems):
@@ -114,11 +164,60 @@ def validate_pvm(
     )
 
 
+_U = 2.0**-53   # unit round-off of double precision
+
+
 def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     """Group consecutive columns of a unitary into projector blocks.
 
     rank_partition gives the block sizes; it must be positive and sum to
-    the matrix dimension.
+    the matrix dimension. Block x, the columns C_x of width r_x, gives
+    P_x = C_x C_x^dagger with the bits of ``cols @ cols.conj().T``.
+    When the Gram gate below decides, the P_x are the rows of one frozen
+    (n, d, d) stack and the elements are views of them, and both
+    residual figures are left to be measured when first read.
+
+    The gates are decided by one Gram matrix. With E = U^dagger U - I:
+    C_x^dagger C_y = E_xy (x != y) and C_x^dagger C_x = I + E_xx, so
+    P_x P_y = C_x E_xy C_y^dagger, P_x^2 - P_x = C_x E_xx C_x^dagger,
+    sum_x P_x - I = U U^dagger - I, whose Frobenius norm is that of E,
+    ||C_x||_2^2 <= 1 + ||E||_F, and |Tr P_x - r_x| = |Tr E_xx|
+    <= sqrt(r_x) ||E||_F. So for any eps >= ||E||_F the exact
+    idempotency, orthogonality and completeness residuals are at most
+    eps (1 + eps), the Hermitian residual is 0, and the trace is
+    within sqrt(d) eps of the rank.
+
+    Rounding, with u = 2^-53 (Higham, Accuracy and Stability, Lemma 3.5
+    and section 3.6: a complex inner product of length k is computed
+    within sqrt(2) gamma_{k+2} |x|^T |y|, gamma_k = k u / (1 - k u)):
+    the computed Gram G^ has ||G^ - U^dagger U||_F <= sqrt(2)
+    gamma_{d+2} ||U||_F^2 and ||U||_F^2 = d + Tr E <= d + sqrt(d) ||E||_F;
+    the subtraction of I and the Frobenius sum move e^ =
+    frobenius(G^ - I) by a relative (d^2 + 4) u, below 2.5 (d + 2) d u
+    while e^ <= 1/4, and underflow by less than d 2^-511. Hence
+
+        eps = (e^ + 4 (d + 2) d u) / (1 - 4 (d + 2) sqrt(d) u) >= ||E||_F.
+
+    While sqrt(d) eps <= 1/4, ||C_x||_F^2 <= r_x + 1/4 and each stored
+    P^_x is within delta_x <= sqrt(2) gamma_{r+2} ||C_x||_F^2 <=
+    1.8 (r + 2) r u of P_x. Carrying delta_x through the products, sums
+    and norms that make_projector and validate_pvm compute (each product
+    adds sqrt(2) gamma_{d+2} ||P^_x||_F ||P^_y||_F, each norm a relative
+    (d^2 + 3) u) adds at most 9 (d + 2) d u + 2 u <= 64 d^2 u to every
+    residual, and the diagonal products and the trace's sum add at most
+    3 d^2 u to |trace - r_x|. So with
+
+        B = eps (1 + eps) + 64 d^2 u,
+
+    if B <= TOL.herm, TOL.proj and TOL.pvm, and sqrt(d) eps + 64 d u <=
+    min(1/4, TOL.eig), every residual make_projector and validate_pvm
+    would compute is at most B and passes, and each trace rounds to r_x
+    within d TOL.eig: the blocks are the projectors those gates accept,
+    with ranks r_x, and no gate is run. Rounding in eps and B
+    themselves moves them by a few u relative, inside the slack.
+    Otherwise, and whenever the Gram is not finite (a finite U may
+    overflow it), every block goes through make_projector and the set
+    through validate_pvm, so every outcome, error and figure is theirs.
     """
     mat = as_complex_matrix(u, "unitary")
     d = mat.shape[0]
@@ -127,13 +226,25 @@ def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     parts = [int(r) for r in rank_partition]
     if not parts or any(r <= 0 for r in parts) or sum(parts) != d:
         raise PartitionMismatch(f"partition {parts} does not sum to dimension {d}")
-    projectors = []
+    stack = np.empty((len(parts), d, d), dtype=complex)
     start = 0
-    for r in parts:
+    for x, r in enumerate(parts):
         cols = mat[:, start : start + r]
-        projectors.append(make_projector(cols @ cols.conj().T))
+        np.matmul(cols, cols.conj().T, out=stack[x])
         start += r
-    return validate_pvm(projectors)
+    gram = mat.conj().T @ mat
+    gram -= identity(d)
+    eps = (frobenius(gram) + 4 * (d + 2) * d * _U) / (1 - 4 * (d + 2) * math.sqrt(d) * _U)
+    bound = eps * (1 + eps) + 64 * d * d * _U
+    tol = TOL
+    if not (bound <= tol.herm and bound <= tol.proj and bound <= tol.pvm
+            and math.sqrt(d) * eps + 64 * d * _U <= min(0.25, tol.eig)):
+        return validate_pvm([make_projector(p) for p in stack])
+    _frozen(stack)
+    elements = tuple(Projector(dim=d, matrix=row, rank=r) for row, r in zip(stack, parts))
+    return PVM(dim=d, elements=elements, stack=stack,
+               labels=_default_labels(len(parts)),
+               max_orthogonality_residual=None, completeness_residual=None)
 
 
 def random_rank_partition(dim: int, rng: np.random.Generator) -> list[int]:

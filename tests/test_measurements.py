@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -16,7 +17,7 @@ from gleason_lab.errors import (
     NotOrthogonal,
     PartitionMismatch,
 )
-from gleason_lab import measurements
+from gleason_lab import measurements, operators
 from gleason_lab.measurements import (
     embed,
     embed_pvm,
@@ -136,6 +137,166 @@ class TestPvmFromUnitary:
             pvm_from_unitary(identity(3), [1, 1])
         with pytest.raises(PartitionMismatch):
             pvm_from_unitary(identity(3), [1, -1, 3])
+
+
+def _pvm_from_unitary_reference(u, parts):
+    """pvm_from_unitary as spelled before its Gram gate: every block
+    through make_projector, then the set through validate_pvm."""
+    mat = np.asarray(u, dtype=complex)
+    projectors = []
+    start = 0
+    for r in parts:
+        cols = mat[:, start : start + r]
+        projectors.append(make_projector(cols @ cols.conj().T))
+        start += r
+    return validate_pvm(projectors)
+
+
+def _pvm_outcome(fn, *args):
+    """Error class and message, or every bit a PVM carries."""
+    try:
+        pvm = fn(*args)
+    except GleasonLabError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("ok", pvm.stack.tobytes(), tuple(e.matrix.tobytes() for e in pvm), pvm.ranks(),
+            pvm.labels, pvm.max_orthogonality_residual.hex(), pvm.completeness_residual.hex())
+
+
+def _gram_bound(u):
+    """(eps, B, whether the Gram gate decides), as pvm_from_unitary
+    computes them (u = 2^-53)."""
+    unit = 2.0**-53
+    d = u.shape[0]
+    e_hat = np.linalg.norm(u.conj().T @ u - np.eye(d), "fro")
+    eps = (e_hat + 4 * (d + 2) * d * unit) / (1 - 4 * (d + 2) * math.sqrt(d) * unit)
+    bound = eps * (1 + eps) + 64 * d * d * unit
+    tol = measurements.TOL
+    fast = bool(bound <= min(tol.herm, tol.proj, tol.pvm)
+                and math.sqrt(d) * eps + 64 * d * unit <= min(0.25, tol.eig))
+    return eps, bound, fast
+
+
+def _perturbed_unitary(d, seed, kind, size):
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d, rng)
+    if kind == "add":
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = u + size * g / frobenius(g)
+    elif kind == "scale":
+        u = u * (1.0 + size)
+    return u, random_rank_partition(d, rng)
+
+
+# The seven Tolerances settings of test_projector_gates_keep_their_order_and_figures.
+TOL_SETTINGS = [
+    {}, {"herm": 0.0}, {"proj": 0.0}, {"eig": 0.0}, {"proj": 0.0, "eig": 0.0},
+    {"herm": 0.0, "proj": 0.0, "eig": 0.0}, {"herm": 1.0, "proj": 1.0},
+]
+
+
+class TestGramGate:
+    # pvm_from_unitary decides every projector and PVM gate from one
+    # Gram matrix when its bound passes every tolerance, and otherwise
+    # runs make_projector per block and validate_pvm; either way the
+    # outcome is that of the second spelling, bit for bit.
+
+    def _spies(self, monkeypatch):
+        calls = {"make_projector": 0, "validate_pvm": 0, "_residuals": 0}
+        for name in calls:
+            real = getattr(measurements, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(measurements, name, spy)
+        return calls
+
+    def test_the_fast_path_runs_no_gate_and_reading_measures_once(self, rng, monkeypatch):
+        calls = self._spies(monkeypatch)
+        u = haar_unitary(4, rng)
+        pvm = pvm_from_unitary(u, [1, 2, 1])
+        assert calls == {"make_projector": 0, "validate_pvm": 0, "_residuals": 0}
+        orth, complete = pvm.max_orthogonality_residual, pvm.completeness_residual
+        assert calls == {"make_projector": 0, "validate_pvm": 0, "_residuals": 1}
+        assert (pvm.max_orthogonality_residual, pvm.completeness_residual) == (orth, complete)
+        assert calls["_residuals"] == 1
+        expected = _pvm_from_unitary_reference(u, [1, 2, 1])
+        assert (orth, complete) == (expected.max_orthogonality_residual,
+                                    expected.completeness_residual)
+
+    def test_the_elements_are_views_of_one_frozen_stack(self, rng):
+        pvm = pvm_from_unitary(haar_unitary(5, rng), [2, 1, 2])
+        assert not pvm.stack.flags.writeable
+        for x, e in enumerate(pvm.elements):
+            assert e.matrix.base is pvm.stack and not e.matrix.flags.writeable
+            assert e.matrix.flags.c_contiguous
+            assert np.shares_memory(e.matrix, pvm.stack[x])
+
+    def test_a_zero_pvm_tolerance_takes_the_gate_chain(self, rng, monkeypatch):
+        monkeypatch.setattr(measurements, "TOL", dataclasses.replace(TOL, pvm=0.0))
+        u = haar_unitary(3, rng)
+        expected = _pvm_outcome(_pvm_from_unitary_reference, u, [1, 1, 1])
+        calls = self._spies(monkeypatch)
+        assert _pvm_outcome(pvm_from_unitary, u, [1, 1, 1]) == expected
+        assert calls == {"make_projector": 3, "validate_pvm": 1, "_residuals": 1}
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, -1e170])
+    def test_an_overflowing_or_vanishing_gram_takes_the_gate_chain(self, rng, scale):
+        # 1e200 overflows the Gram to NaN, -1e170 to inf, and 1e-200
+        # underflows it to 0, far from I: none of them passes the bound,
+        # and every outcome is the gate chain's.
+        for d in (1, 2, 3, 8):
+            u = haar_unitary(d, rng) * scale
+            parts = random_rank_partition(d, rng)
+            with np.errstate(all="ignore"):
+                assert not _gram_bound(u)[2]
+                assert _pvm_outcome(pvm_from_unitary, u, parts) == _pvm_outcome(
+                    _pvm_from_unitary_reference, u, parts)
+
+    def test_a_nan_gram_takes_the_gate_chain(self, monkeypatch):
+        # A finite U whose Gram is NaN fails the `not (...)` gate.
+        calls = self._spies(monkeypatch)
+        u = np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex)
+        with np.errstate(all="ignore"):
+            gram = u.conj().T @ u
+            assert np.isnan(gram).any() or np.isinf(gram).any()
+            assert _pvm_outcome(pvm_from_unitary, u, [1, 1]) == _pvm_outcome(
+                _pvm_from_unitary_reference, u, [1, 1])
+        assert calls["make_projector"] >= 1
+
+    @pytest.mark.parametrize("changes", TOL_SETTINGS, ids=lambda c: "-".join(c) or "default")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.one_of(st.integers(1, 8), st.integers(9, 64)),
+        kind=st.sampled_from(["none", "add", "scale"]),
+        exponent=st.floats(-17.0, -8.0),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcome_is_the_gate_chains_and_its_figures_stay_below_the_bound(
+        self, changes, d, kind, exponent, sign, seed
+    ):
+        u, parts = _perturbed_unitary(d, seed, kind, sign * 10.0**exponent)
+        tol = dataclasses.replace(TOL, **changes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measurements, "TOL", tol)
+            mp.setattr(operators, "TOL", tol)
+            expected = _pvm_outcome(_pvm_from_unitary_reference, u, parts)
+            assert _pvm_outcome(pvm_from_unitary, u, parts) == expected
+            eps, bound, fast = _gram_bound(u)
+        if not fast:
+            return
+        # Every figure the gate chain computes is within the bound.
+        assert expected[0] == "ok"
+        pvm = _pvm_from_unitary_reference(u, parts)
+        assert pvm.max_orthogonality_residual <= bound
+        assert pvm.completeness_residual <= bound
+        for e in pvm:
+            m = e.matrix
+            assert frobenius(m - m.conj().T) <= bound
+            assert frobenius(m @ m - m) <= bound
+            assert abs(float(m.trace().real) - e.rank) <= math.sqrt(d) * eps + 64 * d * 2.0**-53
 
 
 class TestMeasurementFamily:

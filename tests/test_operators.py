@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,57 @@ class TestMakeProjector:
         m[1, 1] = bad
         with pytest.raises(ValueOutOfRange):
             make(m)
+
+    @pytest.mark.parametrize("make, what", [(make_projector, "projector matrix"),
+                                             (make_density, "density matrix")],
+                             ids=["projector", "density"])
+    def test_shape_finiteness_and_hermitian_errors_in_their_order(self, make, what):
+        # Class, message and warnings of every shape, finiteness and
+        # Hermitian failure equal those of the spelling that checks the
+        # rank, then every entry, then the shape, then the residual.
+        def reference(matrix):
+            m = np.asarray(matrix, dtype=complex)
+            if m.ndim != 2:
+                raise DimensionMismatch(f"matrix must be 2-D, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueOutOfRange("matrix contains non-finite entries")
+            if m.shape[0] != m.shape[1]:
+                raise DimensionMismatch(f"{what} must be square, got {m.shape}")
+            res = float(np.linalg.norm(m - m.conj().T, "fro"))
+            if res > TOL.herm:
+                raise NotHermitian(res)
+            return "passes"
+
+        def outcome(fn, m):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    fn(m)
+                    result = "passes"
+                except GleasonLabError as exc:
+                    result = (type(exc).__name__, str(exc))
+            return result, [str(w.message) for w in caught]
+
+        base = np.diag([0.5, 0.5]).astype(complex)
+        inputs = []
+        for bad in (math.nan, math.inf, -math.inf):
+            for part in (complex(bad, 0.0), complex(0.0, bad)):
+                for pos in ((0, 0), (0, 1), (1, 0)):
+                    m = base.copy()
+                    m[pos] = part
+                    inputs.append(m)
+                both = base.copy()
+                both[0, 1] = both[1, 0] = part
+                inputs.append(both)
+                inputs.append(np.full((2, 3), part))
+        inputs += [np.ones(4), np.ones((2, 2, 2)), np.full(3, math.nan), np.ones((2, 3)),
+                   np.array([[0.0, 1e160], [-1e160, 0.0]], dtype=complex),
+                   np.array([[1e160, 3e159j], [3e159j, 1e160]], dtype=complex),
+                   np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
+        for m in inputs:
+            got = outcome(make, m)
+            assert got[0] != "passes"
+            assert got == outcome(reference, m), m
 
     def test_random_rank_k_projectors_satisfy_invariants(self, rng):
         # rank equals the eigenvalue count near 1, checked against an

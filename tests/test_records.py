@@ -25,8 +25,8 @@ from gleason_lab.marginality import (
     SpanningSet,
     Verdict,
 )
-from gleason_lab.measurements import PVM, GraphNode, IntertwineGraph
-from gleason_lab.operators import BlochVector, DensityMatrix, Projector
+from gleason_lab.measurements import PVM, GraphNode, IntertwineGraph, pvm_from_unitary, validate_pvm
+from gleason_lab.operators import BlochVector, DensityMatrix, Projector, haar_unitary
 
 ARR = np.array([1.0, 2.0])
 
@@ -122,6 +122,54 @@ def test_the_kept_spectrum_survives_copy():
     assert rho.spectrum.tolist() == [0.25, 0.75]
     for twin in (pickle.loads(pickle.dumps(rho)), copy.copy(rho)):
         assert twin.spectrum.tolist() == [0.25, 0.75]
+
+
+FIGURES = ("max_orthogonality_residual", "completeness_residual")
+
+
+def _unitary_pvm():
+    return pvm_from_unitary(haar_unitary(4, np.random.default_rng(7)), [1, 2, 1])
+
+
+def test_a_unitary_pvm_prints_pickles_and_copies_its_measured_figures():
+    # pvm_from_unitary leaves both figures to be measured on first read;
+    # repr, pickle and copy read them, bit-equal to validate_pvm's.
+    expected = validate_pvm(_unitary_pvm().elements)
+    want = tuple(getattr(expected, f).hex() for f in FIGURES)
+    pvm = _unitary_pvm()
+    assert repr(pvm) == (
+        f"PVM(dim=4, elements={pvm.elements!r}, stack={pvm.stack!r}, labels=('0', '1', '2'), "
+        f"max_orthogonality_residual={expected.max_orthogonality_residual!r}, "
+        f"completeness_residual={expected.completeness_residual!r})"
+    )
+    for twin in (pickle.loads(pickle.dumps(_unitary_pvm())), copy.copy(_unitary_pvm()), pvm):
+        assert tuple(getattr(twin, f).hex() for f in FIGURES) == want
+        assert twin.stack.tobytes() == expected.stack.tobytes()
+
+
+def test_measured_figures_refuse_assignment_and_deletion():
+    for read_first in (False, True):
+        pvm = _unitary_pvm()
+        if read_first:
+            pvm.completeness_residual
+        for name in (*FIGURES, "_orthogonality", "_completeness"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pvm, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(pvm, name)
+        assert pvm.max_orthogonality_residual == validate_pvm(pvm.elements).max_orthogonality_residual
+
+
+def test_a_pvm_given_none_measures_only_what_it_was_not_given():
+    elements = _unitary_pvm().elements
+    expected = validate_pvm(elements)
+    stack = expected.stack
+    measured = PVM(4, elements, stack, ("a", "b", "c"), None, None)
+    assert [getattr(measured, f) for f in FIGURES] == [getattr(expected, f) for f in FIGURES]
+    half = PVM(4, elements, stack, ("a", "b", "c"), 0.5, None)
+    assert (half.max_orthogonality_residual, half.completeness_residual) == (
+        0.5, expected.completeness_residual)
+    assert repr(PVM(2, (), ARR, ("a",), 0.0, 1e-17)) == RECORDS[3][3]
 
 
 def test_tolerances_is_the_only_dataclass():
