@@ -302,7 +302,9 @@ def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> Density
 
     A x B is gated through its factors, with make_density's error
     classes, on bounds its gates on them imply, so two states it accepted
-    always extend. With d the larger factor dimension, a factor has
+    always extend. The factors' Hermitian residuals, traces and spectra
+    are those their gates kept (a state built otherwise measures them
+    when read). With d the larger factor dimension, a factor has
     Hermitian residual r <= TOL.herm, |Tr - 1| <= TOL.tr and eigenvalues
     in [-TOL.psd, 1 + TOL.tr + (d - 1) TOL.psd], so norm below 1 + 2d
     TOL.psd. Hence A x B - (A x B)† = (A - A†) x B + A† x (B - B†) has
@@ -315,10 +317,10 @@ def extend_to_composite(rho_f: DensityMatrix, sigma_b: DensityMatrix) -> Density
     a, b = rho_f.matrix, sigma_b.matrix
     m = tensor(a, b)
     d = max(rho_f.dim, sigma_b.dim)
-    herm = frobenius(a - a.conj().T) * frobenius(b) + frobenius(a) * frobenius(b - b.conj().T)
+    herm = rho_f.hermitian_residual * frobenius(b) + frobenius(a) * sigma_b.hermitian_residual
     if herm > 2 * TOL.herm * (1 + 2 * d * TOL.psd):
         raise NotHermitian(herm)
-    tr = complex(a.trace()) * complex(b.trace())
+    tr = rho_f.trace * sigma_b.trace
     if abs(tr - 1.0) > (2 + TOL.tr) * TOL.tr + 2**-50:
         raise NotUnitTrace(tr)
     low = _least_product_eigenvalue(rho_f.spectrum, sigma_b.spectrum)

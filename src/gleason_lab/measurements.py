@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +31,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .operators import (
+    _U,
     Projector,
     _Record,
     _Value,
@@ -164,18 +166,17 @@ def validate_pvm(
     )
 
 
-_U = 2.0**-53   # unit round-off of double precision
-
-
 def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     """Group consecutive columns of a unitary into projector blocks.
 
-    rank_partition gives the block sizes; it must be positive and sum to
-    the matrix dimension. Block x, the columns C_x of width r_x, gives
-    P_x = C_x C_x^dagger with the bits of ``cols @ cols.conj().T``.
-    When the Gram gate below decides, the P_x are the rows of one frozen
-    (n, d, d) stack and the elements are views of them, and both
-    residual figures are left to be measured when first read.
+    rank_partition gives the block sizes: integers (Python or numpy; a
+    float such as 1.0 or a string is refused), positive and summing to
+    the matrix dimension, or PartitionMismatch is raised. Block x, the
+    columns C_x of width r_x, gives P_x = C_x C_x^dagger with the bits
+    of ``cols @ cols.conj().T``. When the Gram gate below decides, the
+    P_x are the rows of one frozen (n, d, d) stack and the elements are
+    views of them, and both residual figures are left to be measured
+    when first read.
 
     The gates are decided by one Gram matrix. With E = U^dagger U - I:
     C_x^dagger C_y = E_xy (x != y) and C_x^dagger C_x = I + E_xx, so
@@ -223,7 +224,11 @@ def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     d = mat.shape[0]
     if mat.shape[1] != d:
         raise DimensionMismatch(f"unitary must be square, got {mat.shape}")
-    parts = [int(r) for r in rank_partition]
+    try:
+        parts = [operator.index(r) for r in rank_partition]
+    except TypeError:
+        raise PartitionMismatch(
+            f"partition {rank_partition!r} has a block size that is not an integer") from None
     if not parts or any(r <= 0 for r in parts) or sum(parts) != d:
         raise PartitionMismatch(f"partition {parts} does not sum to dimension {d}")
     stack = np.empty((len(parts), d, d), dtype=complex)

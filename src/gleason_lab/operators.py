@@ -13,14 +13,14 @@ The matrices are tiny (dimension <= 64), so a gate's cost is mostly
 per-call numpy overhead rather than arithmetic. Each gate here is
 written to cost its arithmetic: one finiteness pass, a Frobenius norm
 as two real dot products, a tensor product as one broadcast multiply,
-a state's spectrum kept from its positivity gate, a ket projector's
-finiteness, rank, idempotency and Hermiticity read from the ket's norm
-and trace (within proved rounding bounds of the residuals on the
-matrix; see projector_from_ket), and the Born range gate as one min and
-one max over the values. Every check, threshold and error class is that
-of the plain numpy spelling, and every returned matrix and norm is the
-same bit for bit; a reduced or product state is gated through the state
-it comes from.
+a state's Hermitian residual, trace and spectrum kept from its gates,
+a ket projector's gates decided by one proved bound on its trace that
+the ket's length gives (so under the default tolerances no trace or
+gate is computed; see projector_from_ket), and the Born range gate as
+one min and one max over the values. Every check, threshold and error
+class is that of the plain numpy spelling, and every returned matrix
+and norm is the same bit for bit; a reduced or product state is gated
+through the state it comes from.
 
 Every record of the library is a slotted ``_Record`` that sets each of
 its ``__match_args__`` fields once in an explicit ``__init__``, so the
@@ -49,6 +49,8 @@ from .errors import (
     ValueOutOfRange,
 )
 from .tolerances import MAX_COMPOSITE_DIM, TOL
+
+_U = 2.0**-53   # unit round-off of double precision
 
 
 def frozen_matrix(m: np.ndarray) -> np.ndarray:
@@ -95,16 +97,19 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _square_hermitian(matrix, what: str) -> np.ndarray:
-    """Coerce, require a square shape, then the Hermitian gate: reject a
-    Frobenius Hermiticity residual above TOL.herm."""
+def _square_hermitian(matrix, what: str) -> tuple[np.ndarray, float]:
+    """Coerce, require a square shape and freeze a copy, then the
+    Hermitian gate on that copy: reject a Frobenius Hermiticity residual
+    above TOL.herm. Returns the frozen copy and its residual, so the
+    gate's figure is that of the stored matrix."""
     m = as_complex_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got {m.shape}")
+    m = frozen_matrix(m)
     res = frobenius(m - m.conj().T)
     if res > TOL.herm:
         raise NotHermitian(res)
-    return m
+    return m, res
 
 
 @functools.cache
@@ -162,18 +167,26 @@ class Projector(_Record):
 
 
 class DensityMatrix(_Record):
-    """Validated non-negative unit-trace Hermitian operator; ``spectrum``,
-    the ascending eigvalsh(hermitize(matrix)), is computed when first
-    read (by make_density's positivity gate) and kept. Two threads that
-    read it first at once may each solve; both keep the same bits."""
+    """Validated non-negative unit-trace Hermitian operator.
 
-    __slots__ = ("dim", "matrix", "_spectrum")
+    Three figures of the matrix are kept once computed: ``spectrum``,
+    the ascending eigvalsh(hermitize(matrix)); ``hermitian_residual``,
+    frobenius(matrix - matrix†); and ``trace``, complex(matrix.trace()).
+    make_density's gates compute all three and the state keeps them; a
+    state built directly, reduced or a product measures each when first
+    read. Two threads that read one first at once may each compute it;
+    both keep the same bits.
+    """
+
+    __slots__ = ("dim", "matrix", "_spectrum", "_hermitian_residual", "_trace")
     __match_args__ = ("dim", "matrix")
 
     def __init__(self, dim: int, matrix: np.ndarray):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_hermitian_residual", None)
+        object.__setattr__(self, "_trace", None)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -182,6 +195,23 @@ class DensityMatrix(_Record):
             s = _frozen(np.linalg.eigvalsh(hermitize(self.matrix)))
             object.__setattr__(self, "_spectrum", s)
         return s
+
+    @property
+    def hermitian_residual(self) -> float:
+        r = self._hermitian_residual
+        if r is None:
+            m = self.matrix
+            r = frobenius(m - m.conj().T)
+            object.__setattr__(self, "_hermitian_residual", r)
+        return r
+
+    @property
+    def trace(self) -> complex:
+        t = self._trace
+        if t is None:
+            t = complex(self.matrix.trace())
+            object.__setattr__(self, "_trace", t)
+        return t
 
 
 class BlochVector(_Value):
@@ -227,7 +257,7 @@ def make_projector(matrix) -> Projector:
     Raises NotHermitian or NotIdempotent with the offending Frobenius
     residual, in that order.
     """
-    m = frozen_matrix(_square_hermitian(matrix, "projector matrix"))
+    m, _ = _square_hermitian(matrix, "projector matrix")
     return _projector(m, float(m.trace().real), frobenius(m @ m - m))
 
 
@@ -237,20 +267,43 @@ def projector_from_ket(ket) -> Projector:
     A finite ket whose squared norm overflows to inf or underflows below
     2^-1022 (where it loses precision) is first divided by its largest
     real or imaginary component, so a non-zero ket always yields the
-    rank-1 projector; other kets are divided by their norm alone.
-
-    The gates are make_projector's, with three read from the ket. After
+    rank-1 projector; other kets are divided by their norm alone. After
     the rescale, the norm is finite exactly when every entry is, so a
     non-finite norm raises ValueOutOfRange as a non-finite entry of the
-    matrix would. For m = w w† (w the unit ket, t = Tr m = ||w||^2),
-    each stored entry is within sqrt(2) gamma_2 |w_i| |w_j| of w_i w_j*
-    (Higham, Accuracy and Stability, Lemma 3.5; gamma_2 = 2u / (1 - 2u),
-    u = 2^-53), so ||m - m†|| <= 2 sqrt(2) gamma_2 ||w||^2 <= 8u * t,
-    which stands in for the Hermitian residual (about 1e-15, against
-    TOL.herm = 1e-10). m @ m - m = (t - 1) m has Frobenius norm
-    |t - 1| * t, which stands in for the computed idempotency residual:
-    the two differ by at most (2d + 4) * 2^-52 on the stored matrix
-    (below 3e-14 at d = 64, against TOL.proj = 1e-10).
+    matrix would.
+
+    The gates are make_projector's, read from the unit ket w and
+    t = Tr m for m = w w†. Each stored entry is within sqrt(2) gamma_2
+    |w_i| |w_j| of w_i w_j* (Higham, Accuracy and Stability, Lemma 3.5;
+    gamma_k = k u / (1 - k u), u = 2^-53), so the Hermitian residual is
+    at most 2 sqrt(2) gamma_2 ||w||^2 <= 8u t, which the Hermitian gate
+    reads (about 1e-15, against TOL.herm = 1e-10). m @ m - m = (t - 1) m
+    has Frobenius norm |t - 1| t, which the idempotency gate reads: it
+    is within (2d + 4) 2^-52 of the residual computed on the stored
+    matrix. The rank is round(t).
+
+    One bound decides those gates. For a ket of length d,
+
+        |t - 1| <= B = 8 (d + 4) u.
+
+    To first order, t departs from 1 by the relative errors of the two
+    dot products of the norm and their sum, (d + 1) u; its square root,
+    2u on n^2; each real component of w, the component times the
+    rounded 1/n (numpy's complex division by a real scalar; 1/n is
+    normal as 2^-511 <= n <= 2^512), 2u on |w_c| and so 4u on ||w||^2;
+    and the diagonal products and the trace's sum, (d + 1) u. Underflow
+    of the norm's squares adds at most d 2^-1074 to n^2, which is at
+    least 2^-1022 (1 - 2u) on the plain branch, a relative 2 d u; after
+    the rescale the ket has a unit entry, and underflow in w and in the
+    diagonal adds below d 2^-1070 to t. The first-order sum is
+    (4d + 8) u <= B/2, so while B <= 1/4 the higher-order terms keep
+    |t - 1| below 5 (d + 2) u <= 5B/8. Hence, when 8u (1 + B) <=
+    TOL.herm, B (1 + B) <= TOL.proj and B <= min(1/4, d TOL.eig):
+    8u t is exact and at most 8u (1 + B); |t - 1| is exact and its
+    rounded product with t is below the computed B (1 + B); and t rounds
+    to 1 within B. Every gate passes with rank 1, and neither the trace
+    nor a gate is computed. Otherwise the gates run on t, so every
+    outcome, error and figure is theirs.
     """
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = frobenius(v)
@@ -266,22 +319,29 @@ def projector_from_ket(ket) -> Projector:
         raise ValueOutOfRange("matrix contains non-finite entries")
     v = v / n
     m = _frozen(v[:, None] * v.conj()[None, :])
+    d, tol = len(v), TOL
+    bound = 8 * (d + 4) * _U
+    if (8 * _U * (1 + bound) <= tol.herm and bound * (1 + bound) <= tol.proj
+            and bound <= min(0.25, d * tol.eig)):
+        return Projector(d, m, 1)
     t = float(m.trace().real)
-    herm = 8 * 2**-53 * t
-    if herm > TOL.herm:
+    herm = 8 * _U * t
+    if herm > tol.herm:
         raise NotHermitian(herm)
     return _projector(m, t, abs(t - 1.0) * t)
 
 
 def make_density(matrix) -> DensityMatrix:
     """Validate Hermiticity, unit trace and positivity of a density
-    matrix, in that order; the positivity gate reads the state's
-    spectrum, so the eigensolve is kept."""
-    m = _square_hermitian(matrix, "density matrix")
+    matrix, in that order; the state keeps the Hermitian residual, the
+    trace and the spectrum its gates computed."""
+    m, res = _square_hermitian(matrix, "density matrix")
     tr = complex(m.trace())
     if abs(tr - 1.0) > TOL.tr:
         raise NotUnitTrace(tr)
-    state = DensityMatrix(dim=m.shape[0], matrix=frozen_matrix(m))
+    state = DensityMatrix(m.shape[0], m)
+    object.__setattr__(state, "_hermitian_residual", res)
+    object.__setattr__(state, "_trace", tr)
     if state.spectrum[0] < -TOL.psd:
         raise NotPositive(float(state.spectrum[0]))
     return state

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gleason_lab import marginality
+from gleason_lab import marginality, operators
 from gleason_lab.errors import (
     DimensionMismatch,
     DimensionOverflow,
@@ -561,6 +562,32 @@ class TestExtendToComposite:
         rho = DensityMatrix(dim=2, matrix=matrix)
         with pytest.raises(error):
             extend_to_composite(rho, rho)
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (8, 8)])
+    def test_gated_factors_lend_their_figures_and_one_tensor_call(self, rng, d_a, d_b, monkeypatch):
+        # make_density kept each factor's Hermitian residual and trace, so
+        # the only norms taken are of the factors themselves; the product
+        # still enters operators.tensor once, which the benchmark tracer
+        # counts by that function's code object.
+        rho, sigma = random_density_matrix(d_a, rng), random_density_matrix(d_b, rng)
+        norms = []
+        for module in (marginality, operators):
+            monkeypatch.setattr(module, "frobenius", lambda x: norms.append(x) or frobenius(x))
+        entries = []
+        code = operators.tensor.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                entries.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            big = extend_to_composite(rho, sigma)
+        finally:
+            sys.setprofile(None)
+        assert len(entries) == 1
+        assert [id(x) for x in norms] == [id(sigma.matrix), id(rho.matrix)]
+        assert big.matrix.tobytes() == np.kron(rho.matrix, sigma.matrix).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -138,6 +138,17 @@ class TestPvmFromUnitary:
         with pytest.raises(PartitionMismatch):
             pvm_from_unitary(identity(3), [1, -1, 3])
 
+    @pytest.mark.parametrize("parts", [[1.7, 1.2], [1.0, 1], ["1", 1], [np.float64(1.0), 1]])
+    def test_non_integer_block_sizes_are_refused(self, parts):
+        # A block size is an integer, not a value that truncates to one:
+        # [1.7, 1.2] once gave ranks (1, 1).
+        with pytest.raises(PartitionMismatch, match=r"partition \[.*\] has a block size"):
+            pvm_from_unitary(np.eye(2), parts)
+
+    def test_numpy_integer_block_sizes_are_accepted(self):
+        pvm = pvm_from_unitary(identity(3), [np.int64(1), np.int32(2)])
+        assert pvm.ranks() == (1, 2) and all(type(r) is int for r in pvm.ranks())
+
 
 def _pvm_from_unitary_reference(u, parts):
     """pvm_from_unitary as spelled before its Gram gate: every block

@@ -17,7 +17,7 @@ from gleason_lab.errors import (
     NotPositive,
     ValueOutOfRange,
 )
-from gleason_lab.marginality import spanning_projectors
+from gleason_lab.marginality import extend_to_composite, spanning_projectors
 from gleason_lab.operators import (
     PAULI_X,
     PAULI_Y,
@@ -267,10 +267,14 @@ def _gate_outcome(fn, *args):
         return (type(exc).__name__, exc.residual)
 
 
-@pytest.mark.parametrize("changes", [
+# Tolerances settings that close or open each projector gate in turn.
+TOL_SETTINGS = [
     {}, {"herm": 0.0}, {"proj": 0.0}, {"eig": 0.0}, {"proj": 0.0, "eig": 0.0},
     {"herm": 0.0, "proj": 0.0, "eig": 0.0}, {"herm": 1.0, "proj": 1.0},
-], ids=lambda c: "-".join(c) or "default")
+]
+
+
+@pytest.mark.parametrize("changes", TOL_SETTINGS, ids=lambda c: "-".join(c) or "default")
 def test_projector_gates_keep_their_order_and_figures(rng, monkeypatch, changes):
     monkeypatch.setattr(operators, "TOL", dataclasses.replace(TOL, **changes))
     matrices = [np.diag([0.5, 0.5]).astype(complex), np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]
@@ -312,6 +316,126 @@ def projector_from_ket_reference(ket):
     if res_p > TOL.proj:
         raise NotIdempotent(res_p)
     return operators.Projector(dim=len(v), matrix=operators.frozen_matrix(m), rank=round(trace))
+
+
+def _projector_from_ket_chain(ket):
+    """projector_from_ket as spelled before its bound decided the gates:
+    the trace of the built matrix, the 8u * t Hermitian gate, then the
+    idempotency and rank gates on t, every time."""
+    tol = operators.TOL
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    n = frobenius(v)
+    if n < 2.0**-511 or n == math.inf:
+        x = np.ascontiguousarray(v).view(np.float64)
+        s = float(np.abs(x).max(initial=0.0))
+        if 0.0 < s < math.inf:
+            v = (x / s).view(complex)
+            n = frobenius(v)
+    if n == 0:
+        raise ValueOutOfRange("cannot project onto the zero vector")
+    if not n < math.inf:
+        raise ValueOutOfRange("matrix contains non-finite entries")
+    v = v / n
+    m = v[:, None] * v.conj()[None, :]
+    m.setflags(write=False)
+    d = m.shape[0]
+    t = float(m.trace().real)
+    herm = 8 * 2**-53 * t
+    if herm > tol.herm:
+        raise NotHermitian(herm)
+    res_p = abs(t - 1.0) * t
+    if res_p > tol.proj:
+        raise NotIdempotent(res_p)
+    rank = int(round(t))
+    if not 0 <= rank <= d or abs(t - rank) > d * tol.eig:
+        raise NotIdempotent(res_p)
+    return operators.Projector(d, m, rank)
+
+
+def _ket_outcome(fn, ket):
+    try:
+        with np.errstate(all="ignore"):
+            p = fn(ket)
+    except GleasonLabError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("ok", p.matrix.tobytes(), p.rank, p.dim, p.matrix.flags.writeable)
+
+
+def _ket_bound(d, tol):
+    """The bound B on |t - 1| and whether it decides every gate."""
+    bound = 8 * (d + 4) * 2.0**-53
+    fast = (8 * 2.0**-53 * (1 + bound) <= tol.herm and bound * (1 + bound) <= tol.proj
+            and bound <= min(0.25, d * tol.eig))
+    return bound, fast
+
+
+class TestKetGate:
+    # projector_from_ket decides its gates from one bound on |Tr m - 1|
+    # when that bound passes every tolerance, and otherwise runs the
+    # gate chain on the trace; either way the outcome is the chain's.
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = operators._projector
+        monkeypatch.setattr(operators, "_projector", lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    def test_the_default_tolerances_run_no_gate(self, rng, monkeypatch):
+        calls = self._spy(monkeypatch)
+        for d in (1, 2, 3, 8, 64):
+            ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            assert _ket_outcome(projector_from_ket, ket) == _ket_outcome(
+                _projector_from_ket_chain, ket)
+        assert calls == []
+
+    def test_a_zero_idempotency_tolerance_takes_the_gate_chain(self, rng, monkeypatch):
+        monkeypatch.setattr(operators, "TOL", dataclasses.replace(TOL, proj=0.0))
+        calls = self._spy(monkeypatch)
+        kets = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (1, 2, 3, 8)]
+        for ket in kets:
+            assert _ket_outcome(projector_from_ket, ket) == _ket_outcome(
+                _projector_from_ket_chain, ket)
+        assert len(calls) == len(kets)
+
+    @pytest.mark.parametrize("changes", TOL_SETTINGS, ids=lambda c: "-".join(c) or "default")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        kind=st.sampled_from(["plain", "scaled", "mixed"]),
+        exponent=st.floats(-320.0, 305.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outcome_is_the_gate_chains_and_its_figures_stay_below_the_bound(
+        self, changes, d, kind, exponent, seed
+    ):
+        # "scaled" reaches both rescale branches (a squared norm that
+        # overflows or underflows), "mixed" puts entries near or below
+        # the subnormal range beside ordinary ones.
+        rng = np.random.default_rng(seed)
+        ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        with np.errstate(all="ignore"):
+            if kind == "scaled":
+                ket = ket * 10.0**exponent
+            elif kind == "mixed":
+                tiny = rng.random(d) < 0.5
+                ket[tiny] *= 10.0 ** rng.uniform(-320.0, -150.0, int(tiny.sum()))
+                ket = ket * 10.0 ** (exponent / 2)
+        tol = dataclasses.replace(TOL, **changes)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "TOL", tol)
+            expected = _ket_outcome(_projector_from_ket_chain, ket)
+            assert _ket_outcome(projector_from_ket, ket) == expected
+            bound, fast = _ket_bound(d, tol)
+        if not fast or expected[0] != "ok":
+            return
+        # Every figure the gate chain computes is within the bound.
+        assert expected[2] == 1
+        with np.errstate(all="ignore"):
+            m = _projector_from_ket_chain(ket).matrix
+        t = float(m.trace().real)
+        assert abs(t - 1.0) <= bound
+        assert abs(t - 1.0) * t <= bound
+        assert 8 * 2**-53 * t <= bound
 
 
 class TestFrobenius:
@@ -752,3 +876,56 @@ class TestSpectrum:
         rho = DensityMatrix(dim=2, matrix=np.diag([0.75, 0.25]).astype(complex))
         assert rho.spectrum is rho.spectrum
         assert rho.spectrum.tolist() == [0.25, 0.75]
+
+
+def _figure_bits(state):
+    tr = state.trace
+    return (state.hermitian_residual.hex(), tr.real.hex(), tr.imag.hex())
+
+
+class TestKeptStateFigures:
+    # A state keeps its Hermitian residual and trace: make_density's
+    # gates compute them on the frozen matrix, any other state measures
+    # them once, when first read.
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    def test_make_density_keeps_the_figures_of_its_frozen_matrix(self, rng, dim, monkeypatch):
+        for layout in ("C", "F", "strided"):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            m = g @ g.conj().T
+            m = m / np.trace(m).real + 1e-12 / dim * g
+            if layout == "F":
+                m = np.asfortranarray(m)
+            elif layout == "strided":
+                wide = np.zeros((dim, 2 * dim), dtype=complex)
+                wide[:, ::2] = m
+                m = wide[:, ::2]
+            state = make_density(m)
+            calls = []
+            monkeypatch.setattr(operators, "frobenius", lambda x: calls.append(x) or frobenius(x))
+            a = state.matrix
+            assert _figure_bits(state) == (frobenius(a - a.conj().T).hex(),
+                                           complex(a.trace()).real.hex(),
+                                           complex(a.trace()).imag.hex())
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_other_states_measure_each_figure_once_on_first_read(self, rng, monkeypatch):
+        rho, sigma = random_density_matrix(3, rng), random_density_matrix(2, rng)
+        big = DensityMatrix(6, operators.tensor(rho.matrix, sigma.matrix))
+        states = [
+            DensityMatrix(dim=2, matrix=np.array([[0.75, 1e-3j], [-1e-3j, 0.25]])),
+            partial_trace_b(big, 3, 2),
+            extend_to_composite(rho, sigma),
+        ]
+        calls = []
+        monkeypatch.setattr(operators, "frobenius", lambda x: calls.append(x) or frobenius(x))
+        for state in states:
+            assert state._hermitian_residual is None and state._trace is None
+            a = state.matrix
+            first = _figure_bits(state)
+            assert first == (frobenius(a - a.conj().T).hex(), complex(a.trace()).real.hex(),
+                             complex(a.trace()).imag.hex())
+            t = state.trace
+            assert state.trace is t and _figure_bits(state) == first
+        assert len(calls) == len(states)

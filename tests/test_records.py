@@ -26,7 +26,7 @@ from gleason_lab.marginality import (
     Verdict,
 )
 from gleason_lab.measurements import PVM, GraphNode, IntertwineGraph, pvm_from_unitary, validate_pvm
-from gleason_lab.operators import BlochVector, DensityMatrix, Projector, haar_unitary
+from gleason_lab.operators import BlochVector, DensityMatrix, Projector, haar_unitary, make_density
 
 ARR = np.array([1.0, 2.0])
 
@@ -122,6 +122,38 @@ def test_the_kept_spectrum_survives_copy():
     assert rho.spectrum.tolist() == [0.25, 0.75]
     for twin in (pickle.loads(pickle.dumps(rho)), copy.copy(rho)):
         assert twin.spectrum.tolist() == [0.25, 0.75]
+
+
+STATE_FIGURES = ("hermitian_residual", "trace")
+
+
+def test_a_gated_state_prints_pickles_and_copies_as_before():
+    # make_density keeps its gates' figures in private slots; the record's
+    # fields, text and round trips are still those of (dim, matrix), and
+    # a twin measures the same figures again.
+    matrix = np.array([[0.75, 1e-12j], [-1e-12j, 0.25]])
+    rho = make_density(matrix)
+    assert DensityMatrix.__match_args__ == ("dim", "matrix")
+    assert repr(rho) == f"DensityMatrix(dim=2, matrix={rho.matrix!r})"
+    want = [getattr(rho, f) for f in STATE_FIGURES]
+    for twin in (pickle.loads(pickle.dumps(rho)), copy.copy(rho), copy.deepcopy(rho)):
+        assert type(twin) is DensityMatrix and twin.dim == 2
+        assert twin.matrix.tobytes() == rho.matrix.tobytes()
+        assert [getattr(twin, f) for f in STATE_FIGURES] == want
+
+
+def test_kept_state_figures_refuse_assignment_and_deletion():
+    for read_first in (False, True):
+        for rho in (make_density(np.diag([0.75, 0.25])),
+                    DensityMatrix(2, np.diag([0.75, 0.25]).astype(complex))):
+            if read_first:
+                rho.trace, rho.hermitian_residual
+            for name in (*STATE_FIGURES, "_hermitian_residual", "_trace"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rho, name, 0.0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(rho, name)
+            assert (rho.hermitian_residual, rho.trace) == (0.0, 1 + 0j)
 
 
 FIGURES = ("max_orthogonality_residual", "completeness_residual")
