@@ -43,7 +43,6 @@ from .frames import (
     check_normalization,
     definite_xz_table,
     deterministic_qubit,
-    lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
 )

@@ -8,7 +8,8 @@ they are valid frame functions on a single qubit because each qubit
 projector occurs in exactly one measurement, yet they correspond to no
 quantum state. Tabulated functions hold finitely many explicit values
 and are partial by design. Induced ones restrict a composite function
-through P -> P x I_b. Every kind evaluates an (n, d, d) stack in ``values``.
+through P -> P x I_b. ``FrameFunction.values`` gates the shape of every
+(n, d, d) stack once and hands it to the kind's ``_values``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     ContextualConflict,
     DimensionMismatch,
     UndefinedProjector,
-    UnsupportedDimension,
     UnsupportedRank,
     ValueOutOfRange,
 )
@@ -38,7 +38,6 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochVector,
     DensityMatrix,
     Projector,
     _frozen,
@@ -51,34 +50,36 @@ from .operators import (
 
 
 class FrameFunction:
-    """Base class; subclasses implement ``values``, and f(p) is ``values``
-    on a stack of one."""
+    """Base class: ``values`` is every kind's shape gate, subclasses
+    implement ``_values``, and f(p) is ``values`` on a stack of one."""
 
     dim: int
 
     def __call__(self, p: Projector) -> float:
         return float(self.values(p.matrix[np.newaxis])[0])
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
+    def values(self, stack) -> np.ndarray:
         """f on every matrix of an (n, d, d) projector stack, as a float
-        vector."""
+        vector; any other shape raises DimensionMismatch."""
+        s, d = np.asarray(stack), self.dim
+        if s.ndim != 3 or s.shape[1:] != (d, d):
+            raise DimensionMismatch(f"projector stack must be (n, {d}, {d}), got shape {s.shape}")
+        return self._values(s)
+
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        """f on a stack that passed the shape gate of ``values``."""
         raise NotImplementedError
 
 
-def lex_zxy_accepts(n: BlochVector) -> bool:
-    """The lex-zxy hemisphere rule, an antipodal-exclusive selector on
-    Bloch vectors.
+def _lex_zxy(x, y, z):
+    """The lex-zxy hemisphere rule, an antipodal-exclusive sign test on
+    Bloch coordinates, elementwise over arrays.
 
-    Accepts n when z > 0, or z = 0 and x > 0, or z = x = 0 and y > 0
-    (lexicographic sign test on (z, x, y)). Exactly one of {n, -n} is
-    accepted for every nonzero n, which makes the induced deterministic
+    Accepts (x, y, z) when z > 0, or z = 0 and x > 0, or z = x = 0 and
+    y > 0 (lexicographic sign test on (z, x, y)). Exactly one of n and
+    -n is accepted for every nonzero n, which makes the deterministic
     assignment normalize exactly on every qubit PVM.
     """
-    return bool(_lex_zxy(n.x, n.y, n.z))
-
-
-def _lex_zxy(x, y, z):
-    """The lex-zxy sign test on coordinates, elementwise over arrays."""
     return (z > 0.0) | ((z == 0.0) & ((x > 0.0) | ((x == 0.0) & (y > 0.0))))
 
 
@@ -89,28 +90,31 @@ class BornFrameFunction(FrameFunction):
         self.rho = rho
         self.dim = rho.dim
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
+    def _values(self, stack: np.ndarray) -> np.ndarray:
         return born_values(stack, self.rho)
 
 
 class DeterministicFrameFunction(FrameFunction):
     """Definite 0/1 qubit assignment driven by the lex-zxy hemisphere
-    rule (``lex_zxy_accepts``); ``rule`` names it in the JSON format."""
+    rule (``_lex_zxy``); ``rule`` names it in the JSON format."""
 
     dim = 2
     rule = "lex-zxy"
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
+    def _values(self, stack: np.ndarray) -> np.ndarray:
         """0 on rank 0, 1 on rank 2, and on rank 1 the lex-zxy rule over
         the Bloch coordinates of the whole stack, read off the entries as
         ``bloch_of_matrix`` sums them: x = Re m01 + Re m10, y = Im m10 -
-        Im m01, z = Re m00 - Re m11. A row's rank is its rounded trace."""
-        if stack.shape[1:] != (2, 2):
-            raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {stack.shape[-1]}")
+        Im m01, z = Re m00 - Re m11. A row's rank is its rounded trace; the
+        first row of another rank raises ValueOutOfRange if it is not
+        finite, else UnsupportedRank."""
         ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
         bad = ~((ranks >= 0.0) & (ranks <= 2.0))
         if bad.any():
-            raise UnsupportedRank(f"rank {ranks[int(np.argmax(bad))]:.0f} projector on a qubit")
+            k = int(np.argmax(bad))
+            if not np.isfinite(stack[k]).all():
+                raise ValueOutOfRange("projector matrix contains non-finite entries")
+            raise UnsupportedRank(f"rank {ranks[k]:.0f} projector on a qubit")
         x = stack[:, 0, 1].real + stack[:, 1, 0].real
         y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
         z = stack[:, 0, 0].real - stack[:, 1, 1].real
@@ -151,28 +155,20 @@ class TabulatedFrameFunction(FrameFunction):
         self._projectors = projectors
         self._reps = np.flatnonzero(classes == np.arange(len(entries)))
         self._coords = coords[self._reps]
-        self._values = vals[self._reps]
+        self._table = vals[self._reps]
 
     @property
     def entries(self) -> tuple[tuple[Projector, float], ...]:
         """(first projector, value) of each class, in input order."""
-        return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._values.tolist()))
+        return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._table.tolist()))
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
-        """Only the paths that raise check more: a stack not (n, m, m)
-        raises DimensionMismatch, and the first unmatched row
-        ValueOutOfRange if it is not finite, else UndefinedProjector."""
-        if stack.shape[1:] == (self.dim, self.dim):
-            idx = first_match(projector_coords(stack), self._coords)
-            if (idx >= 0).all():
-                return self._values[idx]
-            row = stack[int(np.argmax(idx < 0))]
-        elif stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise DimensionMismatch(f"projector stack must be (n, d, d), got shape {stack.shape}")
-        elif not len(stack):
-            return np.zeros(0)
-        else:
-            row = stack[0]
+    def _values(self, stack: np.ndarray) -> np.ndarray:
+        """Only the path that raises checks more: the first unmatched row
+        raises ValueOutOfRange if not finite, else UndefinedProjector."""
+        idx = first_match(projector_coords(stack), self._coords)
+        if (idx >= 0).all():
+            return self._table[idx]
+        row = stack[int(np.argmax(idx < 0))]
         if not np.isfinite(row).all():
             raise ValueOutOfRange("projector matrix contains non-finite entries")
         raise UndefinedProjector(projector_key(row))
@@ -196,9 +192,7 @@ class InducedFrameFunction(FrameFunction):
         self.dim = dim_a
         self.dim_b = dim_b
 
-    def values(self, stack: np.ndarray) -> np.ndarray:
-        if stack.shape[1:] != (self.dim, self.dim):
-            raise DimensionMismatch(f"projector dim {stack.shape[-1]} != subsystem dim {self.dim}")
+    def _values(self, stack: np.ndarray) -> np.ndarray:
         return self.composite.values(embed(stack, self.dim_b))
 
 

@@ -20,8 +20,7 @@ import math
 import numpy as np
 
 from .errors import (
-    IllConditioned, NotApplicable, NotHermitian, NotIdempotent, NotPositive, NotUnitTrace,
-    UnsupportedDimension,
+    IllConditioned, NotApplicable, NotHermitian, NotPositive, NotUnitTrace, UnsupportedDimension,
 )
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
 from .measurements import embed, projector_key
@@ -145,9 +144,9 @@ def spanning_projectors(dim: int) -> SpanningSet:
     For dim 2 these are the six signed Pauli-axis projectors. For larger
     dimensions: the basis states e_i, plus (e_i +- e_j)/sqrt(2) and
     (e_i +- i e_j)/sqrt(2) for every pair, which together span the full
-    dim^2-dimensional Hermitian space. Their kets are one array, projected
-    and passed through projector_from_ket's gates as one stack, and the
-    projectors are views of the rows of the frozen stack the set keeps.
+    dim^2-dimensional Hermitian space. Their exact kets are one array,
+    projected as one stack that projector_from_ket's bound passes with
+    rank 1; the projectors are views of its rows, kept frozen in the set.
     """
     if not 2 <= dim <= 8:
         raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim}")
@@ -161,14 +160,7 @@ def spanning_projectors(dim: int) -> SpanningSet:
     kets = np.concatenate([eye, pairs.reshape(-1, dim)])
     v = kets / np.linalg.norm(kets, axis=1)[:, None]
     stack = _frozen(v[:, :, None] * v.conj()[:, None, :])
-    t = stack.trace(axis1=1, axis2=2).real
-    rank, herm, res_p = np.rint(t), 8 * 2**-53 * t, np.abs(t - 1.0) * t
-    ok = (herm <= TOL.herm) & (res_p <= TOL.proj) & (rank >= 0) & (rank <= dim)
-    bad = ~(ok & (np.abs(t - rank) <= dim * TOL.eig))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NotHermitian(float(herm[k])) if herm[k] > TOL.herm else NotIdempotent(float(res_p[k]))
-    projectors = [Projector(dim, m, r) for m, r in zip(stack, rank.astype(int).tolist())]
+    projectors = [Projector(dim, m, 1) for m in stack]
     labels = [f"e{a}" for a in range(dim)] + [
         f"e{a}{tag}e{b}" for a, b in zip(i.tolist(), j.tolist()) for tag in ("+", "-", "+i", "-i")
     ]

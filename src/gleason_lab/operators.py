@@ -15,8 +15,8 @@ written to cost its arithmetic: one finiteness pass, a Frobenius norm
 as two real dot products, a tensor product as one broadcast multiply,
 a state's Hermitian residual, trace and spectrum kept from its gates,
 a ket projector's gates decided by one proved bound on its trace that
-the ket's length gives (so under the default tolerances no trace or
-gate is computed; see projector_from_ket), and the Born range gate as
+the fixed TOL meets at every ket length (so no trace or gate is
+computed; see projector_from_ket), and the Born range gate as
 one min and one max over the values. Every check, threshold and error
 class is that of the plain numpy spelling, and every returned matrix
 and norm is the same bit for bit; a reduced or product state is gated
@@ -234,31 +234,23 @@ class BlochVector(_Value):
         return (self.x, self.y, self.z)
 
 
-def _projector(m: np.ndarray, trace: float, res_p: float) -> Projector:
-    """The idempotency and rank gates shared by make_projector and
-    projector_from_ket, on a frozen matrix m that passed its Hermitian
-    gate, with its trace and the Frobenius residual res_p of m @ m - m.
-    A residual above TOL.proj is rejected. That gate pins every
-    eigenvalue within roughly the residual of {0, 1}, so the rank (the
-    count of eigenvalues near 1) equals the rounded trace.
-    """
-    d = m.shape[0]
-    if res_p > TOL.proj:
-        raise NotIdempotent(res_p)
-    rank = int(round(trace))
-    if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
-        raise NotIdempotent(res_p)
-    return Projector(dim=d, matrix=m, rank=rank)
-
-
 def make_projector(matrix) -> Projector:
     """Validate a matrix as a projector and compute its rank.
 
     Raises NotHermitian or NotIdempotent with the offending Frobenius
-    residual, in that order.
+    residual, in that order. A residual of m @ m - m within TOL.proj pins
+    every eigenvalue within roughly it of {0, 1}, so the rank (the count
+    of eigenvalues near 1) is the trace rounded, within d * TOL.eig.
     """
     m, _ = _square_hermitian(matrix, "projector matrix")
-    return _projector(m, float(m.trace().real), frobenius(m @ m - m))
+    res_p = frobenius(m @ m - m)
+    if res_p > TOL.proj:
+        raise NotIdempotent(res_p)
+    d, trace = m.shape[0], float(m.trace().real)
+    rank = int(round(trace))
+    if not 0 <= rank <= d or abs(trace - rank) > d * TOL.eig:
+        raise NotIdempotent(res_p)
+    return Projector(dim=d, matrix=m, rank=rank)
 
 
 def projector_from_ket(ket) -> Projector:
@@ -270,17 +262,18 @@ def projector_from_ket(ket) -> Projector:
     rank-1 projector; other kets are divided by their norm alone. After
     the rescale, the norm is finite exactly when every entry is, so a
     non-finite norm raises ValueOutOfRange as a non-finite entry of the
-    matrix would.
+    matrix would. A ket longer than MAX_COMPOSITE_DIM raises
+    DimensionOverflow before anything is computed.
 
     The gates are make_projector's, read from the unit ket w and
     t = Tr m for m = w w†. Each stored entry is within sqrt(2) gamma_2
     |w_i| |w_j| of w_i w_j* (Higham, Accuracy and Stability, Lemma 3.5;
     gamma_k = k u / (1 - k u), u = 2^-53), so the Hermitian residual is
-    at most 2 sqrt(2) gamma_2 ||w||^2 <= 8u t, which the Hermitian gate
-    reads (about 1e-15, against TOL.herm = 1e-10). m @ m - m = (t - 1) m
-    has Frobenius norm |t - 1| t, which the idempotency gate reads: it
-    is within (2d + 4) 2^-52 of the residual computed on the stored
-    matrix. The rank is round(t).
+    at most 2 sqrt(2) gamma_2 ||w||^2 <= 8u t, the Hermitian gate's
+    figure (about 1e-15, against TOL.herm = 1e-10). m @ m - m = (t - 1) m
+    has Frobenius norm |t - 1| t, the idempotency gate's figure: it is
+    within (2d + 4) 2^-52 of the residual computed on the stored matrix.
+    The rank is round(t).
 
     One bound decides those gates. For a ket of length d,
 
@@ -301,11 +294,13 @@ def projector_from_ket(ket) -> Projector:
     TOL.herm, B (1 + B) <= TOL.proj and B <= min(1/4, d TOL.eig):
     8u t is exact and at most 8u (1 + B); |t - 1| is exact and its
     rounded product with t is below the computed B (1 + B); and t rounds
-    to 1 within B. Every gate passes with rank 1, and neither the trace
-    nor a gate is computed. Otherwise the gates run on t, so every
-    outcome, error and figure is theirs.
+    to 1 within B. Every gate passes with rank 1, so neither the trace
+    nor a gate is computed. Under TOL every d <= 64 meets the three
+    conditions (a tier-1 test checks this).
     """
     v = np.asarray(ket, dtype=complex).reshape(-1)
+    if len(v) > MAX_COMPOSITE_DIM:
+        raise DimensionOverflow(len(v), MAX_COMPOSITE_DIM)
     n = frobenius(v)
     if n < 2.0**-511 or n == math.inf:
         x = np.ascontiguousarray(v).view(np.float64)
@@ -318,17 +313,7 @@ def projector_from_ket(ket) -> Projector:
     if not n < math.inf:
         raise ValueOutOfRange("matrix contains non-finite entries")
     v = v / n
-    m = _frozen(v[:, None] * v.conj()[None, :])
-    d, tol = len(v), TOL
-    bound = 8 * (d + 4) * _U
-    if (8 * _U * (1 + bound) <= tol.herm and bound * (1 + bound) <= tol.proj
-            and bound <= min(0.25, d * tol.eig)):
-        return Projector(d, m, 1)
-    t = float(m.trace().real)
-    herm = 8 * _U * t
-    if herm > tol.herm:
-        raise NotHermitian(herm)
-    return _projector(m, t, abs(t - 1.0) * t)
+    return Projector(len(v), _frozen(v[:, None] * v.conj()[None, :]), 1)
 
 
 def make_density(matrix) -> DensityMatrix:

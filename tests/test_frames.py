@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gleason_lab import frames
 from gleason_lab.errors import (
     ContextualConflict,
     DimensionMismatch,
     UndefinedProjector,
-    UnsupportedDimension,
     UnsupportedRank,
     ValueOutOfRange,
 )
@@ -22,7 +23,6 @@ from gleason_lab.frames import (
     check_normalization,
     definite_xz_table,
     deterministic_qubit,
-    lex_zxy_accepts,
     random_qubit_pvm_pair,
     tabulated,
 )
@@ -38,7 +38,6 @@ from gleason_lab.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochVector,
     DensityMatrix,
     Projector,
     bloch_of_matrix,
@@ -61,6 +60,11 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 P0 = make_projector(np.outer(KET0, KET0.conj()))
 P1 = make_projector(np.outer(KET1, KET1.conj()))
+
+
+def _shape_error(dim, shape):
+    """The pattern of the shape gate's message for a stack of that shape."""
+    return re.escape(f"projector stack must be (n, {dim}, {dim}), got shape {tuple(shape)}")
 
 
 class TestBornBacked:
@@ -150,7 +154,7 @@ class TestDeterministicQubit:
             assert check_normalization(f, pvm) == 0.0
 
     def test_rejects_other_dimensions(self, rng):
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DimensionMismatch, match=_shape_error(2, (1, 3, 3))):
             deterministic_qubit()(rank1_projector(3, rng))
 
     @settings(max_examples=300, deadline=None)
@@ -161,9 +165,7 @@ class TestDeterministicQubit:
     )
     def test_rule_is_antipodal_exclusive(self, x, y, z):
         assume((x, y, z) != (0.0, 0.0, 0.0))
-        n = BlochVector(x, y, z)
-        antipode = BlochVector(-x, -y, -z)
-        assert lex_zxy_accepts(n) != lex_zxy_accepts(antipode)
+        assert frames._lex_zxy(x, y, z) != frames._lex_zxy(-x, -y, -z)
 
 
 class TestTabulated:
@@ -276,10 +278,8 @@ class TestValues:
         for projectors, stack in sets:
             got = f.values(stack)
             assert got.dtype == float and got.shape == (len(projectors),)
-            oracle = [
-                float(p.rank == 2 or (p.rank == 1 and lex_zxy_accepts(bloch_of_matrix(p.matrix))))
-                for p in projectors
-            ]
+            accepts = [frames._lex_zxy(*bloch_of_matrix(p.matrix).as_tuple()) for p in projectors]
+            oracle = [float(p.rank == 2 or (p.rank == 1 and a)) for p, a in zip(projectors, accepts)]
             assert got.tolist() == [f(p) for p in projectors] == oracle
 
     def test_deterministic_raises_for_the_first_offender(self, rng):
@@ -292,13 +292,13 @@ class TestValues:
             f.values(np.stack([P0.matrix, rank3, rank_neg]))
         with pytest.raises(UnsupportedRank, match="rank -1 "):
             f.values(np.stack([P0.matrix, rank_neg, rank3]))
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DimensionMismatch, match=_shape_error(2, (2, 3, 3))):
             f.values(np.stack([qutrit.matrix, qutrit.matrix]))
         with pytest.raises(UnsupportedRank, match="rank 3 "):
             f(Projector(dim=2, matrix=rank3, rank=3))
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DimensionMismatch, match=_shape_error(2, (1, 3, 3))):
             f(qutrit)
-        with pytest.raises(UnsupportedDimension):
+        with pytest.raises(DimensionMismatch, match=_shape_error(2, (1, 3, 3))):
             f(Projector(dim=3, matrix=identity(3), rank=5))
 
     def test_tabulated(self, rng):
@@ -320,12 +320,13 @@ class TestValues:
         f = tabulated(list(zip(spanning_projectors(3).projectors, rng.uniform(0, 1, 15))))
         for other in (2, 4):
             s = spanning_projectors(other)
-            with pytest.raises(UndefinedProjector) as exc:
+            with pytest.raises(DimensionMismatch, match=_shape_error(3, s.stack.shape)):
                 f.values(s.stack)
-            assert exc.value.key == projector_key(s.projectors[0].matrix)
-            with pytest.raises(UndefinedProjector):
+            with pytest.raises(DimensionMismatch, match=_shape_error(3, (1, other, other))):
                 f(s.projectors[0])
-        assert f.values(np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
+        with pytest.raises(DimensionMismatch, match=_shape_error(3, (0, 2, 2))):
+            f.values(np.zeros((0, 2, 2), dtype=complex))
+        assert f.values(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
 
     @pytest.mark.filterwarnings("error")
     def test_tabulated_malformed_stacks_raise_library_errors(self):
@@ -333,9 +334,10 @@ class TestValues:
         for shape in ((1, 2, 3), (1, 3, 2), (2, 2), (0, 2, 3)):
             with pytest.raises(DimensionMismatch):
                 f.values(np.zeros(shape, dtype=complex))
-        for bad in (np.full((1, 2, 2), np.nan), np.full((1, 3, 3), np.inf)):
-            with pytest.raises(ValueOutOfRange):
-                f.values(bad)
+        with pytest.raises(DimensionMismatch, match=_shape_error(2, (1, 3, 3))):
+            f.values(np.full((1, 3, 3), np.inf))
+        with pytest.raises(ValueOutOfRange):
+            f.values(np.full((1, 2, 2), np.nan))
         nan_later = np.stack([axis_projector("+x").matrix, np.full((2, 2), np.nan)])
         with pytest.raises(ValueOutOfRange):
             f.values(nan_later)
@@ -405,7 +407,7 @@ def _deterministic_reference(projectors, stack):
     Projector fields, one projector at a time."""
     for p in projectors:
         if p.dim != 2:
-            raise UnsupportedDimension(f"deterministic assignment is qubit-only, got dim {p.dim}")
+            raise DimensionMismatch(f"projector stack must be (n, 2, 2), got shape {stack.shape}")
         if p.rank not in (0, 1, 2):
             raise UnsupportedRank(f"rank {p.rank} projector on a qubit")
     if not len(projectors):
@@ -493,7 +495,10 @@ class TestOnePath:
                 assert np.array([f(p) for p in projectors]).tobytes() == np.array(one).tobytes()
                 assert np.max(np.abs(got - one)) <= 1e-15
             qutrit = rank1_projector(dim + 1, rng)
-            expected = (DimensionMismatch, f"projector dim {dim + 1} != subsystem dim {dim}")
+            expected = (
+                DimensionMismatch,
+                f"projector stack must be (n, {dim}, {dim}), got shape (1, {dim + 1}, {dim + 1})",
+            )
             assert _raised(lambda: f(qutrit)) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -521,6 +526,38 @@ class TestOnePath:
         stack = projector_stack(projectors, 2)
         ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
         assert ranks.tolist() == [p.rank for p in projectors]
+
+
+# One frame of each kind on a qubit; each value table holds the six axes.
+QUBIT_FRAMES = {
+    "born": lambda rng: born_backed(random_density_matrix(2, rng)),
+    "deterministic": lambda rng: deterministic_qubit(),
+    "tabulated": lambda rng: definite_xz_table(),
+    "induced": lambda rng: InducedFrameFunction(born_backed(random_density_matrix(4, rng)), 2, 2),
+}
+
+
+class TestShapeGate:
+    """FrameFunction.values is the one shape gate of every kind."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(QUBIT_FRAMES)), seed=st.integers(0, 2**32 - 1))
+    def test_malformed_stacks_raise_library_errors(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        f = QUBIT_FRAMES[kind](rng)
+        axes = rng.choice(sorted(AXIS_BLOCH), size=int(rng.integers(1, 7)))
+        stack = np.array([axis_projector(a).matrix for a in axes])
+        noise = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        for bad in (stack[0], stack[0].ravel(), stack[np.newaxis], noise[:6].reshape(1, 2, 3),
+                    noise.reshape(1, 3, 3), np.zeros((0, 3, 3), dtype=complex)):
+            with pytest.raises(DimensionMismatch, match=_shape_error(2, bad.shape)):
+                f.values(bad)
+        nan_row = np.full((1, 2, 2), np.nan, dtype=complex)
+        for bad in (np.repeat(nan_row, len(stack), axis=0), np.concatenate([stack, nan_row])):
+            with pytest.raises(ValueOutOfRange):
+                f.values(bad)
+        assert f.values(stack.tolist()).tobytes() == f.values(stack).tobytes()
 
 
 class TestCheckNormalization:

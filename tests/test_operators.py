@@ -37,7 +37,7 @@ from gleason_lab.operators import (
     tensor,
 )
 
-from gleason_lab.tolerances import TOL
+from gleason_lab.tolerances import MAX_COMPOSITE_DIM, TOL
 
 from conftest import (
     frobenius_oracle,
@@ -198,6 +198,10 @@ class TestProjectorFromKet:
         with pytest.raises(ValueOutOfRange):
             projector_from_ket(ket)
 
+    def test_ket_beyond_the_composite_cap_is_refused(self):
+        with pytest.raises(DimensionOverflow):
+            projector_from_ket(np.ones(MAX_COMPOSITE_DIM + 1))
+
     @settings(max_examples=300, deadline=None)
     @given(
         dim=st.integers(1, 64),
@@ -242,16 +246,16 @@ class TestProjectorFromKet:
         assert (p.matrix.tobytes(), p.rank) == (expected.matrix.tobytes(), expected.rank)
 
 
-def _gates_reference(m, from_ket):
+def _gates_reference(m):
     """The projector gates as spelled with a residual callback: the
-    Hermitian residual (8u * t from a ket), then idempotency, then rank."""
+    Hermitian residual, then idempotency, then rank."""
     tol = operators.TOL
     d = m.shape[0]
     trace = float(m.trace().real)
-    herm = 8 * 2**-53 * trace if from_ket else frobenius(m - m.conj().T)
+    herm = frobenius(m - m.conj().T)
     if herm > tol.herm:
         raise NotHermitian(herm)
-    res_p = abs(trace - 1.0) * trace if from_ket else frobenius(m @ m - m)
+    res_p = frobenius(m @ m - m)
     if res_p > tol.proj:
         raise NotIdempotent(res_p)
     rank = int(round(trace))
@@ -286,12 +290,11 @@ def test_projector_gates_keep_their_order_and_figures(rng, monkeypatch, changes)
         noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         matrices += [p, p + 1e-13 * noise, p + 1e-9 * (noise + noise.conj().T)]
     for m in matrices:
-        assert _gate_outcome(lambda: make_projector(m).rank) == _gate_outcome(_gates_reference, m, False)
+        assert _gate_outcome(lambda: make_projector(m).rank) == _gate_outcome(_gates_reference, m)
+    # projector_from_ket reads no tolerance: its outcome is the gate
+    # chain's under the shipped table, whatever operators.TOL holds.
     for ket in kets:
-        v = np.asarray(ket, dtype=complex)
-        v = v / frobenius(v)
-        built = v[:, None] * v.conj()[None, :]
-        assert _gate_outcome(lambda: projector_from_ket(ket).rank) == _gate_outcome(_gates_reference, built, True)
+        assert _ket_outcome(projector_from_ket, ket) == _ket_outcome(_projector_from_ket_chain, ket)
 
 
 def projector_from_ket_reference(ket):
@@ -321,8 +324,9 @@ def projector_from_ket_reference(ket):
 def _projector_from_ket_chain(ket):
     """projector_from_ket as spelled before its bound decided the gates:
     the trace of the built matrix, the 8u * t Hermitian gate, then the
-    idempotency and rank gates on t, every time."""
-    tol = operators.TOL
+    idempotency and rank gates on t, every time, under the shipped TOL
+    (not operators.TOL, which tests replace)."""
+    tol = TOL
     v = np.asarray(ket, dtype=complex).reshape(-1)
     n = frobenius(v)
     if n < 2.0**-511 or n == math.inf:
@@ -370,32 +374,36 @@ def _ket_bound(d, tol):
 
 
 class TestKetGate:
-    # projector_from_ket decides its gates from one bound on |Tr m - 1|
-    # when that bound passes every tolerance, and otherwise runs the
-    # gate chain on the trace; either way the outcome is the chain's.
+    # projector_from_ket decides its gates from one bound on |Tr m - 1|,
+    # which the shipped table passes for every ket length up to
+    # MAX_COMPOSITE_DIM; it reads no tolerance, and its outcome is the
+    # gate chain's under the shipped table.
 
-    def _spy(self, monkeypatch):
-        calls = []
-        real = operators._projector
-        monkeypatch.setattr(operators, "_projector", lambda *a: calls.append(a) or real(*a))
-        return calls
+    def test_the_shipped_tolerances_meet_the_bounds_premises(self):
+        # Editing tolerances.py past the proof in projector_from_ket's
+        # docstring fails here.
+        for d in range(1, MAX_COMPOSITE_DIM + 1):
+            assert _ket_bound(d, TOL)[1], d
 
     def test_the_default_tolerances_run_no_gate(self, rng, monkeypatch):
-        calls = self._spy(monkeypatch)
+        class Unreadable:
+            # Holds no attribute, so reading any tolerance raises.
+            def __getattr__(self, name):
+                raise AssertionError(f"projector_from_ket read TOL.{name}")
+
+        monkeypatch.setattr(operators, "TOL", Unreadable())
         for d in (1, 2, 3, 8, 64):
             ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             assert _ket_outcome(projector_from_ket, ket) == _ket_outcome(
                 _projector_from_ket_chain, ket)
-        assert calls == []
 
-    def test_a_zero_idempotency_tolerance_takes_the_gate_chain(self, rng, monkeypatch):
-        monkeypatch.setattr(operators, "TOL", dataclasses.replace(TOL, proj=0.0))
-        calls = self._spy(monkeypatch)
+    def test_a_zero_idempotency_tolerance_changes_nothing(self, rng, monkeypatch):
         kets = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (1, 2, 3, 8)]
-        for ket in kets:
-            assert _ket_outcome(projector_from_ket, ket) == _ket_outcome(
-                _projector_from_ket_chain, ket)
-        assert len(calls) == len(kets)
+        expected = [_ket_outcome(projector_from_ket, ket) for ket in kets]
+        monkeypatch.setattr(operators, "TOL", dataclasses.replace(TOL, proj=0.0))
+        for ket, outcome in zip(kets, expected):
+            assert _ket_outcome(projector_from_ket, ket) == outcome
+            assert outcome == _ket_outcome(_projector_from_ket_chain, ket)
 
     @pytest.mark.parametrize("changes", TOL_SETTINGS, ids=lambda c: "-".join(c) or "default")
     @settings(max_examples=80, deadline=None)
@@ -420,15 +428,14 @@ class TestKetGate:
                 tiny = rng.random(d) < 0.5
                 ket[tiny] *= 10.0 ** rng.uniform(-320.0, -150.0, int(tiny.sum()))
                 ket = ket * 10.0 ** (exponent / 2)
-        tol = dataclasses.replace(TOL, **changes)
+        expected = _ket_outcome(_projector_from_ket_chain, ket)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "TOL", tol)
-            expected = _ket_outcome(_projector_from_ket_chain, ket)
+            mp.setattr(operators, "TOL", dataclasses.replace(TOL, **changes))
             assert _ket_outcome(projector_from_ket, ket) == expected
-            bound, fast = _ket_bound(d, tol)
-        if not fast or expected[0] != "ok":
+        if expected[0] != "ok":
             return
         # Every figure the gate chain computes is within the bound.
+        bound, _ = _ket_bound(d, TOL)
         assert expected[2] == 1
         with np.errstate(all="ignore"):
             m = _projector_from_ket_chain(ket).matrix
