@@ -8,8 +8,8 @@ they are valid frame functions on a single qubit because each qubit
 projector occurs in exactly one measurement, yet they correspond to no
 quantum state. Tabulated functions hold finitely many explicit values
 and are partial by design. Induced ones restrict a composite function
-through P -> P x I_b. ``FrameFunction.values`` gates the shape of every
-(n, d, d) stack once and hands it to the kind's ``_values``.
+through P -> P x I_b. The four kinds are records; ``FrameFunction``
+stays open, and its ``values`` gates every stack for ``_values``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .operators import (
     DensityMatrix,
     Projector,
     _frozen,
+    _Record,
     born_values,
     identity,
     make_projector,
@@ -50,9 +51,10 @@ from .operators import (
 
 
 class FrameFunction:
-    """Base class: ``values`` is every kind's shape gate, subclasses
+    """Base class: ``values`` is every kind's stack gate, subclasses
     implement ``_values``, and f(p) is ``values`` on a stack of one."""
 
+    __slots__ = ()
     dim: int
 
     def __call__(self, p: Projector) -> float:
@@ -60,8 +62,13 @@ class FrameFunction:
 
     def values(self, stack) -> np.ndarray:
         """f on every matrix of an (n, d, d) projector stack, as a float
-        vector; any other shape raises DimensionMismatch."""
+        vector; any dtype but integer (read as float), float or complex
+        raises ValueOutOfRange, any other shape DimensionMismatch."""
         s, d = np.asarray(stack), self.dim
+        if s.dtype.kind not in "fc":
+            if s.dtype.kind not in "iu":
+                raise ValueOutOfRange(f"projector stack must be numeric, got dtype {s.dtype}")
+            s = s.astype(float)
         if s.ndim != 3 or s.shape[1:] != (d, d):
             raise DimensionMismatch(f"projector stack must be (n, {d}, {d}), got shape {s.shape}")
         return self._values(s)
@@ -83,21 +90,25 @@ def _lex_zxy(x, y, z):
     return (z > 0.0) | ((z == 0.0) & ((x > 0.0) | ((x == 0.0) & (y > 0.0))))
 
 
-class BornFrameFunction(FrameFunction):
+class BornFrameFunction(FrameFunction, _Record):
     """f(P) = Tr(P rho) for a fixed density matrix."""
 
+    __slots__ = ("rho", "dim")
+    __match_args__ = ("rho",)
+
     def __init__(self, rho: DensityMatrix):
-        self.rho = rho
-        self.dim = rho.dim
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "dim", rho.dim)
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         return born_values(stack, self.rho)
 
 
-class DeterministicFrameFunction(FrameFunction):
+class DeterministicFrameFunction(FrameFunction, _Record):
     """Definite 0/1 qubit assignment driven by the lex-zxy hemisphere
     rule (``_lex_zxy``); ``rule`` names it in the JSON format."""
 
+    __slots__ = __match_args__ = ()
     dim = 2
     rule = "lex-zxy"
 
@@ -105,15 +116,15 @@ class DeterministicFrameFunction(FrameFunction):
         """0 on rank 0, 1 on rank 2, and on rank 1 the lex-zxy rule over
         the Bloch coordinates of the whole stack, read off the entries as
         ``bloch_of_matrix`` sums them: x = Re m01 + Re m10, y = Im m10 -
-        Im m01, z = Re m00 - Re m11. A row's rank is its rounded trace; the
-        first row of another rank raises ValueOutOfRange if it is not
-        finite, else UnsupportedRank."""
+        Im m01, z = Re m00 - Re m11. A stack with a non-finite entry raises
+        ValueOutOfRange; a row's rank is its rounded trace, and the first
+        row of another rank raises UnsupportedRank."""
+        if not np.isfinite(stack).all():
+            raise ValueOutOfRange("projector matrix contains non-finite entries")
         ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
-        bad = ~((ranks >= 0.0) & (ranks <= 2.0))
+        bad = (ranks < 0.0) | (ranks > 2.0)
         if bad.any():
             k = int(np.argmax(bad))
-            if not np.isfinite(stack[k]).all():
-                raise ValueOutOfRange("projector matrix contains non-finite entries")
             raise UnsupportedRank(f"rank {ranks[k]:.0f} projector on a qubit")
         x = stack[:, 0, 1].real + stack[:, 1, 0].real
         y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
@@ -121,7 +132,7 @@ class DeterministicFrameFunction(FrameFunction):
         return np.where(ranks == 1, _lex_zxy(x, y, z), ranks == 2).astype(float)
 
 
-class TabulatedFrameFunction(FrameFunction):
+class TabulatedFrameFunction(FrameFunction, _Record):
     """Finite explicit table over classes of projectors.
 
     Projectors match when their Hermitized entries differ by at most
@@ -134,16 +145,19 @@ class TabulatedFrameFunction(FrameFunction):
     by its ``projector_key`` label.
     """
 
+    __slots__ = ("dim", "_projectors", "_reps", "_coords", "_table")
+    __match_args__ = ("entries",)
+
     def __init__(self, entries: list[tuple[Projector, float]]):
         if not entries:
             raise ValueOutOfRange("a tabulated frame function needs at least one entry")
         dims = {p.dim for p, _ in entries}
         if len(dims) > 1:
             raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
-        self.dim = entries[0][0].dim
-        projectors = [p for p, _ in entries]
+        dim = entries[0][0].dim
+        projectors = tuple(p for p, _ in entries)
         vals = np.array([float(v) for _, v in entries])
-        coords = projector_coords(projector_stack(projectors, self.dim))
+        coords = projector_coords(projector_stack(projectors, dim))
         classes = projector_classes(coords)
         bad = ~((vals >= 0.0) & (vals <= 1.0)) | (vals != vals[classes])
         if bad.any():
@@ -152,10 +166,12 @@ class TabulatedFrameFunction(FrameFunction):
                 raise ValueOutOfRange(f"tabulated value {float(vals[i])} outside [0, 1]")
             c = int(classes[i])
             raise ContextualConflict(projector_key(projectors[c].matrix), float(vals[c]), float(vals[i]))
-        self._projectors = projectors
-        self._reps = np.flatnonzero(classes == np.arange(len(entries)))
-        self._coords = coords[self._reps]
-        self._table = vals[self._reps]
+        reps = _frozen(np.flatnonzero(classes == np.arange(len(entries))))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_projectors", projectors)
+        object.__setattr__(self, "_reps", reps)
+        object.__setattr__(self, "_coords", _frozen(coords[reps]))
+        object.__setattr__(self, "_table", _frozen(vals[reps]))
 
     @property
     def entries(self) -> tuple[tuple[Projector, float], ...]:
@@ -174,12 +190,14 @@ class TabulatedFrameFunction(FrameFunction):
         raise UndefinedProjector(projector_key(row))
 
 
-class InducedFrameFunction(FrameFunction):
+class InducedFrameFunction(FrameFunction, _Record):
     """Subsystem restriction of a composite frame function.
 
     Evaluates the composite function on P x I_b, one ``embed`` of the
     whole stack: the local outcome as represented in the composite system.
     """
+
+    __slots__ = __match_args__ = ("composite", "dim", "dim_b")
 
     def __init__(self, composite: FrameFunction, dim_a: int, dim_b: int):
         if dim_b < 2:
@@ -188,9 +206,9 @@ class InducedFrameFunction(FrameFunction):
             raise DimensionMismatch(
                 f"composite dim {composite.dim} is not {dim_a} * {dim_b}"
             )
-        self.composite = composite
-        self.dim = dim_a
-        self.dim_b = dim_b
+        object.__setattr__(self, "composite", composite)
+        object.__setattr__(self, "dim", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         return self.composite.values(embed(stack, self.dim_b))
@@ -246,6 +264,7 @@ def axis_table(values: dict[str, float]) -> TabulatedFrameFunction:
     return tabulated(entries)
 
 
+@functools.cache
 def definite_xz_table() -> TabulatedFrameFunction:
     """The classic impossible qubit assignment: definite +x and +z.
 

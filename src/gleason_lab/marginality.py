@@ -8,8 +8,9 @@ two finite checks: (a) the values must be linearly consistent with some
 unit-trace Hermitian matrix on the spanning set, and (b) that matrix
 must be positive semidefinite. Representability by a density matrix is
 equivalent to marginality, with the product extension rho x sigma as
-the constructive witness, so nothing is lost in the reduction; the
-certificate records the spanning set it used.
+the constructive witness. The certificate reads f only on the spanning
+set it records: complete for a tabulated frame, not for a frame defined
+on every projector, which may agree with no state off that set.
 """
 
 from __future__ import annotations

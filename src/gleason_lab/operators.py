@@ -22,9 +22,10 @@ class is that of the plain numpy spelling, and every returned matrix
 and norm is the same bit for bit; a reduced or product state is gated
 through the state it comes from.
 
-Every record of the library is a slotted ``_Record`` that sets each of
-its ``__match_args__`` fields once in an explicit ``__init__``, so the
-import generates no code. Assignment and deletion raise
+Every record of the library, the four built-in frame kinds included,
+is a slotted ``_Record`` that sets its fields once in an explicit
+``__init__``, so the import generates no code; ``__match_args__``
+lists the constructor's arguments. Assignment and deletion raise
 dataclasses.FrozenInstanceError, ``repr`` is the dataclass text, pickle
 and copy rebuild a record through its constructor, and records compare
 by identity, ``_Value`` records (Bloch vectors, graph nodes, Bloch and

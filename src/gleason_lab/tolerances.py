@@ -22,7 +22,6 @@ class Tolerances:
     eig: float = 1e-8          # eigenvalue proximity to {0, 1} for rank counting
     tr: float = 1e-10          # unit-trace residual
     psd: float = 1e-9          # allowed negativity of density-matrix eigenvalues
-    bloch: float = 1e-9        # Bloch-ball membership slack
     prob: float = 1e-9         # probability clamping slack around [0, 1]
     pvm: float = 1e-10         # PVM orthogonality and completeness residuals
     key: float = 1e-8          # quantization grid for projector keys

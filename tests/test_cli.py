@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -244,7 +246,15 @@ class TestCheckMarginal:
         code, report = run_json(capsys, "check-marginal", "--frame", born_frame_file)
         assert code == 0
         assert report["config"]["tolerances"] == TOL.to_dict()
-        assert len(report["config"]["tolerances"]) == 12
+        assert len(report["config"]["tolerances"]) == 11
+
+    def test_every_printed_tolerance_is_read_by_the_library(self):
+        # A field no check reads would be printed in every report while
+        # deciding nothing.
+        src = pathlib.Path(gleason_lab.__file__).parent
+        text = "\n".join(p.read_text() for p in sorted(src.glob("*.py")))
+        unread = [f for f in TOL.to_dict() if not re.search(rf"\b(TOL|tol)\.{f}\b", text)]
+        assert unread == []
 
 
 class TestReconstruct:

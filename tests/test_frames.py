@@ -1,5 +1,7 @@
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +560,50 @@ class TestShapeGate:
             with pytest.raises(ValueOutOfRange):
                 f.values(bad)
         assert f.values(stack.tolist()).tobytes() == f.values(stack).tobytes()
+
+
+class TestDtypeGate:
+    """FrameFunction.values refuses every dtype that is not integer, float
+    or complex before any arithmetic, on every kind alike."""
+
+    @pytest.mark.parametrize("kind", sorted(QUBIT_FRAMES))
+    def test_non_numeric_stacks_are_refused(self, kind):
+        f = QUBIT_FRAMES[kind](np.random.default_rng(5))
+        eye = np.eye(2)[np.newaxis]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ([[["a", "b"], ["c", "d"]]], eye.astype(bool), eye.astype(object),
+                        eye.astype(bytes), eye.astype("datetime64[s]"), eye.astype("timedelta64[s]"),
+                        np.zeros((1, 2, 2), dtype="V8")):
+                with pytest.raises(ValueOutOfRange, match="projector stack must be numeric"):
+                    f.values(bad)
+
+    @pytest.mark.parametrize("kind", sorted(QUBIT_FRAMES))
+    def test_integer_and_real_stacks_evaluate_as_complex(self, kind):
+        f = QUBIT_FRAMES[kind](np.random.default_rng(5))
+        stack = np.array([P0.matrix, P1.matrix])
+        want = f.values(stack).tobytes()
+        for dtype in (np.int8, np.uint8, np.int64, np.float32, np.float64, np.complex64):
+            assert f.values(stack.real.astype(dtype)).tobytes() == want
+
+
+ROWS = {"rank 0": np.zeros((2, 2), dtype=complex), "rank 1": P0.matrix,
+        "rank 2": identity(2)}
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+@pytest.mark.parametrize("kind", sorted(QUBIT_FRAMES))
+def test_no_value_from_a_row_that_is_not_finite(kind, row):
+    # Every kind refuses NaN or +-inf in any real or imaginary part of any
+    # entry, whether the rule would read that entry or not.
+    f = QUBIT_FRAMES[kind](np.random.default_rng(6))
+    for i, j, imag, bad in itertools.product(range(2), range(2), (False, True), (np.nan, np.inf, -np.inf)):
+        m = ROWS[row].copy()
+        z = m[i, j]
+        m[i, j] = complex(z.real, bad) if imag else complex(bad, z.imag)
+        for stack in (m[np.newaxis], np.stack([P1.matrix, m])):
+            with pytest.raises(ValueOutOfRange):
+                f.values(stack)
 
 
 class TestCheckNormalization:

@@ -1,9 +1,9 @@
 """The library's record types behave as frozen dataclasses did: they
 refuse assignment and deletion, print the dataclass text, build from
 positional or keyword arguments, compare by fields (the four value
-kinds) or by identity (the rest), and survive pickle and copy. Only
-``Tolerances`` is still a dataclass, so importing the library generates
-no record code.
+kinds) or by identity (the rest), and survive pickle and copy. The four
+built-in frame kinds are records too. Only ``Tolerances`` is still a
+dataclass, so importing the library generates no record code.
 """
 
 import copy
@@ -17,6 +17,15 @@ import numpy as np
 import pytest
 
 import gleason_lab
+from gleason_lab.errors import GleasonLabError
+from gleason_lab.frames import (
+    FrameFunction,
+    InducedFrameFunction,
+    born_backed,
+    definite_xz_table,
+    deterministic_qubit,
+    tabulated,
+)
 from gleason_lab.marginality import (
     BlochWitness,
     EigenWitness,
@@ -24,9 +33,19 @@ from gleason_lab.marginality import (
     ResidualWitness,
     SpanningSet,
     Verdict,
+    spanning_projectors,
 )
 from gleason_lab.measurements import PVM, GraphNode, IntertwineGraph, pvm_from_unitary, validate_pvm
-from gleason_lab.operators import BlochVector, DensityMatrix, Projector, haar_unitary, make_density
+from gleason_lab.operators import (
+    BlochVector,
+    DensityMatrix,
+    Projector,
+    _Record,
+    haar_unitary,
+    make_density,
+    random_density_matrix,
+)
+from gleason_lab.tolerances import Tolerances
 
 ARR = np.array([1.0, 2.0])
 
@@ -214,3 +233,71 @@ def test_tolerances_is_the_only_dataclass():
             if obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
                 found.append(f"{module.__name__}.{name}")
     assert found == ["gleason_lab.tolerances.Tolerances"]
+
+
+def _frames(rng):
+    """(frame, its slot fields) of each built-in kind, on d = 3 where the
+    kind allows it."""
+    s = spanning_projectors(3)
+    fields = {"born": ("rho", "dim"), "deterministic": (),
+              "tabulated": ("dim", "_projectors", "_reps", "_coords", "_table"),
+              "induced": ("composite", "dim", "dim_b")}
+    frames = {
+        "born": born_backed(random_density_matrix(3, rng)),
+        "deterministic": deterministic_qubit(),
+        "tabulated": tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s))))),
+        "induced": InducedFrameFunction(born_backed(random_density_matrix(6, rng)), 3, 2),
+    }
+    return {kind: (f, fields[kind]) for kind, f in frames.items()}
+
+
+FRAME_KINDS = ("born", "deterministic", "tabulated", "induced")
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+class TestFrameRecord:
+    def test_assignment_and_deletion_are_refused(self, kind):
+        f, fields = _frames(np.random.default_rng(3))[kind]
+        assert not hasattr(f, "__dict__")
+        before = {name: getattr(f, name) for name in fields}
+        for name in (*fields, *f.__match_args__, "dim", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(f, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(f, name)
+        assert all(getattr(f, name) is value for name, value in before.items())
+
+    def test_repr_is_the_record_text(self, kind):
+        f, _ = _frames(np.random.default_rng(3))[kind]
+        fields = ", ".join(f"{name}={getattr(f, name)!r}" for name in f.__match_args__)
+        assert repr(f) == f"{type(f).__qualname__}({fields})"
+
+    def test_pickle_and_deepcopy_evaluate_bit_for_bit(self, kind):
+        f, _ = _frames(np.random.default_rng(3))[kind]
+        stack = spanning_projectors(f.dim).stack
+        want = f.values(stack).tobytes()
+        for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert type(twin) is type(f) and twin.dim == f.dim
+            assert twin.values(stack).tobytes() == want
+
+
+def test_tabulated_arrays_are_read_only():
+    f, fields = _frames(np.random.default_rng(3))["tabulated"]
+    arrays = [getattr(f, name) for name in fields if isinstance(getattr(f, name), np.ndarray)]
+    assert len(arrays) == 3
+    assert not any(a.flags.writeable for a in arrays)
+    assert isinstance(f._projectors, tuple)
+
+
+def test_the_xz_table_is_built_once():
+    assert definite_xz_table() is definite_xz_table()
+
+
+def test_every_exported_class_is_a_record():
+    # Errors, the Verdict enum, the open FrameFunction base and the
+    # tolerance table are the only exported classes that are not records.
+    exported = [obj for obj in vars(gleason_lab).values() if inspect.isclass(obj)]
+    assert len(exported) > 20
+    loose = [cls.__name__ for cls in exported
+             if not (issubclass(cls, (GleasonLabError, _Record)) or cls in (Verdict, FrameFunction, Tolerances))]
+    assert loose == []
