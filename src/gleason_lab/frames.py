@@ -15,6 +15,7 @@ stays open, and its ``values`` gates every stack for ``_values``.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -63,8 +64,12 @@ class FrameFunction:
     def values(self, stack) -> np.ndarray:
         """f on every matrix of an (n, d, d) projector stack, as a float
         vector; any dtype but integer (read as float), float or complex
-        raises ValueOutOfRange, any other shape DimensionMismatch."""
-        s, d = np.asarray(stack), self.dim
+        raises ValueOutOfRange, a ragged or other shape DimensionMismatch."""
+        d = self.dim
+        try:
+            s = np.asarray(stack)
+        except ValueError:
+            raise DimensionMismatch(f"projector stack is ragged, not (n, {d}, {d})") from None
         if s.dtype.kind not in "fc":
             if s.dtype.kind not in "iu":
                 raise ValueOutOfRange(f"projector stack must be numeric, got dtype {s.dtype}")
@@ -132,6 +137,12 @@ class DeterministicFrameFunction(FrameFunction, _Record):
         return np.where(ranks == 1, _lex_zxy(x, y, z), ranks == 2).astype(float)
 
 
+@functools.cache
+def _real_type(t: type) -> bool:
+    """A real number type; bool and numpy.bool_ are not."""
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
 class TabulatedFrameFunction(FrameFunction, _Record):
     """Finite explicit table over classes of projectors.
 
@@ -145,19 +156,20 @@ class TabulatedFrameFunction(FrameFunction, _Record):
     by its ``projector_key`` label.
     """
 
-    __slots__ = ("dim", "_projectors", "_reps", "_coords", "_table")
+    __slots__ = ("dim", "_projectors", "_coords", "_table")
     __match_args__ = ("entries",)
 
     def __init__(self, entries: list[tuple[Projector, float]]):
         if not entries:
             raise ValueOutOfRange("a tabulated frame function needs at least one entry")
-        dims = {p.dim for p, _ in entries}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"tabulated projectors on mixed dimensions {sorted(dims)}")
-        dim = entries[0][0].dim
-        projectors = tuple(p for p, _ in entries)
-        vals = np.array([float(v) for _, v in entries])
+        projectors, raw = zip(*entries)
+        dim = projectors[0].dim
         coords = projector_coords(projector_stack(projectors, dim))
+        not_real = [t for t in set(map(type, raw)) if not _real_type(t)]
+        if not_real:
+            v = next(v for v in raw if type(v) in not_real)
+            raise ValueOutOfRange(f"tabulated value {v!r} is not a real number")
+        vals = np.array(raw, dtype=float)
         classes = projector_classes(coords)
         bad = ~((vals >= 0.0) & (vals <= 1.0)) | (vals != vals[classes])
         if bad.any():
@@ -166,17 +178,16 @@ class TabulatedFrameFunction(FrameFunction, _Record):
                 raise ValueOutOfRange(f"tabulated value {float(vals[i])} outside [0, 1]")
             c = int(classes[i])
             raise ContextualConflict(projector_key(projectors[c].matrix), float(vals[c]), float(vals[i]))
-        reps = _frozen(np.flatnonzero(classes == np.arange(len(entries))))
+        reps = np.flatnonzero(classes == np.arange(len(entries)))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_projectors", projectors)
-        object.__setattr__(self, "_reps", reps)
+        object.__setattr__(self, "_projectors", tuple(map(projectors.__getitem__, reps.tolist())))
         object.__setattr__(self, "_coords", _frozen(coords[reps]))
         object.__setattr__(self, "_table", _frozen(vals[reps]))
 
     @property
     def entries(self) -> tuple[tuple[Projector, float], ...]:
         """(first projector, value) of each class, in input order."""
-        return tuple(zip([self._projectors[r] for r in self._reps.tolist()], self._table.tolist()))
+        return tuple(zip(self._projectors, self._table.tolist()))
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         """Only the path that raises checks more: the first unmatched row

@@ -133,12 +133,6 @@ def _spanning_set(
     )
 
 
-def _spanning_from_projectors(
-    dim: int, projectors: list[Projector], labels: list[str], set_id: str
-) -> SpanningSet:
-    return _spanning_set(dim, projector_stack(projectors, dim), projectors, labels, set_id)
-
-
 def spanning_projectors(dim: int) -> SpanningSet:
     """Informationally complete rank-1 projector set for 2 <= dim <= 8.
 
@@ -154,7 +148,7 @@ def spanning_projectors(dim: int) -> SpanningSet:
     if dim == 2:
         labels = list(AXIS_BLOCH)
         projectors = [axis_projector(axis) for axis in labels]
-        return _spanning_from_projectors(2, projectors, labels, "axes-d2")
+        return _spanning_set(2, projector_stack(projectors, 2), projectors, labels, "axes-d2")
     eye = np.eye(dim, dtype=complex)
     j, i = np.tril_indices(dim, -1)   # the pairs i < j, by j then i
     pairs = eye[i][:, None] + np.array([1.0, -1.0, 1j, -1j])[:, None] * eye[j][:, None]

@@ -2,12 +2,14 @@
 measurement family on two qubits, subsystem embedding, and
 intertwine-graph analysis over sets of measurements.
 
-A PVM cut from a unitary is gated by one Gram matrix: a bound on
+A PVM is its frozen (n, d, d) stack and ranks; every reader reads the
+stack. A PVM cut from a unitary is gated by one Gram matrix: a bound on
 ||U^dagger U - I||_F decides every projector and PVM gate when it
 passes every tolerance, and its two residual figures are measured when
 first read (see pvm_from_unitary). Otherwise, and for every other
 constructor, the blocks go through make_projector and the set through
-validate_pvm, which measures both figures as it gates.
+validate_pvm, which stacks them once and measures both figures as it
+gates.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ class PVM(_Record):
     """Ordered set of mutually orthogonal projectors summing to identity.
 
     Element order and labels are part of the operational description and
-    are preserved as given; no canonical sorting is applied. The two
-    residuals are the Frobenius norms validate_pvm measures: the largest
-    pairwise product P_x P_y and the distance of the sum from I.
-    ``stack`` holds the element matrices as one (n, d, d) array.
+    are preserved as given; no canonical sorting is applied. ``stack``,
+    one frozen (n, d, d) array, owns the matrices and ``ranks`` their
+    ranks as ints; ``elements`` builds read-only Projector views of the
+    rows on every read. The two residuals are the Frobenius norms
+    validate_pvm measures: the largest pairwise product P_x P_y and the
+    distance of the sum from I.
 
     A residual given as None is measured when first read, by the loop
     validate_pvm runs, on the same matrices, and kept; reading either
@@ -63,22 +67,22 @@ class PVM(_Record):
     the figures, and so measure them.
     """
 
-    __slots__ = ("dim", "elements", "stack", "labels", "_orthogonality", "_completeness")
-    __match_args__ = ("dim", "elements", "stack", "labels",
+    __slots__ = ("dim", "stack", "ranks", "labels", "_orthogonality", "_completeness")
+    __match_args__ = ("dim", "stack", "ranks", "labels",
                       "max_orthogonality_residual", "completeness_residual")
 
-    def __init__(self, dim: int, elements: tuple[Projector, ...], stack: np.ndarray,
+    def __init__(self, dim: int, stack: np.ndarray, ranks: tuple[int, ...],
                  labels: tuple[str, ...], max_orthogonality_residual: float | None,
                  completeness_residual: float | None):
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_orthogonality", max_orthogonality_residual)
         object.__setattr__(self, "_completeness", completeness_residual)
 
     def _measured(self) -> tuple[float, float]:
-        orth, complete = _residuals([e.matrix for e in self.elements], self.dim, gate=False)
+        orth, complete = _residuals(self.stack, self.dim, gate=False)
         if self._orthogonality is None:
             object.__setattr__(self, "_orthogonality", orth)
         if self._completeness is None:
@@ -95,20 +99,21 @@ class PVM(_Record):
         r = self._completeness
         return self._measured()[1] if r is None else r
 
+    @property
+    def elements(self) -> tuple[Projector, ...]:
+        return tuple(Projector(self.dim, row, r) for row, r in zip(self.stack, self.ranks))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ranks)
 
     def __iter__(self):
         return iter(self.elements)
 
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(e.rank for e in self.elements)
 
-
-def _residuals(mats: Sequence[np.ndarray], d: int, gate: bool) -> tuple[float, float]:
-    """The largest Frobenius norm of P_x P_y over pairs x < y, then that
-    of sum_x P_x - I, summed in element order. With gate, the first
-    figure above TOL.pvm raises NotOrthogonal or Incomplete."""
+def _residuals(mats: np.ndarray, d: int, gate: bool) -> tuple[float, float]:
+    """The largest Frobenius norm of P_x P_y over pairs x < y of a stack,
+    then that of sum_x P_x - I, summed in element order. With gate, the
+    first figure above TOL.pvm raises NotOrthogonal or Incomplete."""
     max_orth = 0.0
     for x in range(len(mats)):
         for y in range(x + 1, len(mats)):
@@ -135,7 +140,8 @@ def _default_labels(n: int) -> tuple[str, ...]:
 def validate_pvm(
     projectors: Sequence[Projector], labels: Sequence[str] | None = None
 ) -> PVM:
-    """Check pairwise orthogonality and completeness, returning a PVM.
+    """Check pairwise orthogonality and completeness of the projectors'
+    stack (projector_stack, the dimension gate), returning a PVM.
 
     The single-element set {I_d} is admitted: it is the trivial
     measurement that reveals nothing about the preparation.
@@ -143,12 +149,11 @@ def validate_pvm(
     elems = tuple(projectors)
     if not elems:
         raise EmptySet("a PVM needs at least one projector")
-    dims = {e.dim for e in elems}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"projectors live on mixed dimensions {sorted(dims)}")
     d = elems[0].dim
-    max_orth, completeness = _residuals([e.matrix for e in elems], d, gate=True)
-    if sum(e.rank for e in elems) != d:
+    stack = projector_stack(elems, d)
+    max_orth, completeness = _residuals(stack, d, gate=True)
+    ranks = tuple(e.rank for e in elems)
+    if sum(ranks) != d:
         raise Incomplete(completeness)
     if labels is None:
         labels = _default_labels(len(elems))
@@ -156,14 +161,7 @@ def validate_pvm(
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(elems):
             raise DimensionMismatch(f"{len(labels)} labels for {len(elems)} elements")
-    return PVM(
-        dim=d,
-        elements=elems,
-        stack=projector_stack(elems, d),
-        labels=labels,
-        max_orthogonality_residual=max_orth,
-        completeness_residual=completeness,
-    )
+    return PVM(d, stack, ranks, labels, max_orth, completeness)
 
 
 def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
@@ -174,9 +172,8 @@ def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     the matrix dimension, or PartitionMismatch is raised. Block x, the
     columns C_x of width r_x, gives P_x = C_x C_x^dagger with the bits
     of ``cols @ cols.conj().T``. When the Gram gate below decides, the
-    P_x are the rows of one frozen (n, d, d) stack and the elements are
-    views of them, and both residual figures are left to be measured
-    when first read.
+    P_x, written into one stack, become the PVM's frozen stack, and both
+    residual figures are left to be measured when first read.
 
     The gates are decided by one Gram matrix. With E = U^dagger U - I:
     C_x^dagger C_y = E_xy (x != y) and C_x^dagger C_x = I + E_xx, so
@@ -245,9 +242,7 @@ def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
     if not (bound <= tol.herm and bound <= tol.proj and bound <= tol.pvm
             and math.sqrt(d) * eps + 64 * d * _U <= min(0.25, tol.eig)):
         return validate_pvm([make_projector(p) for p in stack])
-    _frozen(stack)
-    elements = tuple(Projector(dim=d, matrix=row, rank=r) for row, r in zip(stack, parts))
-    return PVM(dim=d, elements=elements, stack=stack,
+    return PVM(dim=d, stack=_frozen(stack), ranks=tuple(parts),
                labels=_default_labels(len(parts)),
                max_orthogonality_residual=None, completeness_residual=None)
 
@@ -333,10 +328,8 @@ def embed_pvm(m: PVM, d_b: int) -> PVM:
     embedding of a PVM is a PVM, so it is not validated again: ranks
     scale by d_b and both residuals by sqrt(d_b), as ||X x I_b||_F =
     sqrt(d_b) ||X||_F."""
-    stack = embed(m.stack, d_b)
-    d, root = stack.shape[1], math.sqrt(d_b)
-    elements = tuple(Projector(dim=d, matrix=row, rank=e.rank * d_b) for e, row in zip(m.elements, stack))
-    return PVM(dim=d, elements=elements, stack=stack, labels=m.labels,
+    stack, root = embed(m.stack, d_b), math.sqrt(d_b)
+    return PVM(dim=stack.shape[1], stack=stack, ranks=tuple(r * d_b for r in m.ranks), labels=m.labels,
                max_orthogonality_residual=m.max_orthogonality_residual * root,
                completeness_residual=m.completeness_residual * root)
 
@@ -494,19 +487,19 @@ def intertwine_graph(pvms: Iterable[PVM]) -> IntertwineGraph:
     dims = {m.dim for m in pvm_list}
     if len(dims) > 1:
         raise DimensionMismatch(f"PVMs live on mixed dimensions {sorted(dims)}")
-    elements = [e for m in pvm_list for e in m.elements]
-    if not elements:
+    ranks = [r for m in pvm_list for r in m.ranks]
+    if not ranks:
         return IntertwineGraph(nodes=(), incidence=())
-    owners = [idx for idx, m in enumerate(pvm_list) for _ in m.elements]
-    coords = projector_coords(np.concatenate([m.stack for m in pvm_list]))
-    classes = projector_classes(coords).tolist()
+    owners = [idx for idx, m in enumerate(pvm_list) for _ in m.ranks]
+    stack = np.concatenate([m.stack for m in pvm_list])
+    classes = projector_classes(projector_coords(stack)).tolist()
     members: dict[int, set[int]] = {}   # representative -> PVM indices, in first-seen order
     for c, idx in zip(classes, owners):
         members.setdefault(c, set()).add(idx)
-    keys = {c: projector_key(elements[c].matrix) for c in members}
+    keys = {c: projector_key(stack[c]) for c in members}
     return IntertwineGraph(
         nodes=tuple(
-            GraphNode(key=keys[c], rank=elements[c].rank, degree=len(s))
+            GraphNode(key=keys[c], rank=ranks[c], degree=len(s))
             for c, s in members.items()
         ),
         incidence=tuple((keys[c], idx) for c, idx in zip(classes, owners)),

@@ -101,7 +101,7 @@ def _check_dim(obj: dict, dim: int) -> None:
 def pvm_to_json(m: PVM) -> dict:
     return {
         "dim": m.dim,
-        "elements": [matrix_to_json(e.matrix) for e in m.elements],
+        "elements": [matrix_to_json(row) for row in m.stack],
         "labels": list(m.labels),
     }
 

@@ -83,7 +83,7 @@ class TestGenPvm:
         )
         assert code == 0
         pvm = pvm_from_json(json.loads(out_file.read_text()))
-        assert pvm.ranks() == (1, 1, 2)
+        assert pvm.ranks == (1, 1, 2)
         assert report["summary"]["max_orthogonality_residual"] <= 1e-12
         assert report["summary"]["completeness_residual"] <= 1e-12
         for check in report["results"]["checks"]:

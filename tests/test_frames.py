@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestDeterministicQubit:
             assert pvm.stack.tobytes() == expected.stack.tobytes()
             assert pvm.max_orthogonality_residual == expected.max_orthogonality_residual
             assert pvm.completeness_residual == expected.completeness_residual
-            assert pvm.ranks() == expected.ranks() == (1, 1)
+            assert pvm.ranks == expected.ranks == (1, 1)
             assert not pvm.elements[1].matrix.flags.writeable
             assert check_normalization(f, pvm) == 0.0
 
@@ -232,6 +233,23 @@ class TestTabulated:
     def test_mixed_dimensions_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
             tabulated([(P0, 0.5), (rank1_projector(3, rng), 0.5)])
+
+    def test_the_stack_is_the_one_dimension_gate_and_runs_first(self, rng):
+        with pytest.raises(DimensionMismatch, match=r"^projector dim 3 != expected dim 2$"):
+            tabulated([(P0, 0.5), (rank1_projector(3, rng), "abc"), (P0, 2.0)])
+
+    @pytest.mark.parametrize("value", ["0.5", "abc", None, True, np.True_, 0.5 + 0j, np.complex128(1)],
+                             ids=["numeric-str", "str", "None", "bool", "numpy-bool", "complex", "numpy-complex"])
+    def test_a_value_that_is_not_a_real_number_is_refused(self, value):
+        # "0.5" and True were read as 0.5 and 1.0; None, "abc" and complex
+        # leaked TypeError or ValueError.
+        with pytest.raises(ValueOutOfRange, match=re.escape(f"tabulated value {value!r} is not a real number")):
+            tabulated([(P0, 0.25), (P1, value), (P0, "0.25")])
+
+    def test_every_real_number_type_is_a_value(self):
+        f = tabulated([(P0, 1), (P1, np.float32(0.0)), (axis_projector("+x"), Fraction(1, 2)),
+                       (axis_projector("-x"), np.float64(0.5))])
+        assert [v for _, v in f.entries] == [1.0, 0.0, 0.5, 0.5]
 
 
 def _projector_sets(dim, rng):
@@ -560,6 +578,15 @@ class TestShapeGate:
             with pytest.raises(ValueOutOfRange):
                 f.values(bad)
         assert f.values(stack.tolist()).tobytes() == f.values(stack).tobytes()
+
+
+    @pytest.mark.parametrize("kind", sorted(QUBIT_FRAMES))
+    def test_a_ragged_nesting_raises_dimension_mismatch(self, kind):
+        # numpy cannot make an array of these; its ValueError once leaked.
+        f = QUBIT_FRAMES[kind](np.random.default_rng(5))
+        for bad in ([[[1, 0], [0, 0]], [[1, 0]]], [[[1, 0], [0]]], [P0.matrix, P0.matrix[0]]):
+            with pytest.raises(DimensionMismatch, match=re.escape("projector stack is ragged, not (n, 2, 2)")):
+                f.values(bad)
 
 
 class TestDtypeGate:

@@ -36,7 +36,7 @@ from gleason_lab.marginality import (
     EigenWitness,
     ResidualWitness,
     Verdict,
-    _spanning_from_projectors,
+    _spanning_set,
     certify_marginal,
     extend_to_composite,
     marginality_witness,
@@ -244,7 +244,7 @@ class TestFit:
 
     def test_degenerate_set_is_ill_conditioned(self, rng):
         p = rank1_projector(2, rng)
-        s = _spanning_from_projectors(2, [p, p, p, p], ["a", "b", "c", "d"], "degenerate")
+        s = _spanning_set(2, projector_stack([p] * 4, 2), [p] * 4, ["a", "b", "c", "d"], "degenerate")
         assert s.condition_number > 1e8
         with pytest.raises(IllConditioned):
             certify_marginal(born_backed(random_density_matrix(2, rng)), s)

@@ -18,7 +18,9 @@ from gleason_lab.errors import (
     PartitionMismatch,
 )
 from gleason_lab import measurements, operators
+from gleason_lab.frames import random_qubit_pvm_pair
 from gleason_lab.measurements import (
+    PVM,
     embed,
     embed_pvm,
     first_match,
@@ -60,7 +62,7 @@ P_PLUS = make_projector(np.outer(KET_PLUS, KET_PLUS.conj()))
 class TestValidatePvm:
     def test_computational_basis(self):
         pvm = validate_pvm([P0, P1])
-        assert pvm.ranks() == (1, 1)
+        assert pvm.ranks == (1, 1)
         assert pvm.labels == ("0", "1")
 
     def test_non_orthogonal_pair_reports_residual(self):
@@ -74,7 +76,7 @@ class TestValidatePvm:
     def test_three_outcome_family_on_two_qubits(self):
         pvm = measurement_family_mpsi(KET0)
         assert pvm.dim == 4
-        assert pvm.ranks() == (2, 1, 1)
+        assert pvm.ranks == (2, 1, 1)
 
     def test_incomplete_set(self):
         with pytest.raises(Incomplete):
@@ -88,9 +90,15 @@ class TestValidatePvm:
         with pytest.raises(DimensionMismatch):
             validate_pvm([P0, rank1_projector(3, rng)])
 
+    def test_the_stack_is_the_one_dimension_gate_and_runs_first(self, rng):
+        # P0 twice is not orthogonal and the set is incomplete; the
+        # stack's dimension gate still speaks first.
+        with pytest.raises(DimensionMismatch, match=r"^projector dim 3 != expected dim 2$"):
+            validate_pvm([P0, P0, rank1_projector(3, rng)], labels=["one"])
+
     def test_trivial_measurement_is_valid(self):
         pvm = validate_pvm([make_projector(identity(3))])
-        assert pvm.ranks() == (3,)
+        assert pvm.ranks == (3,)
 
     @pytest.mark.parametrize("ranks", [None, [1, 2], [1, 1, 1]], ids=["identity", "1-2", "1-1-1"])
     def test_records_its_residuals(self, rng, ranks):
@@ -126,7 +134,7 @@ class TestPvmFromUnitary:
     def test_random_rank_one_partition(self, rng):
         for _ in range(20):
             pvm = pvm_from_unitary(haar_unitary(3, rng), [1, 1, 1])
-            assert pvm.ranks() == (1, 1, 1)
+            assert pvm.ranks == (1, 1, 1)
             for x in range(3):
                 for y in range(x + 1, 3):
                     product = pvm.elements[x].matrix @ pvm.elements[y].matrix
@@ -147,7 +155,7 @@ class TestPvmFromUnitary:
 
     def test_numpy_integer_block_sizes_are_accepted(self):
         pvm = pvm_from_unitary(identity(3), [np.int64(1), np.int32(2)])
-        assert pvm.ranks() == (1, 2) and all(type(r) is int for r in pvm.ranks())
+        assert pvm.ranks == (1, 2) and all(type(r) is int for r in pvm.ranks)
 
 
 def _pvm_from_unitary_reference(u, parts):
@@ -169,7 +177,7 @@ def _pvm_outcome(fn, *args):
         pvm = fn(*args)
     except GleasonLabError as exc:
         return (type(exc).__name__, str(exc))
-    return ("ok", pvm.stack.tobytes(), tuple(e.matrix.tobytes() for e in pvm), pvm.ranks(),
+    return ("ok", pvm.stack.tobytes(), tuple(e.matrix.tobytes() for e in pvm), pvm.ranks,
             pvm.labels, pvm.max_orthogonality_residual.hex(), pvm.completeness_residual.hex())
 
 
@@ -361,7 +369,7 @@ class TestMeasurementFamily:
             pvm = measurement_family_mpsi(psi)
             expected = family_reference(psi)
             assert pvm.stack.tobytes() == expected.stack.tobytes()
-            assert pvm.ranks() == expected.ranks() == (2, 1, 1)
+            assert pvm.ranks == expected.ranks == (2, 1, 1)
             assert pvm.labels == expected.labels
             assert pvm.max_orthogonality_residual == expected.max_orthogonality_residual
             assert pvm.completeness_residual == expected.completeness_residual
@@ -460,7 +468,7 @@ class TestEmbedPvm:
         assert pvm.max_orthogonality_residual == pytest.approx(6.0e-11, rel=1e-3)
         assert pvm.completeness_residual == pytest.approx(8.5e-11, rel=1e-2)
         embedded = embed_pvm(pvm, d_b)
-        assert embedded.ranks() == (d_b, d_b)
+        assert embedded.ranks == (d_b, d_b)
         assert embedded.stack.tobytes() == embed(pvm.stack, d_b).tobytes()
         root = math.sqrt(d_b)
         assert embedded.max_orthogonality_residual == pvm.max_orthogonality_residual * root
@@ -495,7 +503,7 @@ class TestEmbedPvm:
         )
         assert embedded.stack.tobytes() == expected.tobytes()
         assert [e.matrix.tobytes() for e in embedded] == [row.tobytes() for row in rows]
-        assert embedded.ranks() == tuple(r * d_b for r in pvm.ranks())
+        assert embedded.ranks == tuple(r * d_b for r in pvm.ranks)
         assert embedded.labels == pvm.labels
         orth = max(
             (frobenius(a @ b) for i, a in enumerate(rows) for b in rows[i + 1:]), default=0.0
@@ -698,3 +706,38 @@ class TestIntertwineGraph:
         graph = intertwine_graph([pvm, pvm])
         assert graph.degree(projector_key(P0.matrix)) == 2
         assert len(graph.incidence) == 4
+
+
+def _gate_chain_pvm(monkeypatch):
+    # Under TOL.pvm = 0 no Gram bound passes, so the blocks go through
+    # make_projector and validate_pvm; identity blocks have residuals of 0.
+    monkeypatch.setattr(measurements, "TOL", dataclasses.replace(TOL, pvm=0.0))
+    return pvm_from_unitary(identity(3), [1, 2])
+
+
+P_PLUS_PERP = make_projector(identity(2) - P_PLUS.matrix)
+PVM_CONSTRUCTORS = {
+    "validate_pvm": lambda mp: validate_pvm([P0, P1]),
+    "pvm_from_unitary-gram": lambda mp: pvm_from_unitary(haar_unitary(4, np.random.default_rng(1)), [1, 2, 1]),
+    "pvm_from_unitary-gate-chain": _gate_chain_pvm,
+    "embed_pvm": lambda mp: embed_pvm(measurement_family_mpsi(KET_PLUS), 2),
+    "measurement_family_mpsi": lambda mp: measurement_family_mpsi(KET_PLUS),
+    "pvm_from_json": lambda mp: pvm_from_json(pvm_to_json(validate_pvm([P_PLUS, P_PLUS_PERP]))),
+    "random_qubit_pvm_pair": lambda mp: random_qubit_pvm_pair(np.random.default_rng(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PVM_CONSTRUCTORS))
+def test_a_pvm_is_its_stack(name, monkeypatch):
+    # One frozen stack owns the matrices; the ranks are ints, and the
+    # elements are read-only Projector views of its rows, built per read.
+    pvm = PVM_CONSTRUCTORS[name](monkeypatch)
+    assert "elements" not in PVM.__slots__
+    assert type(pvm.ranks) is tuple and all(type(r) is int for r in pvm.ranks)
+    assert pvm.stack.shape == (len(pvm.ranks), pvm.dim, pvm.dim) and not pvm.stack.flags.writeable
+    elements = pvm.elements
+    assert elements is not pvm.elements and len(elements) == len(pvm)
+    for x, e in enumerate(elements):
+        assert type(e) is Projector and (e.dim, e.rank) == (pvm.dim, pvm.ranks[x])
+        assert e.matrix.ctypes.data == pvm.stack[x].ctypes.data and e.matrix.shape == (pvm.dim, pvm.dim)
+        assert np.shares_memory(e.matrix, pvm.stack) and not e.matrix.flags.writeable

@@ -57,9 +57,9 @@ RECORDS = [
      "DensityMatrix(dim=1, matrix=array([1., 2.]))", False),
     (BlochVector, ("x", "y", "z"), (0.5, 0.0, -0.5),
      "BlochVector(x=0.5, y=0.0, z=-0.5)", True),
-    (PVM, ("dim", "elements", "stack", "labels", "max_orthogonality_residual", "completeness_residual"),
-     (2, (), ARR, ("a",), 0.0, 1e-17),
-     "PVM(dim=2, elements=(), stack=array([1., 2.]), labels=('a',), "
+    (PVM, ("dim", "stack", "ranks", "labels", "max_orthogonality_residual", "completeness_residual"),
+     (2, ARR, (1,), ("a",), 0.0, 1e-17),
+     "PVM(dim=2, stack=array([1., 2.]), ranks=(1,), labels=('a',), "
      "max_orthogonality_residual=0.0, completeness_residual=1e-17)", False),
     (GraphNode, ("key", "rank", "degree"), ("k", 1, 2),
      "GraphNode(key='k', rank=1, degree=2)", True),
@@ -189,7 +189,7 @@ def test_a_unitary_pvm_prints_pickles_and_copies_its_measured_figures():
     want = tuple(getattr(expected, f).hex() for f in FIGURES)
     pvm = _unitary_pvm()
     assert repr(pvm) == (
-        f"PVM(dim=4, elements={pvm.elements!r}, stack={pvm.stack!r}, labels=('0', '1', '2'), "
+        f"PVM(dim=4, stack={pvm.stack!r}, ranks=(1, 2, 1), labels=('0', '1', '2'), "
         f"max_orthogonality_residual={expected.max_orthogonality_residual!r}, "
         f"completeness_residual={expected.completeness_residual!r})"
     )
@@ -212,15 +212,14 @@ def test_measured_figures_refuse_assignment_and_deletion():
 
 
 def test_a_pvm_given_none_measures_only_what_it_was_not_given():
-    elements = _unitary_pvm().elements
-    expected = validate_pvm(elements)
+    expected = validate_pvm(_unitary_pvm().elements)
     stack = expected.stack
-    measured = PVM(4, elements, stack, ("a", "b", "c"), None, None)
+    measured = PVM(4, stack, (1, 2, 1), ("a", "b", "c"), None, None)
     assert [getattr(measured, f) for f in FIGURES] == [getattr(expected, f) for f in FIGURES]
-    half = PVM(4, elements, stack, ("a", "b", "c"), 0.5, None)
+    half = PVM(4, stack, (1, 2, 1), ("a", "b", "c"), 0.5, None)
     assert (half.max_orthogonality_residual, half.completeness_residual) == (
         0.5, expected.completeness_residual)
-    assert repr(PVM(2, (), ARR, ("a",), 0.0, 1e-17)) == RECORDS[3][3]
+    assert repr(PVM(2, ARR, (1,), ("a",), 0.0, 1e-17)) == RECORDS[3][3]
 
 
 def test_tolerances_is_the_only_dataclass():
@@ -240,7 +239,7 @@ def _frames(rng):
     kind allows it."""
     s = spanning_projectors(3)
     fields = {"born": ("rho", "dim"), "deterministic": (),
-              "tabulated": ("dim", "_projectors", "_reps", "_coords", "_table"),
+              "tabulated": ("dim", "_projectors", "_coords", "_table"),
               "induced": ("composite", "dim", "dim_b")}
     frames = {
         "born": born_backed(random_density_matrix(3, rng)),
@@ -284,9 +283,10 @@ class TestFrameRecord:
 def test_tabulated_arrays_are_read_only():
     f, fields = _frames(np.random.default_rng(3))["tabulated"]
     arrays = [getattr(f, name) for name in fields if isinstance(getattr(f, name), np.ndarray)]
-    assert len(arrays) == 3
+    assert len(arrays) == 2
     assert not any(a.flags.writeable for a in arrays)
     assert isinstance(f._projectors, tuple)
+    assert f._projectors == tuple(p for p, _ in f.entries)
 
 
 def test_the_xz_table_is_built_once():
