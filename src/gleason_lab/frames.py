@@ -169,7 +169,11 @@ class TabulatedFrameFunction(FrameFunction, _Record):
         if not_real:
             v = next(v for v in raw if type(v) in not_real)
             raise ValueOutOfRange(f"tabulated value {v!r} is not a real number")
-        vals = np.array(raw, dtype=float)
+        try:
+            vals = np.array(raw, dtype=float)
+        except OverflowError:   # an int or Fraction beyond the float range
+            v = next(v for v in raw if not 0 <= v <= 1)
+            raise ValueOutOfRange(f"tabulated value {v!r} outside [0, 1]") from None
         classes = projector_classes(coords)
         bad = ~((vals >= 0.0) & (vals <= 1.0)) | (vals != vals[classes])
         if bad.any():

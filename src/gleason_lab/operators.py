@@ -6,7 +6,9 @@ All public constructors validate their inputs and return immutable
 values, so every operation here is safe for concurrent use. The freeze
 rule has one way per kind of array: ``frozen_matrix`` copies caller
 data, and ``_frozen`` freezes in place an array the library built
-(``identity``, the Pauli constants, stacks, spectra, fits).
+(``identity``, the Pauli constants, stacks, spectra, fits, a ket
+projector's matrix when it is formed). A ket projector keeps a private
+copy of its gated ket, so a caller's array is never read again.
 ``identity`` returns one cached frozen array per dimension.
 
 The matrices are tiny (dimension <= 64), so a gate's cost is mostly
@@ -16,8 +18,9 @@ as two real dot products, a tensor product as one broadcast multiply,
 a state's Hermitian residual, trace and spectrum kept from its gates,
 a ket projector's gates decided by one proved bound on its trace that
 the fixed TOL meets at every ket length (so no trace or gate is
-computed; see projector_from_ket), and the Born range gate as
-one min and one max over the values. Every check, threshold and error
+computed; see projector_from_ket), a list of ket projectors formed
+as one broadcast (projector_stack), and the Born range gate as one
+min and one max over the values. Every check, threshold and error
 class is that of the plain numpy spelling, and every returned matrix
 and norm is the same bit for bit; a reduced or product state is gated
 through the state it comes from.
@@ -27,9 +30,10 @@ is a slotted ``_Record`` that sets its fields once in an explicit
 ``__init__``, so the import generates no code; ``__match_args__``
 lists the constructor's arguments. Assignment and deletion raise
 dataclasses.FrozenInstanceError, ``repr`` is the dataclass text, pickle
-and copy rebuild a record through its constructor, and records compare
-by identity, ``_Value`` records (Bloch vectors, graph nodes, Bloch and
-residual witnesses) by their fields.
+and copy rebuild a record through its constructor (``_rebuilt``, which
+freezes a copy of each array field that arrives writeable), and
+records compare by identity, ``_Value`` records (Bloch vectors, graph
+nodes, Bloch and residual witnesses) by their fields.
 """
 
 from __future__ import annotations
@@ -139,7 +143,15 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return _rebuilt, (type(self), *self._fields())
+
+
+def _rebuilt(cls, *fields):
+    """A record rebuilt by pickle or copy from its fields: an array field
+    that arrives writeable is copied and frozen, so the twin's arrays are
+    frozen and a hand-built record's array stays its caller's."""
+    return cls(*(frozen_matrix(f) if isinstance(f, np.ndarray) and f.flags.writeable else f
+                 for f in fields))
 
 
 class _Value(_Record):
@@ -157,14 +169,33 @@ class _Value(_Record):
 
 
 class Projector(_Record):
-    """Validated Hermitian idempotent on a d-dimensional space."""
+    """Validated Hermitian idempotent on a d-dimensional space.
 
-    __slots__ = __match_args__ = ("dim", "matrix", "rank")
+    A projector built directly keeps the matrix it is given. One from
+    projector_from_ket keeps its gated ket v and norm n instead, and
+    forms ``matrix``, w w-dagger for w = v / n, when it is first read,
+    frozen and kept; projector_stack forms a list of such projectors in
+    one broadcast, with the same bits. ``repr``, pickle and copy read
+    ``matrix``, and so form it. Two threads that read ``matrix`` first
+    at once may each form it; both keep the same bits.
+    """
+
+    __slots__ = ("dim", "_matrix", "rank", "_ket", "_norm")
+    __match_args__ = ("dim", "matrix", "rank")
 
     def __init__(self, dim: int, matrix: np.ndarray, rank: int):
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "rank", rank)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self._matrix
+        if m is None:
+            w = self._ket / self._norm
+            m = _frozen(w[:, None] * w.conj()[None, :])
+            object.__setattr__(self, "_matrix", m)
+        return m
 
 
 class DensityMatrix(_Record):
@@ -266,6 +297,12 @@ def projector_from_ket(ket) -> Projector:
     matrix would. A ket longer than MAX_COMPOSITE_DIM raises
     DimensionOverflow before anything is computed.
 
+    Every gate runs here. The projector keeps a copy of the gated ket v
+    and its norm n, and forms m = w w-dagger, w = v / n, only when its
+    ``matrix`` is first read or projector_stack forms a list of them at
+    once; both spell the same elementwise division and products, so m
+    and the bound below are the same whichever forms it.
+
     The gates are make_projector's, read from the unit ket w and
     t = Tr m for m = w w†. Each stored entry is within sqrt(2) gamma_2
     |w_i| |w_j| of w_i w_j* (Higham, Accuracy and Stability, Lemma 3.5;
@@ -299,7 +336,7 @@ def projector_from_ket(ket) -> Projector:
     nor a gate is computed. Under TOL every d <= 64 meets the three
     conditions (a tier-1 test checks this).
     """
-    v = np.asarray(ket, dtype=complex).reshape(-1)
+    v = np.array(ket, dtype=complex).reshape(-1)
     if len(v) > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(len(v), MAX_COMPOSITE_DIM)
     n = frobenius(v)
@@ -313,8 +350,10 @@ def projector_from_ket(ket) -> Projector:
         raise ValueOutOfRange("cannot project onto the zero vector")
     if not n < math.inf:
         raise ValueOutOfRange("matrix contains non-finite entries")
-    v = v / n
-    return Projector(len(v), _frozen(v[:, None] * v.conj()[None, :]), 1)
+    p = Projector(len(v), None, 1)
+    object.__setattr__(p, "_ket", v)
+    object.__setattr__(p, "_norm", n)
+    return p
 
 
 def make_density(matrix) -> DensityMatrix:
@@ -364,10 +403,21 @@ def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMat
 
 def projector_stack(projectors, dim: int) -> np.ndarray:
     """The matrices of projectors on C^dim as one frozen (n, dim, dim)
-    array; an empty list gives shape (0, dim, dim)."""
+    array; an empty list gives shape (0, dim, dim).
+
+    When every projector comes from projector_from_ket and none has
+    formed its matrix, the stack is formed from their kets V and norms N
+    in one broadcast, W = V / N and W_i W_i-dagger per row: the
+    elementwise division and products of ``Projector.matrix``, so every
+    byte is the same; no projector's matrix is formed. Any other list is
+    stacked from the matrices.
+    """
     for p in projectors:
         if p.dim != dim:
             raise DimensionMismatch(f"projector dim {p.dim} != expected dim {dim}")
+    if projectors and all(p._matrix is None for p in projectors):
+        w = np.array([p._ket for p in projectors]) / np.array([p._norm for p in projectors])[:, None]
+        return _frozen(w[:, :, None] * w.conj()[:, None, :])
     stack = np.array([p.matrix for p in projectors], dtype=complex)
     return _frozen(stack.reshape(len(projectors), dim, dim))
 

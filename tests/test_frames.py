@@ -251,6 +251,15 @@ class TestTabulated:
                        (axis_projector("-x"), np.float64(0.5))])
         assert [v for _, v in f.entries] == [1.0, 0.0, 0.5, 0.5]
 
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)],
+                             ids=["huge-int", "huge-negative-int", "huge-fraction"])
+    def test_a_value_beyond_the_float_range_is_out_of_range(self, value):
+        # Python's OverflowError leaked from the float conversion.
+        with pytest.raises(ValueOutOfRange, match=re.escape(f"tabulated value {value!r} outside [0, 1]")):
+            tabulated([(P0, 0.25), (P1, value)])
+        with pytest.raises(ValueOutOfRange, match=re.escape(f"tabulated value {value!r}")):
+            tabulated([(axis_projector("+z"), value)])
+
 
 def _projector_sets(dim, rng):
     """The spanning set of dim and three random PVMs on it, as

@@ -445,6 +445,105 @@ class TestKetGate:
         assert 8 * 2**-53 * t <= bound
 
 
+def _per_ket_matrix(ket):
+    """A ket projector's matrix as spelled when projector_from_ket
+    formed it per ket: rescale, w = v / n and w w-dagger, frozen."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    n = frobenius(v)
+    if n < 2.0**-511 or n == math.inf:
+        x = np.ascontiguousarray(v).view(np.float64)
+        s = float(np.abs(x).max(initial=0.0))
+        if 0.0 < s < math.inf:
+            v = (x / s).view(complex)
+            n = frobenius(v)
+    v = v / n
+    m = v[:, None] * v.conj()[None, :]
+    m.setflags(write=False)
+    return m
+
+
+class TestKetProjectorStack:
+    # projector_from_ket runs every gate but forms no matrix; the matrix
+    # is formed on first read, or for a whole list by projector_stack in
+    # one broadcast, with the per-ket spelling's bytes either way.
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.integers(1, 20),
+        exponents=st.lists(st.floats(-300.0, 300.0), min_size=20, max_size=20),
+        layout=st.lists(st.sampled_from(["lazy", "read-before", "make_projector"]),
+                        min_size=20, max_size=20),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_has_the_per_ket_bytes(self, d, n, exponents, layout, mixed, seed):
+        # Exponents beyond about +-154 take a rescale branch. A list of
+        # unread ket projectors is formed in one broadcast; a mixed list,
+        # with a read or a make_projector row, is stacked from the matrices.
+        rng = np.random.default_rng(seed)
+        kets = [(rng.standard_normal(d) + 1j * rng.standard_normal(d)) * 10.0**e
+                for e in exponents[:n]]
+        layout = layout[:n] if mixed else ["lazy"] * n
+        want = [_per_ket_matrix(k) for k in kets]
+        projectors = []
+        for ket, m, how in zip(kets, want, layout):
+            p = make_projector(m) if how == "make_projector" else projector_from_ket(ket)
+            if how == "read-before":
+                assert p.matrix.tobytes() == m.tobytes()
+            projectors.append(p)
+        stack = operators.projector_stack(projectors, d)
+        assert stack.shape == (n, d, d) and stack.dtype == complex
+        assert not stack.flags.writeable and stack.flags.c_contiguous
+        assert stack.tobytes() == np.array(want).tobytes()
+        assert [p.matrix.tobytes() for p in projectors] == [m.tobytes() for m in want]
+        assert [p.rank for p in projectors] == [1] * n
+
+    def test_the_batch_runs_only_on_unread_ket_projectors(self, rng):
+        kets = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+        unread = [projector_from_ket(k) for k in kets]
+        operators.projector_stack(unread, 4)
+        assert all(p._matrix is None for p in unread)
+        read = [projector_from_ket(k) for k in kets]
+        read[1].matrix
+        operators.projector_stack(read, 4)
+        assert all(p._matrix is not None for p in read)
+
+    @pytest.mark.parametrize("take", ["complex", "column", "real"])
+    def test_the_callers_ket_is_copied(self, rng, take):
+        # Mutating the caller's ket after the call changes neither the
+        # projector nor a stack of it, read first or batched.
+        u = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        ket = {"complex": u[0].copy(), "column": u[:, 1], "real": u[2].real.copy()}[take]
+        want = _per_ket_matrix(ket.copy())
+        single, batched = projector_from_ket(ket), projector_from_ket(ket)
+        ket *= 3.0 - 2.0j if take != "real" else -3.0
+        ket[0] = 0.0
+        assert single.matrix.tobytes() == want.tobytes()
+        assert operators.projector_stack([batched, batched], len(want)).tobytes() == (
+            np.array([want, want]).tobytes())
+        assert not np.shares_memory(single._ket, u)
+
+    def test_the_matrix_is_formed_once_and_frozen(self, rng):
+        kets = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4)]
+        single = projector_from_ket(kets[0])
+        assert single._matrix is None
+        batched = [projector_from_ket(k) for k in kets]
+        operators.projector_stack(batched, 3)
+        assert all(p._matrix is None for p in batched)
+        for p in (single, *batched):
+            m = p.matrix
+            assert not m.flags.writeable and m.flags.c_contiguous
+            assert p.matrix is m and p._matrix is m
+
+    def test_a_projector_built_directly_keeps_its_matrix(self):
+        m = np.diag([1.0, 0.0])
+        p = operators.Projector(2, m, 1)
+        assert p.matrix is m and m.flags.writeable
+        assert operators.projector_stack([p], 2).tobytes() == m.astype(complex).tobytes()
+
+
 class TestFrobenius:
     # frobenius sums what np.linalg.norm sums, in the same order, so the
     # two agree bit for bit.

@@ -33,16 +33,27 @@ from gleason_lab.marginality import (
     ResidualWitness,
     SpanningSet,
     Verdict,
+    certify_marginal,
     spanning_projectors,
 )
-from gleason_lab.measurements import PVM, GraphNode, IntertwineGraph, pvm_from_unitary, validate_pvm
+from gleason_lab.measurements import (
+    PVM,
+    GraphNode,
+    IntertwineGraph,
+    intertwine_graph,
+    pvm_from_unitary,
+    validate_pvm,
+)
 from gleason_lab.operators import (
     BlochVector,
     DensityMatrix,
     Projector,
+    _frozen,
     _Record,
     haar_unitary,
     make_density,
+    make_projector,
+    projector_from_ket,
     random_density_matrix,
 )
 from gleason_lab.tolerances import Tolerances
@@ -301,3 +312,81 @@ def test_every_exported_class_is_a_record():
     loose = [cls.__name__ for cls in exported
              if not (issubclass(cls, (GleasonLabError, _Record)) or cls in (Verdict, FrameFunction, Tolerances))]
     assert loose == []
+
+
+def _arrays(obj):
+    """Every ndarray reachable from obj through record fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _arrays(item)]
+    if isinstance(obj, _Record):
+        return [a for name in obj.__match_args__ for a in _arrays(getattr(obj, name))]
+    return []
+
+
+def _built_records():
+    """One record of every kind, as the library builds it."""
+    rng = np.random.default_rng(5)
+    s3 = spanning_projectors(3)
+    pvm = pvm_from_unitary(np.eye(2), [1, 1])
+    rho = make_density(np.diag([0.75, 0.25]))
+    read = projector_from_ket([0.6, 0.8j])
+    read.matrix
+    return {
+        "ket projector, unread": projector_from_ket([0.6, 0.8j]),
+        "ket projector, read": read,
+        "make_projector": make_projector(np.diag([1.0, 0.0])),
+        "density": rho,
+        "bloch": BlochVector(0.5, 0.0, -0.5),
+        "pvm_from_unitary": pvm,
+        "validate_pvm": validate_pvm(pvm.elements),
+        "graph": intertwine_graph([pvm, pvm]),
+        "spanning d2": spanning_projectors(2),
+        "spanning d3": s3,
+        "certificate": certify_marginal(born_backed(random_density_matrix(3, rng))),
+        "bloch witness": certify_marginal(definite_xz_table()).witness,
+        "eigen witness": EigenWitness(-0.25, _frozen(np.array([1.0, 0.0, 0j]))),
+        "residual witness": ResidualWitness("abc", "e0", 0.5),
+        "born frame": born_backed(rho),
+        "deterministic frame": deterministic_qubit(),
+        "tabulated frame": tabulated(list(zip(s3.projectors, rng.uniform(0, 1, len(s3))))),
+        "induced frame": InducedFrameFunction(born_backed(random_density_matrix(6, rng)), 3, 2),
+        "definite_xz_table": definite_xz_table(),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_built_records()))
+def test_pickle_and_copy_keep_every_array_frozen(kind):
+    # The arrays of a twin came back writeable from pickle and deepcopy.
+    rec = _built_records()[kind]
+    assert not any(a.flags.writeable for a in _arrays(rec))
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec), copy.copy(rec)):
+        assert type(twin) is type(rec)
+        arrays = _arrays(twin)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in _arrays(rec)]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_a_hand_built_records_twin_freezes_a_copy():
+    # The caller's writeable array stays writeable and unshared.
+    m = np.array([[1.0, 0.0], [0.0, 0.0]])
+    p = Projector(2, m, 1)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert not twin.matrix.flags.writeable
+        assert not np.shares_memory(twin.matrix, m)
+        assert twin.matrix.tobytes() == m.tobytes()
+    assert p.matrix is m and m.flags.writeable
+
+
+def test_an_unread_ket_projector_prints_pickles_and_copies_as_a_read_one():
+    ket = [0.6, 0.8j, -0.5]
+    read = projector_from_ket(ket)
+    want = read.matrix
+    assert repr(projector_from_ket(ket)) == repr(read) == (
+        f"Projector(dim=3, matrix={want!r}, rank=1)")
+    for make_twin in (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy):
+        for twin in (make_twin(projector_from_ket(ket)), make_twin(read)):
+            assert type(twin) is Projector and (twin.dim, twin.rank) == (3, 1)
+            assert twin.matrix.tobytes() == want.tobytes()
+            assert not twin.matrix.flags.writeable

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two source trees on the same benchmark ops, op by op, in one process.
 
-    python tools/interleave.py TREE_A TREE_B --workload certify-mix --seconds 20 --seed 11
+    python tools/interleave.py TREE_A TREE_B --workload certify-mix --seconds 20 --seed 11 12 13
 
 Each tree's ``src/gleason_lab`` is copied under its own package name
 (``gleason_lab_a``, ``gleason_lab_b``) into a temporary directory, so
@@ -13,14 +13,17 @@ to op. Each result is checked with the workload's oracle from
 speed then falls on both trees alike, so the two columns differ by the
 programs' cost, not by when each ran.
 
-The run stops once the ops' summed time, over both trees, reaches
-``--seconds``. It prints, per tree, the fastest-5 % metrics that the
-benchmark reports (``stats.fastest_per_kind``): ops_per_s and the p50,
-p90 and p99 latencies over all kinds, then ops_per_s and p50 per kind,
-with the change from A to B. The last line is one JSON object with the
-same figures and each tree's attempted and failed op counts; the first
-five failures of each tree go to stderr. The exit code is 0 when no op
-failed on either tree, 1 otherwise.
+Each seed given to ``--seed`` is one run, in the order given, and a
+run stops once its ops' summed time, over both trees, reaches
+``--seconds``. For each run it prints, per tree, the fastest-5 %
+metrics that the benchmark reports (``stats.fastest_per_kind``):
+ops_per_s and the p50, p90 and p99 latencies over all kinds, then
+ops_per_s and p50 per kind, with the change from A to B. The last line
+is one JSON object: ``runs`` holds each seed's figures and each tree's
+attempted and failed op counts, and ``b_won`` counts the seeds on which
+B's ops_per_s beat A's. The first five failures of each tree in each
+run go to stderr. The exit code is 0 when no op failed on either tree,
+1 otherwise.
 
 ``bench/`` is imported from the checkout holding this script, without
 writing bytecode there; BLAS runs on one thread, as in bench/run.py.
@@ -58,9 +61,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("tree_b")
     parser.add_argument("--workload", required=True, choices=sorted(inproc.WORKLOADS))
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int, nargs="+", required=True)
     args = parser.parse_args(argv)
-    if args.seed < 0 or args.seconds <= 0:
+    if min(args.seed) < 0 or args.seconds <= 0:
         parser.error("--seed must be >= 0 and --seconds > 0")
     for tree in (args.tree_a, args.tree_b):
         if not os.path.isfile(os.path.join(tree, "src", "gleason_lab", "__init__.py")):
@@ -129,22 +132,19 @@ def _row(name: str, a: float, b: float) -> str:
     return f"  {name:28s} {a:>12.4g} {b:>12.4g} {100 * (b / a - 1):>+8.1f} %"
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
-        sys.path.insert(0, workdir)
-        workloads = {s: load_side(t, s, workdir, args.workload)
-                     for s, t in zip(SIDES, (args.tree_a, args.tree_b))}
-        run = interleave(workloads, args.workload, args.seed, args.seconds)
+def report(workloads: dict, workload: str, seed: int, seconds: float) -> dict:
+    """One seed's run: its table on stdout, its failures on stderr, and
+    its figures returned."""
+    run = interleave(workloads, workload, seed, seconds)
     n = run["attempted"]
     failed = {s: len(run["errors"][s]) for s in SIDES}
-    result = {"workload": args.workload, "seed": args.seed, "attempted": n, "failed": failed,
+    result = {"seed": seed, "attempted": n, "failed": failed,
               **{s: summary(run["by_kind"][s], n, failed[s]) for s in SIDES}}
     a, b = result["a"], result["b"]
     for side in SIDES:
         for error in run["errors"][side][:5]:
             print(f"{side}: {error}", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}: {n} ops on each tree, "
+    print(f"{workload}, seed {seed}: {n} ops on each tree, "
           f"failed a {failed['a']}, b {failed['b']}")
     print(f"  {'fastest 5 %':28s} {'a':>12s} {'b':>12s} {'b vs a':>10s}")
     for key in ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "latency_p99_ms"):
@@ -152,8 +152,21 @@ def main(argv=None) -> int:
     for kind in a["kinds"]:
         for key in ("ops_per_s", "latency_p50_ms"):
             print(_row(f"{kind} {key}", a["kinds"][kind][key], b["kinds"][kind][key]))
-    print(json.dumps(result))
-    return 0 if not any(failed.values()) else 1
+    return result
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
+        sys.path.insert(0, workdir)
+        workloads = {s: load_side(t, s, workdir, args.workload)
+                     for s, t in zip(SIDES, (args.tree_a, args.tree_b))}
+        runs = [report(workloads, args.workload, seed, args.seconds) for seed in args.seed]
+    won = sum(r["b"]["ops_per_s"] > r["a"]["ops_per_s"] for r in runs)
+    print(f"b beat a on ops_per_s for {won} of {len(runs)} seeds")
+    print(json.dumps({"workload": args.workload, "seconds": args.seconds, "runs": runs,
+                      "b_won": won}))
+    return 0 if not any(any(r["failed"].values()) for r in runs) else 1
 
 
 if __name__ == "__main__":
