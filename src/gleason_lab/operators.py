@@ -7,8 +7,8 @@ values, so every operation here is safe for concurrent use. The freeze
 rule has one way per kind of array: ``frozen_matrix`` copies caller
 data, and ``_frozen`` freezes in place an array the library built
 (``identity``, the Pauli constants, stacks, spectra, fits, a ket
-projector's matrix when it is formed). A ket projector keeps a private
-copy of its gated ket, so a caller's array is never read again.
+projector's matrix when it is formed). A ket projector keeps only a
+private copy of its gated ket, so a caller's array is never read again.
 ``identity`` returns one cached frozen array per dimension.
 
 The matrices are tiny (dimension <= 64), so a gate's cost is mostly
@@ -18,9 +18,13 @@ as two real dot products, a tensor product as one broadcast multiply,
 a state's Hermitian residual, trace and spectrum kept from its gates,
 a ket projector's gates decided by one proved bound on its trace that
 the fixed TOL meets at every ket length (so no trace or gate is
-computed; see projector_from_ket), a list of ket projectors formed
-as one broadcast (projector_stack), and the Born range gate as one
-min and one max over the values. Every check, threshold and error
+computed; see projector_from_ket) and its branch by one math.hypot (so
+no norm is computed for an ordinary ket), a list of ket projectors
+formed as one broadcast with every norm from one batched dot
+(projector_stack), and the Born range gate as one min and one max over
+the values. Input numpy cannot read as complex raises DimensionMismatch
+when ragged and ValueOutOfRange otherwise, decided only after the
+conversion fails. Every check, threshold and error
 class is that of the plain numpy spelling, and every returned matrix
 and norm is the same bit for bit; a reduced or product state is gated
 through the state it comes from.
@@ -78,9 +82,24 @@ PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
+def _not_numeric(x, name: str) -> Exception:
+    """The error for an input numpy cannot read as complex: a ragged
+    nesting is a DimensionMismatch, anything else (a malformed string, an
+    object, an int beyond the float range) a ValueOutOfRange."""
+    try:
+        np.asarray(x)
+    except ValueError:
+        return DimensionMismatch(f"{name} is ragged")
+    return ValueOutOfRange(f"{name} holds a value that is not a number")
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
-    arr = np.asarray(m, dtype=complex)
+    """Coerce to a finite 2-D complex array; input numpy cannot read as
+    complex raises DimensionMismatch when ragged, else ValueOutOfRange."""
+    try:
+        arr = np.asarray(m, dtype=complex)
+    except (ValueError, TypeError, OverflowError):
+        raise _not_numeric(m, name) from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -172,15 +191,15 @@ class Projector(_Record):
     """Validated Hermitian idempotent on a d-dimensional space.
 
     A projector built directly keeps the matrix it is given. One from
-    projector_from_ket keeps its gated ket v and norm n instead, and
-    forms ``matrix``, w w-dagger for w = v / n, when it is first read,
-    frozen and kept; projector_stack forms a list of such projectors in
-    one broadcast, with the same bits. ``repr``, pickle and copy read
-    ``matrix``, and so form it. Two threads that read ``matrix`` first
-    at once may each form it; both keep the same bits.
+    projector_from_ket keeps only its gated ket v instead, and forms
+    ``matrix``, w w-dagger for w = v / frobenius(v), when it is first
+    read, frozen and kept; projector_stack forms a list of such
+    projectors in one broadcast, with the same bits. ``repr``, pickle
+    and copy read ``matrix``, and so form it. Two threads that read
+    ``matrix`` first at once may each form it; both keep the same bits.
     """
 
-    __slots__ = ("dim", "_matrix", "rank", "_ket", "_norm")
+    __slots__ = ("dim", "_matrix", "rank", "_ket")
     __match_args__ = ("dim", "matrix", "rank")
 
     def __init__(self, dim: int, matrix: np.ndarray, rank: int):
@@ -192,7 +211,8 @@ class Projector(_Record):
     def matrix(self) -> np.ndarray:
         m = self._matrix
         if m is None:
-            w = self._ket / self._norm
+            v = self._ket
+            w = v / frobenius(v)
             m = _frozen(w[:, None] * w.conj()[None, :])
             object.__setattr__(self, "_matrix", m)
         return m
@@ -295,13 +315,32 @@ def projector_from_ket(ket) -> Projector:
     the rescale, the norm is finite exactly when every entry is, so a
     non-finite norm raises ValueOutOfRange as a non-finite entry of the
     matrix would. A ket longer than MAX_COMPOSITE_DIM raises
-    DimensionOverflow before anything is computed.
+    DimensionOverflow before anything is computed; one that is not a
+    nesting of numbers raises DimensionMismatch when ragged and
+    ValueOutOfRange otherwise.
 
-    Every gate runs here. The projector keeps a copy of the gated ket v
-    and its norm n, and forms m = w w-dagger, w = v / n, only when its
-    ``matrix`` is first read or projector_stack forms a list of them at
-    once; both spell the same elementwise division and products, so m
-    and the bound below are the same whichever forms it.
+    Every gate runs here, and no norm is kept. The projector keeps a copy
+    of the gated ket v alone, and forms m = w w-dagger, w = v / n for
+    n = frobenius(v), only when its ``matrix`` is first read or
+    projector_stack forms a list of them at once; both compute the same
+    n and spell the same elementwise division and products, so m and the
+    bound below are the same whichever forms it.
+
+    The branch is chosen without the norm. h = math.hypot over the 2d
+    real components of v is within 1 ulp of the exact norm N (CPython
+    3.10 and later), and never overflows or warns: a NaN gives NaN and
+    an infinite or too large ket inf. When 2^-510 <= h <= 2^510, N lies
+    within 2u of that range, so no partial sum of frobenius's squares
+    exceeds N^2 (1 + 2 (d + 1) u) < 2^1021, which cannot overflow, and
+    the computed n^2 is at least N^2 (1 - 2 (d + 1) u) less at most
+    2d 2^-1075 of underflow, above 2^-1022; so n is finite and at least
+    2^-511, and the plain branch, with no rescale and no error, is the
+    outcome: no norm is computed. Any other h (a NaN, infinite, zero,
+    empty, huge or tiny ket; a NaN compares false) runs the full chain
+    on the norm, taken with overflow warnings off, since a finite ket's
+    squares may overflow before the rescale. The gate costs Python work
+    per component: it is cheaper than frobenius's two dot products below
+    about d = 32, above every ket length a workload forms (at most 8).
 
     The gates are make_projector's, read from the unit ket w and
     t = Tr m for m = w w†. Each stored entry is within sqrt(2) gamma_2
@@ -336,23 +375,29 @@ def projector_from_ket(ket) -> Projector:
     nor a gate is computed. Under TOL every d <= 64 meets the three
     conditions (a tier-1 test checks this).
     """
-    v = np.array(ket, dtype=complex).reshape(-1)
+    try:
+        v = np.array(ket, dtype=complex)
+    except (ValueError, TypeError, OverflowError):
+        raise _not_numeric(ket, "ket") from None
+    if v.ndim != 1:
+        v = v.reshape(-1)
     if len(v) > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(len(v), MAX_COMPOSITE_DIM)
-    n = frobenius(v)
-    if n < 2.0**-511 or n == math.inf:
-        x = np.ascontiguousarray(v).view(np.float64)
-        s = float(np.abs(x).max(initial=0.0))
-        if 0.0 < s < math.inf:
-            v = (x / s).view(complex)
+    x = v.view(np.float64)
+    if not 2.0**-510 <= math.hypot(*x.tolist()) <= 2.0**510:
+        with np.errstate(over="ignore"):
             n = frobenius(v)
-    if n == 0:
-        raise ValueOutOfRange("cannot project onto the zero vector")
-    if not n < math.inf:
-        raise ValueOutOfRange("matrix contains non-finite entries")
+        if n < 2.0**-511 or n == math.inf:
+            s = float(np.abs(x).max(initial=0.0))
+            if 0.0 < s < math.inf:
+                v = (x / s).view(complex)
+                n = frobenius(v)
+        if n == 0:
+            raise ValueOutOfRange("cannot project onto the zero vector")
+        if not n < math.inf:
+            raise ValueOutOfRange("matrix contains non-finite entries")
     p = Projector(len(v), None, 1)
     object.__setattr__(p, "_ket", v)
-    object.__setattr__(p, "_norm", n)
     return p
 
 
@@ -406,17 +451,28 @@ def projector_stack(projectors, dim: int) -> np.ndarray:
     array; an empty list gives shape (0, dim, dim).
 
     When every projector comes from projector_from_ket and none has
-    formed its matrix, the stack is formed from their kets V and norms N
-    in one broadcast, W = V / N and W_i W_i-dagger per row: the
-    elementwise division and products of ``Projector.matrix``, so every
-    byte is the same; no projector's matrix is formed. Any other list is
-    stacked from the matrices.
+    formed its matrix, the stack is formed from their kets V in one
+    broadcast, W = V / N and W_i W_i-dagger per row, with no projector's
+    matrix formed. The norms N are sqrt(re_i . re_i + im_i . im_i) for
+    the real and imaginary rows of V, taken as one batched
+    (n, 1, d) @ (n, d, 1) matmul of each: numpy runs a row-by-column
+    product as the strided dot that ``ndarray.dot`` runs on frobenius's
+    real and imaginary views of one ket, and np.sqrt rounds as
+    math.sqrt does, so N holds frobenius's bits, and W and the products
+    are ``Projector.matrix``'s elementwise spelling: every byte is the
+    same. Any other list is stacked from the matrices.
     """
+    kets = []
     for p in projectors:
         if p.dim != dim:
             raise DimensionMismatch(f"projector dim {p.dim} != expected dim {dim}")
-    if projectors and all(p._matrix is None for p in projectors):
-        w = np.array([p._ket for p in projectors]) / np.array([p._norm for p in projectors])[:, None]
+        if p._matrix is None:
+            kets.append(p._ket)
+    if kets and len(kets) == len(projectors):
+        v = np.array(kets)
+        re, im = v.real[:, None], v.imag[:, None]
+        n = np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+        w = v / n[:, 0]
         return _frozen(w[:, :, None] * w.conj()[:, None, :])
     stack = np.array([p.matrix for p in projectors], dtype=complex)
     return _frozen(stack.reshape(len(projectors), dim, dim))

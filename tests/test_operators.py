@@ -449,7 +449,8 @@ def _per_ket_matrix(ket):
     """A ket projector's matrix as spelled when projector_from_ket
     formed it per ket: rescale, w = v / n and w w-dagger, frozen."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
-    n = frobenius(v)
+    with np.errstate(over="ignore"):
+        n = frobenius(v)
     if n < 2.0**-511 or n == math.inf:
         x = np.ascontiguousarray(v).view(np.float64)
         s = float(np.abs(x).max(initial=0.0))
@@ -467,7 +468,7 @@ class TestKetProjectorStack:
     # is formed on first read, or for a whole list by projector_stack in
     # one broadcast, with the per-ket spelling's bytes either way.
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(
         d=st.integers(1, 64),
@@ -542,6 +543,142 @@ class TestKetProjectorStack:
         p = operators.Projector(2, m, 1)
         assert p.matrix is m and m.flags.writeable
         assert operators.projector_stack([p], 2).tobytes() == m.astype(complex).tobytes()
+
+
+def _ket_reference(ket):
+    """projector_from_ket's outcome as the per-ket spelling gives it: the
+    gate chain's error, or the rank-1 projector's matrix bytes."""
+    try:
+        with np.errstate(all="ignore"):
+            _projector_from_ket_chain(ket)
+            return ("ok", _per_ket_matrix(ket).tobytes())
+    except GleasonLabError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _hypot(ket):
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    return math.hypot(*v.view(np.float64).tolist())
+
+
+def _kets_near(edge, d, rng):
+    """Kets of length d whose hypot lies within a few ulps of edge, on
+    both sides: real, complex and one-entry kets, scaled by 1 + j 2^-52."""
+    g = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    shapes = [np.ones(d, dtype=complex), g, np.eye(1, d, d - 1)[0].astype(complex)]
+    kets = []
+    for shape in shapes:
+        base = shape / _hypot(shape) * edge
+        kets += [base * (1.0 + j * 2.0**-52) for j in range(-6, 7)]
+    return kets
+
+
+class TestHypotGate:
+    # projector_from_ket decides its branch from math.hypot of the ket's
+    # components and takes no norm when 2^-510 <= h <= 2^510; every
+    # outcome, error or matrix, is the per-ket spelling's.
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edge", [2.0**-510, 2.0**510], ids=["tiny", "huge"])
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_kets_either_side_of_an_edge_are_the_per_ket_outcome(self, rng, edge, d):
+        kets = _kets_near(edge, d, rng)
+        sides = {np.sign(_hypot(k) - edge) for k in kets}
+        assert {-1.0, 1.0} <= sides
+        for ket in kets:
+            p = projector_from_ket(ket)
+            assert ("ok", p.matrix.tobytes()) == _ket_reference(ket)
+            assert p.rank == 1 and p.dim == d
+        stack = operators.projector_stack([projector_from_ket(k) for k in kets], d)
+        assert stack.tobytes() == np.array([_per_ket_matrix(k) for k in kets]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ket", [
+        [5e-324], [5e-324, 5e-324j], [1e-310, 1.0], [1e-310, -2e-320j, 3e-155],
+        [2.0**-1022, 2.0**-1060j] * 4, [1e-300] * 64, [1e-320, 1e-154, 1e154],
+    ], ids=["one-subnormal", "two-subnormal", "subnormal-beside-one", "subnormal-and-tiny",
+            "normal-edge", "tiny-64", "wide-range"])
+    def test_subnormal_entries_are_the_per_ket_outcome(self, ket):
+        p = projector_from_ket(ket)
+        assert ("ok", p.matrix.tobytes()) == _ket_reference(ket)
+        stack = operators.projector_stack([projector_from_ket(ket)] * 3, len(ket))
+        assert stack.tobytes() == np.array([_per_ket_matrix(ket)] * 3).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ket", [
+        [], [0.0], [0j] * 64, [math.nan], [math.inf], [-math.inf, 1.0],
+        [complex(0.0, math.nan), 1.0], [complex(0.0, -math.inf), math.nan],
+        [1e300, math.nan], [1e-300, math.inf], [5e-324, math.nan], [math.nan] * 64,
+        [1e308, 1e308, -1e308j],
+    ], ids=["empty", "zero", "zero-64", "nan", "inf", "minus-inf", "nan-imag",
+            "inf-and-nan", "huge-and-nan", "tiny-and-inf", "subnormal-and-nan", "nan-64",
+            "finite-with-an-infinite-norm"])
+    def test_special_kets_take_the_per_ket_outcome(self, ket):
+        def outcome():
+            try:
+                return ("ok", projector_from_ket(ket).matrix.tobytes())
+            except GleasonLabError as exc:
+                return (type(exc).__name__, str(exc))
+
+        assert outcome() == _ket_reference(ket)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ket", [[1e300, 1e300j], [1e200, 1.0]])
+    def test_a_huge_finite_ket_gives_its_projector_without_a_warning(self, ket):
+        p = projector_from_ket(ket)
+        assert ("ok", p.matrix.tobytes()) == _ket_reference(ket)
+        assert p.rank == 1
+
+    def test_plain_kets_take_no_norm_until_a_matrix_is_read(self, rng, monkeypatch):
+        norms = []
+        monkeypatch.setattr(operators, "frobenius", lambda x: norms.append(x) or frobenius(x))
+        for d in (1, 2, 8, 64):
+            kets = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(20)]
+            projectors = [projector_from_ket(k) for k in kets]
+            stack = operators.projector_stack(projectors, d)
+            assert norms == []
+            assert stack.tobytes() == np.array([_per_ket_matrix(k) for k in kets]).tobytes()
+            assert projectors[0].matrix.tobytes() == stack[0].tobytes()
+            assert len(norms) == 1 and norms[0] is projectors[0]._ket
+            norms.clear()
+
+
+def _error_of(fn, *args):
+    with pytest.raises(GleasonLabError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestInputNumpyCannotRead:
+    # An input that numpy cannot read as complex ends as a library error:
+    # DimensionMismatch when ragged, ValueOutOfRange otherwise.
+
+    @pytest.mark.parametrize("ket, error", [
+        ([1, [2, 3]], (DimensionMismatch, "ket is ragged")),
+        ([[1, 2], [3]], (DimensionMismatch, "ket is ragged")),
+        ("ab", (ValueOutOfRange, "ket holds a value that is not a number")),
+        ([object(), 1], (ValueOutOfRange, "ket holds a value that is not a number")),
+        ({1: 2}, (ValueOutOfRange, "ket holds a value that is not a number")),
+        ([10**400, 1], (ValueOutOfRange, "ket holds a value that is not a number")),
+    ], ids=["ragged", "ragged-rows", "malformed-string", "object", "dict", "int-beyond-float"])
+    def test_a_ket(self, ket, error):
+        assert _error_of(projector_from_ket, ket) == error
+
+    @pytest.mark.parametrize("matrix, error", [
+        ([[1, 0], [0]], (DimensionMismatch, "{} is ragged")),
+        ([[1, [0, 1]], [0, 1]], (DimensionMismatch, "{} is ragged")),
+        ([["a", "b"], ["c", "d"]], (ValueOutOfRange, "{} holds a value that is not a number")),
+        ([[object(), 0], [0, 1]], (ValueOutOfRange, "{} holds a value that is not a number")),
+        ([[10**400, 0], [0, 1]], (ValueOutOfRange, "{} holds a value that is not a number")),
+    ], ids=["ragged", "ragged-entry", "malformed-string", "object", "int-beyond-float"])
+    @pytest.mark.parametrize("make, name", [
+        (make_projector, "matrix"),
+        (make_density, "matrix"),
+        (lambda m: tensor(m, np.eye(2)), "tensor operand a"),
+        (lambda m: tensor(np.eye(2), m), "tensor operand b"),
+    ], ids=["make_projector", "make_density", "tensor-a", "tensor-b"])
+    def test_a_matrix(self, matrix, error, make, name):
+        assert _error_of(make, matrix) == (error[0], error[1].format(name))
 
 
 class TestFrobenius:
