@@ -16,7 +16,9 @@ on every projector, which may agree with no state off that set.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -78,59 +80,40 @@ def traceless_hermitian_basis(dim: int) -> np.ndarray:
 
 
 class SpanningSet(_Record):
-    """Projectors whose real span is the full Hermitian space.
+    """Rank-1 projectors whose real span is the full Hermitian space,
+    given as their (n, d, d) stack with one label each.
 
-    ``condition_number`` is sigma_max / sigma_min of the vectorized
-    design matrix (one row of Hermitian coordinates per projector).
-    Everything a fit needs besides the frame's values is computed once
-    at build time: the projector matrices as one (n, d, d) stack, the
-    trace part rank/d of each value, the traceless basis flattened to
-    (d^2-1, d^2), the design restricted to that basis and its
-    pseudo-inverse.
+    The constructor derives, once, all a fit needs besides the frame's
+    values: ``condition_number``, sigma_max / sigma_min of the design
+    (one row of Hermitian coordinates per projector); ``basis_flat``,
+    the traceless basis as (d^2-1, d^2); ``basis_design`` and ``pinv``,
+    the design in that basis and its pseudo-inverse; and ``projectors``,
+    a rank-1 Projector view of each row, read-only as a built set's
+    stack is. Pickle and copy rebuild a set from its four arguments.
     """
 
-    __slots__ = __match_args__ = ("dim", "projectors", "labels", "condition_number", "set_id",
-                                  "stack", "offsets", "basis_flat", "basis_design", "pinv")
+    __slots__ = ("dim", "stack", "labels", "set_id", "projectors", "condition_number",
+                 "basis_flat", "basis_design", "pinv")
+    __match_args__ = ("dim", "stack", "labels", "set_id")
 
-    def __init__(self, dim: int, projectors: tuple[Projector, ...], labels: tuple[str, ...],
-                 condition_number: float, set_id: str, stack: np.ndarray, offsets: np.ndarray,
-                 basis_flat: np.ndarray, basis_design: np.ndarray, pinv: np.ndarray):
+    def __init__(self, dim: int, stack: np.ndarray, labels: tuple[str, ...], set_id: str):
+        design = hermitian_coords(stack)
+        singulars = np.linalg.svd(design, compute_uv=False)
+        cond = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else float("inf")
+        basis = traceless_hermitian_basis(dim)
+        basis_design = design @ hermitian_coords(basis).T
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "condition_number", condition_number)
-        object.__setattr__(self, "set_id", set_id)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "basis_flat", basis_flat)
-        object.__setattr__(self, "basis_design", basis_design)
-        object.__setattr__(self, "pinv", pinv)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "set_id", set_id)
+        object.__setattr__(self, "projectors", tuple(Projector(dim, r, 1) for r in stack))
+        object.__setattr__(self, "condition_number", cond)
+        object.__setattr__(self, "basis_flat", _frozen(basis.reshape(len(basis), dim * dim)))
+        object.__setattr__(self, "basis_design", _frozen(basis_design))
+        object.__setattr__(self, "pinv", _frozen(np.linalg.pinv(basis_design)))
 
     def __len__(self) -> int:
-        return len(self.projectors)
-
-
-def _spanning_set(
-    dim: int, stack: np.ndarray, projectors: list[Projector], labels: list[str], set_id: str
-) -> SpanningSet:
-    """The set of projectors whose matrices form the frozen stack."""
-    design = hermitian_coords(stack)
-    singulars = np.linalg.svd(design, compute_uv=False)
-    cond = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else float("inf")
-    basis = traceless_hermitian_basis(dim)
-    basis_design = design @ hermitian_coords(basis).T
-    return SpanningSet(
-        dim=dim,
-        projectors=tuple(projectors),
-        labels=tuple(labels),
-        condition_number=cond,
-        set_id=set_id,
-        stack=stack,
-        offsets=_frozen(np.array([p.rank / dim for p in projectors])),
-        basis_flat=_frozen(basis.reshape(len(basis), dim * dim)),
-        basis_design=_frozen(basis_design),
-        pinv=_frozen(np.linalg.pinv(basis_design)),
-    )
+        return len(self.stack)
 
 
 def spanning_projectors(dim: int) -> SpanningSet:
@@ -141,25 +124,36 @@ def spanning_projectors(dim: int) -> SpanningSet:
     (e_i +- i e_j)/sqrt(2) for every pair, which together span the full
     dim^2-dimensional Hermitian space. Their exact kets are one array,
     projected as one stack that projector_from_ket's bound passes with
-    rank 1; the projectors are views of its rows, kept frozen in the set.
+    rank 1. One shared set is built per dimension, on its first call;
+    two threads that race on it each build an equal one. dim is read by
+    operator.index (a bool, float or str raises UnsupportedDimension),
+    so the set's ``dim`` is an int.
     """
-    if not 2 <= dim <= 8:
-        raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim}")
+    try:
+        d = operator.index(dim)
+    except TypeError:
+        raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}") from None
+    if not 2 <= d <= 8:
+        raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim!r}")
+    return _shared_spanning_set(d)
+
+
+@functools.cache
+def _shared_spanning_set(dim: int) -> SpanningSet:
+    """spanning_projectors' set, built once per int dimension."""
     if dim == 2:
-        labels = list(AXIS_BLOCH)
-        projectors = [axis_projector(axis) for axis in labels]
-        return _spanning_set(2, projector_stack(projectors, 2), projectors, labels, "axes-d2")
+        labels = tuple(AXIS_BLOCH)
+        stack = projector_stack([axis_projector(axis) for axis in labels], 2)
+        return SpanningSet(2, stack, labels, "axes-d2")
     eye = np.eye(dim, dtype=complex)
     j, i = np.tril_indices(dim, -1)   # the pairs i < j, by j then i
     pairs = eye[i][:, None] + np.array([1.0, -1.0, 1j, -1j])[:, None] * eye[j][:, None]
     kets = np.concatenate([eye, pairs.reshape(-1, dim)])
     v = kets / np.linalg.norm(kets, axis=1)[:, None]
     stack = _frozen(v[:, :, None] * v.conj()[:, None, :])
-    projectors = [Projector(dim, m, 1) for m in stack]
-    labels = [f"e{a}" for a in range(dim)] + [
-        f"e{a}{tag}e{b}" for a, b in zip(i.tolist(), j.tolist()) for tag in ("+", "-", "+i", "-i")
-    ]
-    return _spanning_set(dim, stack, projectors, labels, f"grid-d{dim}")
+    labels = [f"e{a}" for a in range(dim)]
+    labels += [f"e{a}{t}e{b}" for a, b in zip(i.tolist(), j.tolist()) for t in ("+", "-", "+i", "-i")]
+    return SpanningSet(dim, stack, tuple(labels), f"grid-d{dim}")
 
 
 class BlochWitness(_Value):
@@ -223,7 +217,8 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     Hermitian combination, which eliminates the trace constraint instead
     of using multipliers. The linear residual is the max-norm misfit
     over the spanning set, the operationally meaningful per-outcome
-    error.
+    error. Without s, the set is spanning_projectors(f.dim), the one
+    shared set of that dimension, so no call builds it again.
 
     Marginal: the residual is within TOL.lin and the smallest eigenvalue
     of rho_hat is >= -TOL.psd. NonMarginal: the fit fails, or the
@@ -235,10 +230,10 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     if s.condition_number > MAX_CONDITION_NUMBER:
         raise IllConditioned(s.condition_number, MAX_CONDITION_NUMBER)
     values = f.values(s.stack)
-    coeffs = s.pinv @ (values - s.offsets)
+    coeffs = s.pinv @ (values - 1 / s.dim)   # 1/d: a rank-1 value's trace part
     fit = identity(s.dim) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
     rho_hat = _frozen(hermitize(fit))
-    misfit = values - (s.offsets + s.basis_design @ coeffs)
+    misfit = values - (1 / s.dim + s.basis_design @ coeffs)
     err = np.abs(misfit)
     residual = float(err.max())
     # rho_hat is exactly Hermitian, so it is eigensolved as it stands.

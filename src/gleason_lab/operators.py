@@ -190,19 +190,21 @@ class _Value(_Record):
 class Projector(_Record):
     """Validated Hermitian idempotent on a d-dimensional space.
 
-    A projector built directly keeps the matrix it is given. One from
-    projector_from_ket keeps only its gated ket v instead, and forms
-    ``matrix``, w w-dagger for w = v / frobenius(v), when it is first
-    read, frozen and kept; projector_stack forms a list of such
-    projectors in one broadcast, with the same bits. ``repr``, pickle
-    and copy read ``matrix``, and so form it. Two threads that read
-    ``matrix`` first at once may each form it; both keep the same bits.
+    A projector built directly keeps the matrix it is given (None raises
+    ValueOutOfRange). One from projector_from_ket keeps only its gated
+    ket v, and forms ``matrix``, w w-dagger for w = v / frobenius(v),
+    when it is first read, frozen and kept; projector_stack forms a list
+    of such projectors in one broadcast, with the same bits. ``repr``,
+    pickle and copy read ``matrix``, and so form it. Two threads that
+    read ``matrix`` first at once may each form it, with the same bits.
     """
 
     __slots__ = ("dim", "_matrix", "rank", "_ket")
     __match_args__ = ("dim", "matrix", "rank")
 
     def __init__(self, dim: int, matrix: np.ndarray, rank: int):
+        if matrix is None:
+            raise ValueOutOfRange("a projector needs its matrix")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "rank", rank)
@@ -396,7 +398,10 @@ def projector_from_ket(ket) -> Projector:
             raise ValueOutOfRange("cannot project onto the zero vector")
         if not n < math.inf:
             raise ValueOutOfRange("matrix contains non-finite entries")
-    p = Projector(len(v), None, 1)
+    p = object.__new__(Projector)   # the private path: a gated ket, no matrix yet
+    object.__setattr__(p, "dim", len(v))
+    object.__setattr__(p, "_matrix", None)
+    object.__setattr__(p, "rank", 1)
     object.__setattr__(p, "_ket", v)
     return p
 

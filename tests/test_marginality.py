@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -35,8 +37,8 @@ from gleason_lab.marginality import (
     BlochWitness,
     EigenWitness,
     ResidualWitness,
+    SpanningSet,
     Verdict,
-    _spanning_set,
     certify_marginal,
     extend_to_composite,
     marginality_witness,
@@ -45,6 +47,7 @@ from gleason_lab.marginality import (
 )
 from gleason_lab.operators import (
     DensityMatrix,
+    Projector,
     bloch_of_matrix,
     born_values,
     frobenius,
@@ -130,7 +133,6 @@ def loop_spanning_reference(dim):
         "labels": tuple(labels),
         "condition_number": float(singulars[0] / singulars[-1]),
         "stack": np.stack([p.matrix for p in projectors]),
-        "offsets": np.array([p.rank / dim for p in projectors]),
         "basis_flat": basis.reshape(len(basis), dim * dim),
         "basis_design": basis_design,
         "pinv": np.linalg.pinv(basis_design),
@@ -144,7 +146,7 @@ class TestSpanningProjectors:
         assert s.labels == ref["labels"]
         assert s.set_id == ("axes-d2" if dim == 2 else f"grid-d{dim}")
         assert s.condition_number == ref["condition_number"]
-        for name in ("stack", "offsets", "basis_flat", "basis_design", "pinv"):
+        for name in ("stack", "basis_flat", "basis_design", "pinv"):
             got = getattr(s, name)
             assert got.dtype == ref[name].dtype and got.shape == ref[name].shape, name
             assert got.tobytes() == ref[name].tobytes(), name
@@ -154,10 +156,7 @@ class TestSpanningProjectors:
             assert p.dim == dim and type(p.rank) is int and p.rank == q.rank
             assert p.matrix.tobytes() == q.matrix.tobytes()
             assert not p.matrix.flags.writeable
-            if dim == 2:
-                assert p is q   # the cached axis projectors
-            else:
-                assert p.matrix.base is s.stack and np.shares_memory(p.matrix, s.stack[k])
+            assert np.shares_memory(p.matrix, s.stack[k])
 
     def test_qubit_set_is_the_six_axis_projectors(self):
         s = spanning_projectors(2)
@@ -186,6 +185,42 @@ class TestSpanningProjectors:
     def test_unsupported_dimension(self, dim):
         with pytest.raises(UnsupportedDimension):
             spanning_projectors(dim)
+
+    @pytest.mark.parametrize("dim", [True, False, 2.0, 3.0, np.float64(3.0), "3", None, np.bool_(True)])
+    def test_a_dimension_is_an_integer(self, dim):
+        with pytest.raises(UnsupportedDimension):
+            spanning_projectors(dim)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_one_shared_set_per_dimension(self, dim):
+        s = spanning_projectors(dim)
+        assert s is spanning_projectors(dim)
+        assert spanning_projectors(np.int64(dim)) is s and type(s.dim) is int
+        rho = random_density_matrix(dim, np.random.default_rng(dim))
+        assert type(certify_marginal(born_backed(rho), spanning_projectors(np.int64(dim))).dim) is int
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_projectors_are_formed_once_from_the_stack(self, dim):
+        # test_the_bits_of_the_loop_spelling checks that they are read-only
+        # views; at d = 2 they are no longer the cached axis projectors.
+        s = spanning_projectors(dim)
+        assert s.projectors is s.projectors and len(s) == len(s.projectors) == len(s.stack)
+        for label, p in zip(s.labels, s.projectors):
+            assert type(p) is Projector and (p.dim, p.rank) == (dim, 1)
+            assert dim != 2 or p is not axis_projector(label)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_a_twin_derives_the_same_bytes(self, dim):
+        s = spanning_projectors(dim)
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert type(twin) is SpanningSet and twin is not s
+            assert (twin.dim, twin.labels, twin.set_id) == (s.dim, s.labels, s.set_id)
+            assert twin.condition_number.hex() == s.condition_number.hex()
+            for name in ("stack", "basis_flat", "basis_design", "pinv"):
+                assert getattr(twin, name).tobytes() == getattr(s, name).tobytes(), name
+                assert not getattr(twin, name).flags.writeable, name
+            assert [p.matrix.tobytes() for p in twin.projectors] == [
+                p.matrix.tobytes() for p in s.projectors]
 
 
 class TestFit:
@@ -244,7 +279,7 @@ class TestFit:
 
     def test_degenerate_set_is_ill_conditioned(self, rng):
         p = rank1_projector(2, rng)
-        s = _spanning_set(2, projector_stack([p] * 4, 2), [p] * 4, ["a", "b", "c", "d"], "degenerate")
+        s = SpanningSet(2, projector_stack([p] * 4, 2), ("a", "b", "c", "d"), "degenerate")
         assert s.condition_number > 1e8
         with pytest.raises(IllConditioned):
             certify_marginal(born_backed(random_density_matrix(2, rng)), s)
@@ -261,14 +296,51 @@ class TestFit:
             assert cert.min_eig == float(np.linalg.eigvalsh(cert.rho_hat)[0])
 
 
+def _frames_of_every_verdict(dim, rng):
+    """A Born frame, a random table (a residual witness) and, at d = 2
+    and 3, a frame with a Bloch or an eigen witness."""
+    s = spanning_projectors(dim)
+    frames = [born_backed(random_density_matrix(dim, rng)),
+              tabulated(list(zip(s.projectors, rng.uniform(0, 1, len(s)))))]
+    if dim == 2:
+        frames += [definite_xz_table(), deterministic_qubit()]
+    if dim == 3:
+        q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3, 2)) @ np.array([1.0, 1j]))
+        m = q @ np.diag([-0.03, 0.33, 0.7]) @ q.conj().T
+        frames.append(tabulated([(p, float(np.trace(p.matrix @ m).real)) for p in s.projectors]))
+    return frames
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_the_default_set_certifies_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    kinds = set()
+    for f in _frames_of_every_verdict(dim, rng):
+        a, b = certify_marginal(f), certify_marginal(f, spanning_projectors(dim))
+        assert a.verdict is b.verdict and a.spanning_set_id == b.spanning_set_id
+        assert a.rho_hat.tobytes() == b.rho_hat.tobytes()
+        assert a.linear_residual.hex() == b.linear_residual.hex()
+        assert a.min_eig.hex() == b.min_eig.hex()
+        assert type(a.witness) is type(b.witness)
+        if isinstance(a.witness, EigenWitness):
+            assert a.witness.min_eig.hex() == b.witness.min_eig.hex()
+            assert a.witness.eigenvector.tobytes() == b.witness.eigenvector.tobytes()
+        else:
+            assert a.witness == b.witness
+        kinds.add(type(a.witness).__name__)
+    assert {"NoneType", "ResidualWitness"} <= kinds
+    assert dim != 2 or "BlochWitness" in kinds
+    assert dim != 3 or "EigenWitness" in kinds
+
+
 def certify_reference(f, s):
     """certify_marginal's fit in its plain numpy spelling: a fresh np.eye
     for I/d, np.max over the misfit, and an eigensolve of the Hermitized fit."""
     values = f.values(s.stack)
-    coeffs = s.pinv @ (values - s.offsets)
+    coeffs = s.pinv @ (values - 1 / s.dim)
     fit = np.eye(s.dim, dtype=complex) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
     rho_hat = hermitize(fit)
-    misfit = values - (s.offsets + s.basis_design @ coeffs)
+    misfit = values - (1 / s.dim + s.basis_design @ coeffs)
     residual = float(np.max(np.abs(misfit)))
     low = float(np.linalg.eigvalsh(hermitize(rho_hat))[0])
     verdict, witness = Verdict.NON_MARGINAL, None

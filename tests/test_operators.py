@@ -24,6 +24,7 @@ from gleason_lab.operators import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
+    Projector,
     bloch_of_matrix,
     born_values,
     frobenius,
@@ -1057,7 +1058,7 @@ def test_built_arrays_are_frozen_and_contiguous(rng):
         PAULI_X,
         PAULI_Y,
         PAULI_Z,
-        *(a for s in spanning for a in (s.offsets, s.basis_flat, s.basis_design, s.pinv)),
+        *(a for s in spanning for a in (s.basis_flat, s.basis_design, s.pinv)),
     ]
     for a in built:
         assert not a.flags.writeable
@@ -1076,6 +1077,17 @@ def test_constructors_neither_freeze_nor_alias_the_callers_array(make, matrix):
     matrix[0] = 7.0
     assert np.array_equal(result.matrix, make(before).matrix)
     assert not np.shares_memory(result.matrix, matrix)
+
+
+def test_a_projector_built_directly_needs_its_matrix():
+    # Without a matrix the record had neither a matrix nor a ket, so its
+    # matrix, repr and projector_stack raised AttributeError.
+    for build in (lambda: Projector(2, None, 1), lambda: Projector(dim=2, matrix=None, rank=1)):
+        with pytest.raises(ValueOutOfRange):
+            build()
+    p = projector_from_ket([0.6, 0.8j])
+    assert type(p) is Projector and (p.dim, p.rank) == (2, 1)
+    assert operators.projector_stack([p], 2).tobytes() == p.matrix.tobytes()
 
 
 class TestSpectrum:

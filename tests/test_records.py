@@ -59,6 +59,7 @@ from gleason_lab.operators import (
 from gleason_lab.tolerances import Tolerances
 
 ARR = np.array([1.0, 2.0])
+Z_STACK = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])   # two rank-1 qubit projectors
 
 # (type, field names, field values, the frozen dataclass's repr, compared by fields)
 RECORDS = [
@@ -76,13 +77,9 @@ RECORDS = [
      "GraphNode(key='k', rank=1, degree=2)", True),
     (IntertwineGraph, ("nodes", "incidence"), ((), (("k", 0),)),
      "IntertwineGraph(nodes=(), incidence=(('k', 0),))", False),
-    (SpanningSet,
-     ("dim", "projectors", "labels", "condition_number", "set_id",
-      "stack", "offsets", "basis_flat", "basis_design", "pinv"),
-     (2, (), ("e0",), 1.5, "grid-d2", ARR, ARR, ARR, ARR, ARR),
-     "SpanningSet(dim=2, projectors=(), labels=('e0',), condition_number=1.5, set_id='grid-d2', "
-     "stack=array([1., 2.]), offsets=array([1., 2.]), basis_flat=array([1., 2.]), "
-     "basis_design=array([1., 2.]), pinv=array([1., 2.]))", False),
+    (SpanningSet, ("dim", "stack", "labels", "set_id"), (2, Z_STACK, ("+z", "-z"), "z-d2"),
+     "SpanningSet(dim=2, stack=array([[[1., 0.],\n        [0., 0.]],\n\n"
+     "       [[0., 0.],\n        [0., 1.]]]), labels=('+z', '-z'), set_id='z-d2')", False),
     (BlochWitness, ("bloch", "norm"), ((1.0, 0.0, 1.0), 1.5),
      "BlochWitness(bloch=(1.0, 0.0, 1.0), norm=1.5)", True),
     (EigenWitness, ("min_eig", "eigenvector"), (-0.25, ARR),
