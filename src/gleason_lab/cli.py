@@ -20,6 +20,7 @@ would check nothing); neither prints a report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -367,9 +368,9 @@ def _extension_trial(rng, d) -> float:
     return max(pt_err, dev)
 
 
-def _soundness_trial(rng, d) -> tuple[float, bool]:
-    rho = random_density_matrix(d, rng)
-    cert = certify_marginal(born_backed(rho))
+def _soundness_trial(rng, s) -> tuple[float, bool]:
+    rho = random_density_matrix(s.dim, rng)
+    cert = certify_marginal(born_backed(rho), s)
     err = frobenius(cert.rho_hat - rho.matrix)
     return err, cert.verdict is Verdict.MARGINAL
 
@@ -378,24 +379,27 @@ def _run_batteries(dims, trials, rng, perturb) -> list[dict]:
     """Run every battery on every dim, in that order, so the RNG draws
     (battery, then dim, then trial) replay exactly for a fixed seed.
 
-    A trial returns (residual, marginal); it fails when its certificate
-    is not marginal or its residual exceeds the battery's bound.
+    A battery maps a dim to its trial (soundness looks up its spanning
+    set there, once per dim), which returns (residual, marginal); it fails
+    when its certificate is not marginal or its residual exceeds the bound.
     """
     table = (
         ("normalization", TOL.frame,
-         lambda d: (_normalization_trial(rng, d, perturb), True)),
-        ("embed_trace_identity", 1e-12, lambda d: (_trace_identity_trial(rng, d), True)),
-        ("composite_extension", 1e-12, lambda d: (_extension_trial(rng, d), True)),
-        ("reconstruction_soundness", 1e-9, lambda d: _soundness_trial(rng, d)),
+         lambda d: lambda: (_normalization_trial(rng, d, perturb), True)),
+        ("embed_trace_identity", 1e-12, lambda d: lambda: (_trace_identity_trial(rng, d), True)),
+        ("composite_extension", 1e-12, lambda d: lambda: (_extension_trial(rng, d), True)),
+        ("reconstruction_soundness", 1e-9,
+         lambda d: functools.partial(_soundness_trial, rng, spanning_projectors(d))),
     )
     batteries = []
-    for name, bound, trial in table:
+    for name, bound, trial_at in table:
         for d in dims:
+            trial = trial_at(d)
             failures = 0
             non_marginal = 0
             max_residual = 0.0
             for _ in range(trials):
-                residual, marginal = trial(d)
+                residual, marginal = trial()
                 max_residual = max(max_residual, residual)
                 if not marginal:
                     non_marginal += 1

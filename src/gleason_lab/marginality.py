@@ -23,7 +23,8 @@ import operator
 import numpy as np
 
 from .errors import (
-    IllConditioned, NotApplicable, NotHermitian, NotPositive, NotUnitTrace, UnsupportedDimension,
+    DimensionMismatch, IllConditioned, NotApplicable, NotHermitian, NotPositive, NotUnitTrace,
+    UnsupportedDimension, ValueOutOfRange,
 )
 from .frames import AXIS_BLOCH, FrameFunction, axis_projector
 from .measurements import embed, projector_key
@@ -36,6 +37,7 @@ from .operators import (
     bloch_of_matrix,
     born_values,
     frobenius,
+    frozen_matrix,
     hermitize,
     identity,
     partial_trace_b,
@@ -83,13 +85,15 @@ class SpanningSet(_Record):
     """Rank-1 projectors whose real span is the full Hermitian space,
     given as their (n, d, d) stack with one label each.
 
-    The constructor derives, once, all a fit needs besides the frame's
-    values: ``condition_number``, sigma_max / sigma_min of the design
-    (one row of Hermitian coordinates per projector); ``basis_flat``,
-    the traceless basis as (d^2-1, d^2); ``basis_design`` and ``pinv``,
-    the design in that basis and its pseudo-inverse; and ``projectors``,
-    a rank-1 Projector view of each row, read-only as a built set's
-    stack is. Pickle and copy rebuild a set from its four arguments.
+    The constructor freezes a copy of a writeable stack and derives from
+    it, once: ``condition_number``, sigma_max / sigma_min of the design
+    (one row of Hermitian coordinates per projector); ``basis_flat``, the
+    traceless basis as (d^2-1, d^2); ``basis_design`` and ``pinv``, the
+    design in that basis and its pseudo-inverse; and ``projectors``, a
+    rank-1 Projector view of each row. A stack not (n, dim, dim), n >= 1,
+    or with other than n labels raises DimensionMismatch; a row that is
+    not a rank-1 projector raises ValueOutOfRange, since the fit takes
+    1/d as every value's trace part. Pickle and copy call the constructor.
     """
 
     __slots__ = ("dim", "stack", "labels", "set_id", "projectors", "condition_number",
@@ -97,6 +101,15 @@ class SpanningSet(_Record):
     __match_args__ = ("dim", "stack", "labels", "set_id")
 
     def __init__(self, dim: int, stack: np.ndarray, labels: tuple[str, ...], set_id: str):
+        dim = _dimension(dim)
+        if not isinstance(stack, np.ndarray) or stack.flags.writeable:
+            stack = frozen_matrix(stack)
+        if stack.shape[1:] != (dim, dim) or not len(stack) or len(labels) != len(stack):
+            raise DimensionMismatch(f"need an (n, {dim}, {dim}) stack, n >= 1, and n labels; "
+                                    f"got shape {stack.shape} and {len(labels)} labels")
+        miss = np.abs(stack @ stack - stack) + np.abs(stack - stack.conj().transpose(0, 2, 1))
+        if not (miss.max() <= TOL.proj and np.abs(np.trace(stack, 0, 1, 2) - 1).max() <= TOL.tr):
+            raise ValueOutOfRange("every row of a spanning set must be a rank-1 projector")
         design = hermitian_coords(stack)
         singulars = np.linalg.svd(design, compute_uv=False)
         cond = float(singulars[0] / singulars[-1]) if singulars[-1] > 0 else float("inf")
@@ -116,6 +129,17 @@ class SpanningSet(_Record):
         return len(self.stack)
 
 
+def _dimension(dim) -> int:
+    """dim as a Python int by operator.index; a bool, float, str or None
+    raises UnsupportedDimension."""
+    try:
+        if not isinstance(dim, bool):
+            return operator.index(dim)
+    except TypeError:
+        pass
+    raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}")
+
+
 def spanning_projectors(dim: int) -> SpanningSet:
     """Informationally complete rank-1 projector set for 2 <= dim <= 8.
 
@@ -129,10 +153,7 @@ def spanning_projectors(dim: int) -> SpanningSet:
     operator.index (a bool, float or str raises UnsupportedDimension),
     so the set's ``dim`` is an int.
     """
-    try:
-        d = operator.index(dim)
-    except TypeError:
-        raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}") from None
+    d = _dimension(dim)
     if not 2 <= d <= 8:
         raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim!r}")
     return _shared_spanning_set(d)

@@ -21,6 +21,7 @@ from gleason_lab.errors import (
     NotUnitTrace,
     UndefinedProjector,
     UnsupportedDimension,
+    ValueOutOfRange,
 )
 from gleason_lab.frames import (
     AXIS_BLOCH,
@@ -156,7 +157,7 @@ class TestSpanningProjectors:
             assert p.dim == dim and type(p.rank) is int and p.rank == q.rank
             assert p.matrix.tobytes() == q.matrix.tobytes()
             assert not p.matrix.flags.writeable
-            assert np.shares_memory(p.matrix, s.stack[k])
+            assert np.shares_memory(p.matrix, s.stack[k]) and (dim == 2 or p.matrix.base is s.stack)
 
     def test_qubit_set_is_the_six_axis_projectors(self):
         s = spanning_projectors(2)
@@ -221,6 +222,52 @@ class TestSpanningProjectors:
                 assert not getattr(twin, name).flags.writeable, name
             assert [p.matrix.tobytes() for p in twin.projectors] == [
                 p.matrix.tobytes() for p in s.projectors]
+
+
+Z_ROWS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex)
+
+
+class TestSpanningSetConstructor:
+    def test_a_writeable_stack_is_copied_and_frozen(self):
+        mine = Z_ROWS.copy()
+        s = SpanningSet(2, mine, ("+z", "-z"), "z")
+        assert s.stack is not mine and not np.shares_memory(s.stack, mine)
+        assert not s.stack.flags.writeable
+        assert all(not p.matrix.flags.writeable for p in s.projectors)
+        pinv = s.pinv.tobytes()
+        mine[0] = mine[1]
+        assert s.stack.tobytes() == Z_ROWS.tobytes() and s.pinv.tobytes() == pinv
+
+    def test_a_read_only_stack_is_kept_as_given(self):
+        frozen = Z_ROWS.copy()
+        frozen.setflags(write=False)
+        s = SpanningSet(np.int64(2), frozen, ("+z", "-z"), "z")
+        assert s.stack is frozen and type(s.dim) is int
+
+    @pytest.mark.parametrize("dim, stack, labels", [
+        (3, Z_ROWS, ("+z", "-z")),
+        (2, Z_ROWS[0], ("+z",)),
+        (2, Z_ROWS[:0], ()),
+        (2, Z_ROWS, ("+z",)),
+        (2, Z_ROWS, ("+z", "-z", "x")),
+    ], ids=["dim", "2-d", "empty", "few-labels", "many-labels"])
+    def test_shape_and_labels_must_match(self, dim, stack, labels):
+        with pytest.raises(DimensionMismatch):
+            SpanningSet(dim, stack, labels, "bad")
+
+    @pytest.mark.parametrize("row", [
+        np.eye(2), np.zeros((2, 2)), np.diag([0.5, 0.5]), np.array([[1, 1], [0, 0]]),
+        np.array([[np.nan, 0], [0, 0]]),
+    ], ids=["rank-2", "zero", "mixed", "not-hermitian", "nan"])
+    def test_every_row_is_a_rank1_projector(self, row):
+        stack = np.stack([Z_ROWS[0], row.astype(complex)])
+        with pytest.raises(ValueOutOfRange):
+            SpanningSet(2, stack, ("+z", "bad"), "bad")
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", None])
+    def test_a_dimension_is_an_integer(self, dim):
+        with pytest.raises(UnsupportedDimension):
+            SpanningSet(dim, Z_ROWS, ("+z", "-z"), "z")
 
 
 class TestFit:

@@ -60,6 +60,7 @@ from gleason_lab.tolerances import Tolerances
 
 ARR = np.array([1.0, 2.0])
 Z_STACK = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])   # two rank-1 qubit projectors
+Z_STACK.setflags(write=False)   # a set keeps a read-only stack as given
 
 # (type, field names, field values, the frozen dataclass's repr, compared by fields)
 RECORDS = [
