@@ -71,7 +71,6 @@ from .measurements import (
     validate_pvm,
 )
 from .operators import (
-    BlochVector,
     DensityMatrix,
     Projector,
     born_values,

@@ -30,10 +30,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, GleasonLabError, SerializationError, ValueOutOfRange
 from .frames import (
+    BornFrameFunction,
+    DeterministicFrameFunction,
     InducedFrameFunction,
-    born_backed,
     check_normalization,
-    deterministic_qubit,
     random_qubit_pvm_pair,
 )
 from .marginality import (
@@ -274,10 +274,10 @@ def _cmd_reconstruct(args, seed: int) -> Outcome:
 def _cmd_demo_counterexample(args, seed: int) -> Outcome:
     rng = np.random.default_rng(seed)
     if args.rho_backed:
-        frame = born_backed(random_density_matrix(2, rng))
+        frame = BornFrameFunction(random_density_matrix(2, rng))
         expected = Verdict.MARGINAL
     else:
-        frame = deterministic_qubit()
+        frame = DeterministicFrameFunction()
         expected = Verdict.NON_MARGINAL
     max_residual = 0.0
     n_pvms = 100
@@ -343,7 +343,7 @@ def _cmd_demo_intertwine(args, seed: int) -> Outcome:
 def _normalization_trial(rng, d, perturb) -> float:
     rho = random_density_matrix(d, rng)
     pvm = pvm_from_unitary(haar_unitary(d, rng), random_rank_partition(d, rng))
-    frame = born_backed(rho)
+    frame = BornFrameFunction(rho)
     total = float(frame.values(pvm.stack).sum()) + perturb
     return abs(total - 1.0)
 
@@ -352,8 +352,8 @@ def _trace_identity_trial(rng, d) -> float:
     rho_ab = random_density_matrix(d * 2, rng)
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     p = projector_from_ket(ket)
-    full = InducedFrameFunction(born_backed(rho_ab), d, 2)(p)
-    reduced = born_backed(partial_trace_b(rho_ab, d, 2))(p)
+    full = InducedFrameFunction(BornFrameFunction(rho_ab), d, 2)(p)
+    reduced = BornFrameFunction(partial_trace_b(rho_ab, d, 2))(p)
     return abs(full - reduced)
 
 
@@ -370,7 +370,7 @@ def _extension_trial(rng, d) -> float:
 
 def _soundness_trial(rng, s) -> tuple[float, bool]:
     rho = random_density_matrix(s.dim, rng)
-    cert = certify_marginal(born_backed(rho), s)
+    cert = certify_marginal(BornFrameFunction(rho), s)
     err = frobenius(cert.rho_hat - rho.matrix)
     return err, cert.verdict is Verdict.MARGINAL
 

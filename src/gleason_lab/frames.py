@@ -41,6 +41,8 @@ from .operators import (
     PAULI_Z,
     DensityMatrix,
     Projector,
+    _bloch_coords,
+    _dimension,
     _frozen,
     _Record,
     born_values,
@@ -119,11 +121,10 @@ class DeterministicFrameFunction(FrameFunction, _Record):
 
     def _values(self, stack: np.ndarray) -> np.ndarray:
         """0 on rank 0, 1 on rank 2, and on rank 1 the lex-zxy rule over
-        the Bloch coordinates of the whole stack, read off the entries as
-        ``bloch_of_matrix`` sums them: x = Re m01 + Re m10, y = Im m10 -
-        Im m01, z = Re m00 - Re m11. A stack with a non-finite entry raises
-        ValueOutOfRange; a row's rank is its rounded trace, and the first
-        row of another rank raises UnsupportedRank."""
+        the Bloch coordinates of the whole stack, read by ``_bloch_coords``
+        as ``bloch_of_matrix`` reads them. A stack with a non-finite entry
+        raises ValueOutOfRange; a row's rank is its rounded trace, and the
+        first row of another rank raises UnsupportedRank."""
         if not np.isfinite(stack).all():
             raise ValueOutOfRange("projector matrix contains non-finite entries")
         ranks = np.rint(stack[:, 0, 0].real + stack[:, 1, 1].real)
@@ -131,10 +132,7 @@ class DeterministicFrameFunction(FrameFunction, _Record):
         if bad.any():
             k = int(np.argmax(bad))
             raise UnsupportedRank(f"rank {ranks[k]:.0f} projector on a qubit")
-        x = stack[:, 0, 1].real + stack[:, 1, 0].real
-        y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
-        z = stack[:, 0, 0].real - stack[:, 1, 1].real
-        return np.where(ranks == 1, _lex_zxy(x, y, z), ranks == 2).astype(float)
+        return np.where(ranks == 1, _lex_zxy(*_bloch_coords(stack)), ranks == 2).astype(float)
 
 
 @functools.cache
@@ -215,6 +213,7 @@ class InducedFrameFunction(FrameFunction, _Record):
     __slots__ = __match_args__ = ("composite", "dim", "dim_b")
 
     def __init__(self, composite: FrameFunction, dim_a: int, dim_b: int):
+        dim_a, dim_b = _dimension(dim_a), _dimension(dim_b)
         if dim_b < 2:
             raise DimensionMismatch(f"ancilla dimension must be >= 2, got {dim_b}")
         if composite.dim != dim_a * dim_b:
@@ -229,16 +228,10 @@ class InducedFrameFunction(FrameFunction, _Record):
         return self.composite.values(embed(stack, self.dim_b))
 
 
-def born_backed(rho: DensityMatrix) -> BornFrameFunction:
-    return BornFrameFunction(rho)
-
-
-def deterministic_qubit() -> DeterministicFrameFunction:
-    return DeterministicFrameFunction()
-
-
-def tabulated(entries: list[tuple[Projector, float]]) -> TabulatedFrameFunction:
-    return TabulatedFrameFunction(entries)
+# Earlier names of the three kinds, kept as aliases of the classes.
+born_backed = BornFrameFunction
+deterministic_qubit = DeterministicFrameFunction
+tabulated = TabulatedFrameFunction
 
 
 def check_normalization(f: FrameFunction, m: PVM) -> float:
@@ -276,7 +269,7 @@ def axis_table(values: dict[str, float]) -> TabulatedFrameFunction:
     a normalized assignment; that is the caller's responsibility.
     """
     entries = [(axis_projector(axis), v) for axis, v in values.items()]
-    return tabulated(entries)
+    return TabulatedFrameFunction(entries)
 
 
 @functools.cache

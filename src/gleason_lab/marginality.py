@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .operators import (
     Projector,
     _frozen,
     _Record,
+    _dimension,
     _Value,
     bloch_of_matrix,
     born_values,
@@ -127,17 +127,6 @@ class SpanningSet(_Record):
 
     def __len__(self) -> int:
         return len(self.stack)
-
-
-def _dimension(dim) -> int:
-    """dim as a Python int by operator.index; a bool, float, str or None
-    raises UnsupportedDimension."""
-    try:
-        if not isinstance(dim, bool):
-            return operator.index(dim)
-    except TypeError:
-        pass
-    raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}")
 
 
 def spanning_projectors(dim: int) -> SpanningSet:
@@ -275,8 +264,8 @@ def certify_marginal(f: FrameFunction, s: SpanningSet | None = None) -> Marginal
     elif low >= -TOL.margin:
         verdict = Verdict.INCONCLUSIVE
     elif s.dim == 2:
-        b = bloch_of_matrix(rho_hat)
-        witness = BlochWitness(bloch=b.as_tuple(), norm=b.norm())
+        x, y, z = bloch_of_matrix(rho_hat)
+        witness = BlochWitness(bloch=(x, y, z), norm=math.sqrt(x * x + y * y + z * z))
     else:
         _, eigvecs = np.linalg.eigh(rho_hat)
         witness = EigenWitness(min_eig=low, eigenvector=_frozen(eigvecs[:, 0].copy()))

@@ -37,6 +37,7 @@ from .operators import (
     Projector,
     _Record,
     _Value,
+    _dimension,
     _frozen,
     as_complex_matrix,
     frobenius,
@@ -250,7 +251,7 @@ def pvm_from_unitary(u, rank_partition: Sequence[int]) -> PVM:
 def random_rank_partition(dim: int, rng: np.random.Generator) -> list[int]:
     """Random composition of dim into positive parts (for PVM sampling)."""
     parts = []
-    remaining = dim
+    remaining = _dimension(dim)
     while remaining > 0:
         r = int(rng.integers(1, remaining + 1))
         parts.append(r)
@@ -312,6 +313,7 @@ def embed(stack: np.ndarray, d_b: int) -> np.ndarray:
     s = np.asarray(stack)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise DimensionMismatch(f"embed needs an (n, d, d) stack, got shape {s.shape}")
+    d_b = _dimension(d_b)
     if d_b < 2:
         raise DimensionMismatch(f"ancilla dimension must be >= 2, got {d_b}")
     n, d = s.shape[0], s.shape[1]
@@ -328,6 +330,7 @@ def embed_pvm(m: PVM, d_b: int) -> PVM:
     embedding of a PVM is a PVM, so it is not validated again: ranks
     scale by d_b and both residuals by sqrt(d_b), as ||X x I_b||_F =
     sqrt(d_b) ||X||_F."""
+    d_b = _dimension(d_b)
     stack, root = embed(m.stack, d_b), math.sqrt(d_b)
     return PVM(dim=stack.shape[1], stack=stack, ranks=tuple(r * d_b for r in m.ranks), labels=m.labels,
                max_orthogonality_residual=m.max_orthogonality_residual * root,

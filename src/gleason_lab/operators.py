@@ -36,14 +36,20 @@ lists the constructor's arguments. Assignment and deletion raise
 dataclasses.FrozenInstanceError, ``repr`` is the dataclass text, pickle
 and copy rebuild a record through its constructor (``_rebuilt``, which
 freezes a copy of each array field that arrives writeable), and
-records compare by identity, ``_Value`` records (Bloch vectors, graph
-nodes, Bloch and residual witnesses) by their fields.
+records compare by identity, ``_Value`` records (graph nodes, Bloch and
+residual witnesses) by their fields. A Bloch vector is a plain (x, y, z)
+float tuple, read off the matrix entries by ``_bloch_coords``.
+
+Every public call of the package that takes a dimension reads it
+through ``_dimension`` (operator.index), so a bool, float or str raises
+UnsupportedDimension and a numpy integer becomes an int.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -55,6 +61,7 @@ from .errors import (
     NotIdempotent,
     NotPositive,
     NotUnitTrace,
+    UnsupportedDimension,
     ValueOutOfRange,
 )
 from .tolerances import MAX_COMPOSITE_DIM, TOL
@@ -91,6 +98,17 @@ def _not_numeric(x, name: str) -> Exception:
     except ValueError:
         return DimensionMismatch(f"{name} is ragged")
     return ValueOutOfRange(f"{name} holds a value that is not a number")
+
+
+def _dimension(dim) -> int:
+    """dim as a Python int by operator.index; a bool, float, str or None
+    raises UnsupportedDimension. Each caller keeps its own range check."""
+    try:
+        if not isinstance(dim, bool):
+            return operator.index(dim)
+    except TypeError:
+        pass
+    raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}")
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -268,26 +286,6 @@ class DensityMatrix(_Record):
         return t
 
 
-class BlochVector(_Value):
-    """Real 3-vector of qubit Pauli expectations; may lie outside the ball."""
-
-    __slots__ = __match_args__ = ("x", "y", "z")
-
-    def __init__(self, x: float, y: float, z: float):
-        for c in (x, y, z):
-            if not math.isfinite(c):
-                raise ValueOutOfRange("Bloch components must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
 def make_projector(matrix) -> Projector:
     """Validate a matrix as a projector and compute its rank.
 
@@ -443,6 +441,7 @@ def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMat
     """Reduced state of subsystem A: (Tr_B rho)_ij = sum_k rho_(i,k),(j,k),
     not gated again: the partial trace keeps Hermiticity, trace and
     positivity, so a gate could only refuse the reduction of a state."""
+    dim_a, dim_b = _dimension(dim_a), _dimension(dim_b)
     if rho_ab.dim != dim_a * dim_b:
         raise DimensionMismatch(
             f"composite dimension {rho_ab.dim} is not dim_a * dim_b = {dim_a * dim_b}"
@@ -511,17 +510,31 @@ def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else vals.copy()
 
 
-def bloch_of_matrix(m: np.ndarray) -> BlochVector:
-    """Pauli expectations of an arbitrary 2x2 Hermitian matrix (no
-    positivity assumed, e.g. reconstruction candidates)."""
+def _bloch_coords(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch coordinates Tr(M sigma_k) of every matrix M of an (n, 2, 2)
+    stack, read off the entries: x = Re m01 + Re m10, y = Im m10 - Im m01,
+    z = Re m00 - Re m11. These are the bits of the trace spelling
+    Tr(M @ PAULI_k).real (a tier-1 test checks random matrices at scales
+    1e-300 to 1e300), except that a coordinate that is an exact zero may
+    carry the other sign."""
+    x = stack[:, 0, 1].real + stack[:, 1, 0].real
+    y = stack[:, 1, 0].imag - stack[:, 0, 1].imag
+    z = stack[:, 0, 0].real - stack[:, 1, 1].real
+    return x, y, z
+
+
+def bloch_of_matrix(m) -> tuple[float, float, float]:
+    """Pauli expectations (x, y, z) of an arbitrary 2x2 matrix (no
+    Hermiticity or positivity assumed, e.g. reconstruction candidates),
+    read by ``_bloch_coords``. A 2x2 matrix whose coordinates overflow
+    raises ValueOutOfRange."""
     arr = as_complex_matrix(m)
     if arr.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {arr.shape}")
-    return BlochVector(
-        x=float(np.trace(arr @ PAULI_X).real),
-        y=float(np.trace(arr @ PAULI_Y).real),
-        z=float(np.trace(arr @ PAULI_Z).real),
-    )
+    x, y, z = (float(c[0]) for c in _bloch_coords(arr[None]))
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise ValueOutOfRange("Bloch components must be finite")
+    return x, y, z
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -532,6 +545,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     Dimensions above MAX_COMPOSITE_DIM raise DimensionOverflow before
     anything is drawn.
     """
+    dim = _dimension(dim)
     if dim < 1:
         raise ValueOutOfRange(f"dimension must be >= 1, got {dim}")
     if dim > MAX_COMPOSITE_DIM:
@@ -545,6 +559,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank random state G G† / Tr(G G†) from a complex Ginibre draw."""
+    dim = _dimension(dim)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return make_density(m / np.trace(m).real)

@@ -18,9 +18,6 @@ from .frames import (
     DeterministicFrameFunction,
     FrameFunction,
     TabulatedFrameFunction,
-    born_backed,
-    deterministic_qubit,
-    tabulated,
 )
 from .marginality import (
     BlochWitness,
@@ -141,12 +138,12 @@ def frame_from_json(obj: Any) -> FrameFunction:
     kind = _field(obj, "repr", "frame object")
     if kind == "born":
         rho = make_density(matrix_from_json(_field(obj, "rho", "born frame"), "rho"))
-        frame = born_backed(rho)
+        frame = BornFrameFunction(rho)
     elif kind == "deterministic":
         rule = obj.get("rule", DeterministicFrameFunction.rule)
         if rule != DeterministicFrameFunction.rule:
             raise SerializationError(f"unknown hemisphere rule {rule!r}")
-        frame = deterministic_qubit()
+        frame = DeterministicFrameFunction()
     elif kind == "table":
         entries = _list(obj.get("entries"), "entries")
         if not entries:
@@ -160,7 +157,7 @@ def frame_from_json(obj: Any) -> FrameFunction:
             )
             for i, e in enumerate(entries)
         ]
-        frame = tabulated(pairs)
+        frame = TabulatedFrameFunction(pairs)
     else:
         raise SerializationError(f"unknown frame repr {kind!r}")
     _check_dim(obj, frame.dim)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gleason_lab.operators import Projector, make_projector
+from gleason_lab.operators import PAULI_X, PAULI_Y, PAULI_Z, Projector, make_projector
 
 
 def random_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -35,6 +35,11 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def bloch_oracle(m: np.ndarray) -> tuple[float, float, float]:
+    """Bloch coordinates in the trace spelling, Tr(M sigma_k).real."""
+    return tuple(float(np.trace(m @ p).real) for p in (PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ def test_criterion_2_definite_xz_counterexample():
             2 * table(axis_projector("+z")) - 1,
         ]
     )
-    bloch = np.array(bloch_of_matrix(cert.rho_hat).as_tuple())
+    bloch = np.array(bloch_of_matrix(cert.rho_hat))
     bloch_err = float(np.max(np.abs(bloch - expected_bloch)))
     target_err = float(np.max(np.abs(expected_bloch - np.array([1.0, 0.0, 1.0]))))
     norm_err = abs(float(np.linalg.norm(bloch)) - math.sqrt(2))

@@ -43,7 +43,6 @@ from gleason_lab.operators import (
     PAULI_Z,
     DensityMatrix,
     Projector,
-    bloch_of_matrix,
     born_values,
     haar_unitary,
     identity,
@@ -57,7 +56,7 @@ from gleason_lab.operators import (
 )
 from gleason_lab.tolerances import TOL
 
-from conftest import rank1_projector
+from conftest import bloch_oracle, rank1_projector
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -290,8 +289,8 @@ class TestValues:
         self._agrees(deterministic_qubit(), _projector_sets(2, rng))
 
     def test_deterministic_exactly(self, rng):
-        # values, a loop over __call__, and the lex-zxy rule applied to
-        # bloch_of_matrix one projector at a time agree exactly.
+        # values, a loop over __call__, and the lex-zxy rule applied to the
+        # trace spelling Tr(P sigma_k) one projector at a time agree exactly.
         f = deterministic_qubit()
         s = spanning_projectors(2)
         sets = [(s.projectors, s.stack)]
@@ -307,7 +306,7 @@ class TestValues:
         for projectors, stack in sets:
             got = f.values(stack)
             assert got.dtype == float and got.shape == (len(projectors),)
-            accepts = [frames._lex_zxy(*bloch_of_matrix(p.matrix).as_tuple()) for p in projectors]
+            accepts = [frames._lex_zxy(*bloch_oracle(p.matrix)) for p in projectors]
             oracle = [float(p.rank == 2 or (p.rank == 1 and a)) for p, a in zip(projectors, accepts)]
             assert got.tolist() == [f(p) for p in projectors] == oracle
 

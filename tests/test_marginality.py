@@ -66,7 +66,7 @@ from gleason_lab.operators import (
 from gleason_lab.serialization import certificate_to_json
 from gleason_lab.tolerances import TOL
 
-from conftest import kron_oracle, rank1_projector
+from conftest import bloch_oracle, kron_oracle, rank1_projector
 
 
 def design_rank_oracle(projectors) -> int:
@@ -292,7 +292,7 @@ class TestFit:
                 2 * f(axis_projector("+z")) - 1,
             ]
         )
-        bloch = np.array(bloch_of_matrix(cert.rho_hat).as_tuple())
+        bloch = np.array(bloch_of_matrix(cert.rho_hat))
         assert np.allclose(bloch, expected, atol=1e-12)
         assert cert.linear_residual <= 1e-12
         # two deterministic axes already push the norm past the ball
@@ -301,9 +301,9 @@ class TestFit:
 
     def test_definite_xz_table_reconstruction(self):
         cert = certify_marginal(definite_xz_table(), spanning_projectors(2))
-        bloch = bloch_of_matrix(cert.rho_hat)
-        assert np.allclose(bloch.as_tuple(), (1.0, 0.0, 1.0), atol=1e-12)
-        assert bloch.norm() == pytest.approx(math.sqrt(2), abs=1e-12)
+        x, y, z = bloch_of_matrix(cert.rho_hat)
+        assert np.allclose((x, y, z), (1.0, 0.0, 1.0), atol=1e-12)
+        assert math.sqrt(x * x + y * y + z * z) == pytest.approx(math.sqrt(2), abs=1e-12)
         assert cert.linear_residual <= 1e-12
 
     def test_uniform_table_reconstructs_maximally_mixed(self):
@@ -382,7 +382,8 @@ def test_the_default_set_certifies_bit_for_bit(dim):
 
 def certify_reference(f, s):
     """certify_marginal's fit in its plain numpy spelling: a fresh np.eye
-    for I/d, np.max over the misfit, and an eigensolve of the Hermitized fit."""
+    for I/d, np.max over the misfit, an eigensolve of the Hermitized fit,
+    and the qubit witness's Bloch vector as the traces Tr(rho_hat sigma_k)."""
     values = f.values(s.stack)
     coeffs = s.pinv @ (values - 1 / s.dim)
     fit = np.eye(s.dim, dtype=complex) / s.dim + (coeffs @ s.basis_flat).reshape(s.dim, s.dim)
@@ -399,8 +400,8 @@ def certify_reference(f, s):
     elif low >= -TOL.margin:
         verdict = Verdict.INCONCLUSIVE
     elif s.dim == 2:
-        b = bloch_of_matrix(rho_hat)
-        witness = ("bloch", b.as_tuple(), b.norm())
+        x, y, z = bloch_oracle(rho_hat)
+        witness = ("bloch", (x, y, z), math.sqrt(x * x + y * y + z * z))
     else:
         witness = ("eigen", low, np.linalg.eigh(rho_hat)[1][:, 0].tobytes())
     return rho_hat.tobytes(), residual, low, verdict, witness

@@ -15,14 +15,16 @@ from gleason_lab.errors import (
     NotHermitian,
     NotIdempotent,
     NotPositive,
+    UnsupportedDimension,
     ValueOutOfRange,
 )
+from gleason_lab.frames import BornFrameFunction, InducedFrameFunction
 from gleason_lab.marginality import extend_to_composite, spanning_projectors
+from gleason_lab.measurements import embed, embed_pvm, pvm_from_unitary, random_rank_partition
 from gleason_lab.operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochVector,
     DensityMatrix,
     Projector,
     bloch_of_matrix,
@@ -41,6 +43,7 @@ from gleason_lab.operators import (
 from gleason_lab.tolerances import MAX_COMPOSITE_DIM, TOL
 
 from conftest import (
+    bloch_oracle,
     frobenius_oracle,
     kron_oracle,
     matmul_oracle,
@@ -956,10 +959,10 @@ class TestBornValuesExactly:
 
 class TestBloch:
     def test_center_is_maximally_mixed(self):
-        assert bloch_of_matrix(identity(2) / 2).as_tuple() == (0.0, 0.0, 0.0)
+        assert bloch_of_matrix(identity(2) / 2) == (0.0, 0.0, 0.0)
 
     def test_north_pole(self):
-        assert bloch_of_matrix(np.outer(KET0, KET0.conj())).as_tuple() == (0.0, 0.0, 1.0)
+        assert bloch_of_matrix(np.outer(KET0, KET0.conj())) == (0.0, 0.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -970,10 +973,30 @@ class TestBloch:
     def test_round_trip(self, x, y, z):
         assume(x * x + y * y + z * z <= 1.0)
         m = 0.5 * (identity(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
-        back = bloch_of_matrix(make_density(m).matrix)
-        assert abs(back.x - x) <= 1e-12
-        assert abs(back.y - y) <= 1e-12
-        assert abs(back.z - z) <= 1e-12
+        bx, by, bz = bloch_of_matrix(make_density(m).matrix)
+        assert abs(bx - x) <= 1e-12
+        assert abs(by - y) <= 1e-12
+        assert abs(bz - z) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+    def test_the_entry_reading_is_the_trace_spelling_bit_for_bit(self, scale):
+        # Random complex and Hermitian matrices; tobytes tells -0.0 from 0.0.
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            g = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            for m in (g, 0.5 * (g + g.conj().T)):
+                got = bloch_of_matrix(m)
+                assert type(got) is tuple and all(type(c) is float for c in got)
+                assert np.array(got).tobytes() == np.array(bloch_oracle(m)).tobytes()
+
+    def test_the_gates(self):
+        with pytest.raises(DimensionMismatch):
+            bloch_of_matrix(identity(3))
+        with pytest.raises(ValueOutOfRange):
+            bloch_of_matrix([[0, float("nan")], [0, 0]])
+        with pytest.raises(ValueOutOfRange), np.errstate(over="ignore"):   # x overflows
+            bloch_of_matrix([[0, 1e308], [1e308, 0]])
+        assert bloch_of_matrix([[1e308, 1e308], [0, 0]]) == (1e308, 0.0, 1e308)
 
 
 class TestRandomUnitary:
@@ -1022,10 +1045,38 @@ class TestMinEigenvalue:
         assert DensityMatrix(dim=2, matrix=m).spectrum[0] == pytest.approx(expected, abs=1e-12)
 
 
-class TestBlochVectorType:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueOutOfRange):
-            BlochVector(float("nan"), 0.0, 0.0)
+STATE4 = random_density_matrix(4, np.random.default_rng(4))
+QUBIT_PVM = pvm_from_unitary(identity(2), [1, 1])
+
+# Every public call that takes a dimension, as a function of that one
+# dimension; the others are fixed at 2.
+DIMENSION_CALLS = {
+    "haar_unitary": lambda d: haar_unitary(d, np.random.default_rng(1)),
+    "random_density_matrix": lambda d: random_density_matrix(d, np.random.default_rng(1)),
+    "partial_trace_b dim_a": lambda d: partial_trace_b(STATE4, d, 2),
+    "partial_trace_b dim_b": lambda d: partial_trace_b(STATE4, 2, d),
+    "embed": lambda d: embed(QUBIT_PVM.stack, d),
+    "embed_pvm": lambda d: embed_pvm(QUBIT_PVM, d),
+    "InducedFrameFunction dim_a": lambda d: InducedFrameFunction(BornFrameFunction(STATE4), d, 2),
+    "InducedFrameFunction dim_b": lambda d: InducedFrameFunction(BornFrameFunction(STATE4), 2, d),
+    "random_rank_partition": lambda d: random_rank_partition(d, np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("dim", [2.0, True, "2", 2.5], ids=repr)
+@pytest.mark.parametrize("call", DIMENSION_CALLS)
+def test_a_dimension_is_an_integer_at_every_boundary(call, dim):
+    with pytest.raises(UnsupportedDimension):
+        DIMENSION_CALLS[call](dim)
+
+
+@pytest.mark.parametrize("call", DIMENSION_CALLS)
+def test_a_numpy_integer_dimension_is_read_as_an_int(call):
+    # repr tells np.int64(2) from 2, in a record's dim and in a PVM's ranks.
+    got, want = DIMENSION_CALLS[call](np.int64(2)), DIMENSION_CALLS[call](2)
+    assert repr(got) == repr(want)
+    if isinstance(want, np.ndarray):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 65))

@@ -1,6 +1,6 @@
 """The library's record types behave as frozen dataclasses did: they
 refuse assignment and deletion, print the dataclass text, build from
-positional or keyword arguments, compare by fields (the four value
+positional or keyword arguments, compare by fields (the three value
 kinds) or by identity (the rest), and survive pickle and copy. The four
 built-in frame kinds are records too. Only ``Tolerances`` is still a
 dataclass, so importing the library generates no record code.
@@ -45,7 +45,6 @@ from gleason_lab.measurements import (
     validate_pvm,
 )
 from gleason_lab.operators import (
-    BlochVector,
     DensityMatrix,
     Projector,
     _frozen,
@@ -68,8 +67,6 @@ RECORDS = [
      "Projector(dim=1, matrix=array([1., 2.]), rank=1)", False),
     (DensityMatrix, ("dim", "matrix"), (1, ARR),
      "DensityMatrix(dim=1, matrix=array([1., 2.]))", False),
-    (BlochVector, ("x", "y", "z"), (0.5, 0.0, -0.5),
-     "BlochVector(x=0.5, y=0.0, z=-0.5)", True),
     (PVM, ("dim", "stack", "ranks", "labels", "max_orthogonality_residual", "completeness_residual"),
      (2, ARR, (1,), ("a",), 0.0, 1e-17),
      "PVM(dim=2, stack=array([1., 2.]), ranks=(1,), labels=('a',), "
@@ -228,7 +225,8 @@ def test_a_pvm_given_none_measures_only_what_it_was_not_given():
     half = PVM(4, stack, (1, 2, 1), ("a", "b", "c"), 0.5, None)
     assert (half.max_orthogonality_residual, half.completeness_residual) == (
         0.5, expected.completeness_residual)
-    assert repr(PVM(2, ARR, (1,), ("a",), 0.0, 1e-17)) == RECORDS[3][3]
+    assert repr(PVM(2, ARR, (1,), ("a",), 0.0, 1e-17)) == next(
+        text for cls, _, _, text, _ in RECORDS if cls is PVM)
 
 
 def test_tolerances_is_the_only_dataclass():
@@ -289,6 +287,22 @@ class TestFrameRecord:
             assert twin.values(stack).tobytes() == want
 
 
+# frame kind -> (earlier factory name, class name)
+ALIASES = {"born": ("born_backed", "BornFrameFunction"),
+           "deterministic": ("deterministic_qubit", "DeterministicFrameFunction"),
+           "tabulated": ("tabulated", "TabulatedFrameFunction")}
+
+
+@pytest.mark.parametrize("kind", ALIASES)
+def test_a_frame_factory_name_is_its_class(kind):
+    alias, name = ALIASES[kind]
+    cls = getattr(gleason_lab, name)
+    assert getattr(gleason_lab, alias) is cls
+    f, _ = _frames(np.random.default_rng(3))[kind]   # built by its alias
+    for twin in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert type(twin) is cls
+
+
 def test_tabulated_arrays_are_read_only():
     f, fields = _frames(np.random.default_rng(3))["tabulated"]
     arrays = [getattr(f, name) for name in fields if isinstance(getattr(f, name), np.ndarray)]
@@ -336,7 +350,6 @@ def _built_records():
         "ket projector, read": read,
         "make_projector": make_projector(np.diag([1.0, 0.0])),
         "density": rho,
-        "bloch": BlochVector(0.5, 0.0, -0.5),
         "pvm_from_unitary": pvm,
         "validate_pvm": validate_pvm(pvm.elements),
         "graph": intertwine_graph([pvm, pvm]),
