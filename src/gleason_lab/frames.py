@@ -44,6 +44,7 @@ from .operators import (
     _bloch_coords,
     _dimension,
     _frozen,
+    _numbers,
     _Record,
     born_values,
     identity,
@@ -64,17 +65,11 @@ class FrameFunction:
         return float(self.values(p.matrix[np.newaxis])[0])
 
     def values(self, stack) -> np.ndarray:
-        """f on every matrix of an (n, d, d) projector stack, as a float
-        vector; any dtype but integer (read as float), float or complex
-        raises ValueOutOfRange, a ragged or other shape DimensionMismatch."""
-        d = self.dim
-        try:
-            s = np.asarray(stack)
-        except ValueError:
-            raise DimensionMismatch(f"projector stack is ragged, not (n, {d}, {d})") from None
-        if s.dtype.kind not in "fc":
-            if s.dtype.kind not in "iu":
-                raise ValueOutOfRange(f"projector stack must be numeric, got dtype {s.dtype}")
+        """f on every matrix of an (n, d, d) projector stack, read by
+        ``_numbers`` (an integer stack is read as float), as a float
+        vector; a shape other than (n, d, d) raises DimensionMismatch."""
+        d, s = self.dim, _numbers(stack, "projector stack")
+        if s.dtype.kind in "iu":
             s = s.astype(float)
         if s.ndim != 3 or s.shape[1:] != (d, d):
             raise DimensionMismatch(f"projector stack must be (n, {d}, {d}), got shape {s.shape}")
@@ -213,9 +208,7 @@ class InducedFrameFunction(FrameFunction, _Record):
     __slots__ = __match_args__ = ("composite", "dim", "dim_b")
 
     def __init__(self, composite: FrameFunction, dim_a: int, dim_b: int):
-        dim_a, dim_b = _dimension(dim_a), _dimension(dim_b)
-        if dim_b < 2:
-            raise DimensionMismatch(f"ancilla dimension must be >= 2, got {dim_b}")
+        dim_a, dim_b = _dimension(dim_a), _dimension(dim_b, 2)
         if composite.dim != dim_a * dim_b:
             raise DimensionMismatch(
                 f"composite dim {composite.dim} is not {dim_a} * {dim_b}"

@@ -33,6 +33,7 @@ from .operators import (
     _frozen,
     _Record,
     _dimension,
+    _numbers,
     _Value,
     bloch_of_matrix,
     born_values,
@@ -85,8 +86,9 @@ class SpanningSet(_Record):
     """Rank-1 projectors whose real span is the full Hermitian space,
     given as their (n, d, d) stack with one label each.
 
-    The constructor freezes a copy of a writeable stack and derives from
-    it, once: ``condition_number``, sigma_max / sigma_min of the design
+    The constructor reads the stack by ``_numbers``, freezes a copy of it
+    unless it is a read-only array, and derives from it, once:
+    ``condition_number``, sigma_max / sigma_min of the design
     (one row of Hermitian coordinates per projector); ``basis_flat``, the
     traceless basis as (d^2-1, d^2); ``basis_design`` and ``pinv``, the
     design in that basis and its pseudo-inverse; and ``projectors``, a
@@ -101,8 +103,9 @@ class SpanningSet(_Record):
     __match_args__ = ("dim", "stack", "labels", "set_id")
 
     def __init__(self, dim: int, stack: np.ndarray, labels: tuple[str, ...], set_id: str):
-        dim = _dimension(dim)
-        if not isinstance(stack, np.ndarray) or stack.flags.writeable:
+        dim, given = _dimension(dim), stack
+        stack = _numbers(given, "spanning set stack")
+        if stack is not given or stack.flags.writeable:
             stack = frozen_matrix(stack)
         if stack.shape[1:] != (dim, dim) or not len(stack) or len(labels) != len(stack):
             raise DimensionMismatch(f"need an (n, {dim}, {dim}) stack, n >= 1, and n labels; "
@@ -139,11 +142,11 @@ def spanning_projectors(dim: int) -> SpanningSet:
     projected as one stack that projector_from_ket's bound passes with
     rank 1. One shared set is built per dimension, on its first call;
     two threads that race on it each build an equal one. dim is read by
-    operator.index (a bool, float or str raises UnsupportedDimension),
-    so the set's ``dim`` is an int.
+    ``_dimension`` with floor 2 (a bool, float, str or an integer below 2
+    raises UnsupportedDimension), so the set's ``dim`` is an int.
     """
-    d = _dimension(dim)
-    if not 2 <= d <= 8:
+    d = _dimension(dim, 2)
+    if d > 8:
         raise UnsupportedDimension(f"spanning sets cover dimensions 2..8, got {dim!r}")
     return _shared_spanning_set(d)
 

@@ -39,6 +39,7 @@ from .operators import (
     _Value,
     _dimension,
     _frozen,
+    _numbers,
     as_complex_matrix,
     frobenius,
     identity,
@@ -281,11 +282,11 @@ def measurement_family_mpsi(psi) -> PVM:
     Every member of the family contains Pi, so distinct members are
     intertwined through it.
     """
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = _numbers(psi, "psi").astype(complex).reshape(-1)
     if v.shape != (2,):
         raise DimensionMismatch(f"psi must be a 2-component vector, got shape {v.shape}")
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > 1e-10:
+    if not abs(n - 1.0) <= 1e-10:   # a NaN norm fails too
         raise NotNormalized(n)
     perp = orthogonal_complement_ket(v)
     ket0 = np.array([1.0, 0.0], dtype=complex)
@@ -307,15 +308,14 @@ def embed(stack: np.ndarray, d_b: int) -> np.ndarray:
     Tensoring with the identity is the trivial measurement on the second
     factor, so the embedded outcome carries no information about it.
     Each row equals tensor(P, identity(d_b)) under ==, with +0.0 zeros.
-    A non-stack input or d_b < 2 raises DimensionMismatch, and d * d_b
+    The stack is read by ``_numbers`` and d_b by ``_dimension`` with
+    floor 2; a non-stack input raises DimensionMismatch, and d * d_b
     above MAX_COMPOSITE_DIM raises DimensionOverflow.
     """
-    s = np.asarray(stack)
+    s = _numbers(stack, "projector stack")
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise DimensionMismatch(f"embed needs an (n, d, d) stack, got shape {s.shape}")
-    d_b = _dimension(d_b)
-    if d_b < 2:
-        raise DimensionMismatch(f"ancilla dimension must be >= 2, got {d_b}")
+    d_b = _dimension(d_b, 2)
     n, d = s.shape[0], s.shape[1]
     if d * d_b > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(d * d_b, MAX_COMPOSITE_DIM)
@@ -330,7 +330,7 @@ def embed_pvm(m: PVM, d_b: int) -> PVM:
     embedding of a PVM is a PVM, so it is not validated again: ranks
     scale by d_b and both residuals by sqrt(d_b), as ||X x I_b||_F =
     sqrt(d_b) ||X||_F."""
-    d_b = _dimension(d_b)
+    d_b = _dimension(d_b, 2)
     stack, root = embed(m.stack, d_b), math.sqrt(d_b)
     return PVM(dim=stack.shape[1], stack=stack, ranks=tuple(r * d_b for r in m.ranks), labels=m.labels,
                max_orthogonality_residual=m.max_orthogonality_residual * root,
@@ -338,14 +338,17 @@ def embed_pvm(m: PVM, d_b: int) -> PVM:
 
 
 def projector_key(m: np.ndarray) -> str:
-    """Printed label of a projector matrix: its ``projector_coords``
-    snapped to a grid of size TOL.key, real entries then imaginary
-    entries, hashed with its dimension.
+    """Printed label of a square matrix, read by ``as_complex_matrix``:
+    its ``projector_coords`` snapped to a grid of size TOL.key, real
+    entries then imaginary entries, hashed with its dimension.
 
     Labels name a class of projectors in reports and errors; tables and
     intertwine graphs match projectors with ``projector_classes`` and
     ``first_match``, never by comparing labels.
     """
+    m = as_complex_matrix(m, "projector matrix")
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
     h = projector_coords(m[None])[0].view(complex) / TOL.key
     grid = np.round([h.real, h.imag]).astype(np.int64)
     digest = hashlib.sha256(str(m.shape[0]).encode() + b"|" + grid.tobytes()).hexdigest()

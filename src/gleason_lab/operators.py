@@ -22,12 +22,10 @@ computed; see projector_from_ket) and its branch by one math.hypot (so
 no norm is computed for an ordinary ket), a list of ket projectors
 formed as one broadcast with every norm from one batched dot
 (projector_stack), and the Born range gate as one min and one max over
-the values. Input numpy cannot read as complex raises DimensionMismatch
-when ragged and ValueOutOfRange otherwise, decided only after the
-conversion fails. Every check, threshold and error
-class is that of the plain numpy spelling, and every returned matrix
-and norm is the same bit for bit; a reduced or product state is gated
-through the state it comes from.
+the values. Every check, threshold and error class is that of the
+plain numpy spelling, and every returned matrix and norm is the same bit
+for bit; a reduced or product state is gated through the state it comes
+from.
 
 Every record of the library, the four built-in frame kinds included,
 is a slotted ``_Record`` that sets its fields once in an explicit
@@ -40,9 +38,13 @@ records compare by identity, ``_Value`` records (graph nodes, Bloch and
 residual witnesses) by their fields. A Bloch vector is a plain (x, y, z)
 float tuple, read off the matrix entries by ``_bloch_coords``.
 
-Every public call of the package that takes a dimension reads it
-through ``_dimension`` (operator.index), so a bool, float or str raises
-UnsupportedDimension and a numpy integer becomes an int.
+Caller input passes two gates, shared by every public call of the
+package. An array is read by ``_numbers``: it holds integer, float or
+complex numbers, so a ragged nesting raises DimensionMismatch and a
+bool, str or object array (a malformed string, None, an int beyond 64
+bits) ValueOutOfRange. A dimension is read by ``_dimension``
+(operator.index) as an int at or above the call's floor, so a bool,
+float, str or an integer below the floor raises UnsupportedDimension.
 """
 
 from __future__ import annotations
@@ -89,38 +91,39 @@ PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def _not_numeric(x, name: str) -> Exception:
-    """The error for an input numpy cannot read as complex: a ragged
-    nesting is a DimensionMismatch, anything else (a malformed string, an
-    object, an int beyond the float range) a ValueOutOfRange."""
+def _numbers(x, name: str) -> np.ndarray:
+    """x as an array, not copied when it is one, of integer, float or
+    complex dtype; a ragged nesting raises DimensionMismatch and any other
+    dtype (bool, str, object) ValueOutOfRange."""
     try:
-        np.asarray(x)
+        arr = np.asarray(x)
     except ValueError:
-        return DimensionMismatch(f"{name} is ragged")
-    return ValueOutOfRange(f"{name} holds a value that is not a number")
+        raise DimensionMismatch(f"{name} is ragged") from None
+    if arr.dtype.kind not in "iufc":
+        raise ValueOutOfRange(f"{name} holds a value that is not a number")
+    return arr
 
 
-def _dimension(dim) -> int:
-    """dim as a Python int by operator.index; a bool, float, str or None
-    raises UnsupportedDimension. Each caller keeps its own range check."""
-    try:
-        if not isinstance(dim, bool):
-            return operator.index(dim)
-    except TypeError:
-        pass
-    raise UnsupportedDimension(f"a dimension is an integer, got {dim!r}")
+def _dimension(dim, low: int = 1) -> int:
+    """dim as a Python int by operator.index; a bool, float, str, None or
+    an integer below low raises UnsupportedDimension."""
+    if not isinstance(dim, bool):
+        try:
+            d = operator.index(dim)
+        except TypeError:
+            pass
+        else:
+            if d >= low:
+                return d
+    raise UnsupportedDimension(f"a dimension is an integer >= {low}, got {dim!r}")
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex array; input numpy cannot read as
-    complex raises DimensionMismatch when ragged, else ValueOutOfRange."""
-    try:
-        arr = np.asarray(m, dtype=complex)
-    except (ValueError, TypeError, OverflowError):
-        raise _not_numeric(m, name) from None
+    """``_numbers`` as a finite 2-D complex array."""
+    arr = _numbers(m, name).astype(complex, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) < arr.size:   # cheaper than .all() on small arrays
         raise ValueOutOfRange(f"{name} contains non-finite entries")
     return arr
 
@@ -315,9 +318,8 @@ def projector_from_ket(ket) -> Projector:
     the rescale, the norm is finite exactly when every entry is, so a
     non-finite norm raises ValueOutOfRange as a non-finite entry of the
     matrix would. A ket longer than MAX_COMPOSITE_DIM raises
-    DimensionOverflow before anything is computed; one that is not a
-    nesting of numbers raises DimensionMismatch when ragged and
-    ValueOutOfRange otherwise.
+    DimensionOverflow before anything is computed; the ket is read by
+    ``_numbers``.
 
     Every gate runs here, and no norm is kept. The projector keeps a copy
     of the gated ket v alone, and forms m = w w-dagger, w = v / n for
@@ -375,10 +377,7 @@ def projector_from_ket(ket) -> Projector:
     nor a gate is computed. Under TOL every d <= 64 meets the three
     conditions (a tier-1 test checks this).
     """
-    try:
-        v = np.array(ket, dtype=complex)
-    except (ValueError, TypeError, OverflowError):
-        raise _not_numeric(ket, "ket") from None
+    v = _numbers(ket, "ket").astype(complex)
     if v.ndim != 1:
         v = v.reshape(-1)
     if len(v) > MAX_COMPOSITE_DIM:
@@ -452,7 +451,8 @@ def partial_trace_b(rho_ab: DensityMatrix, dim_a: int, dim_b: int) -> DensityMat
 
 def projector_stack(projectors, dim: int) -> np.ndarray:
     """The matrices of projectors on C^dim as one frozen (n, dim, dim)
-    array; an empty list gives shape (0, dim, dim).
+    array; an empty list gives shape (0, dim, dim). dim is read by
+    ``_dimension``.
 
     When every projector comes from projector_from_ket and none has
     formed its matrix, the stack is formed from their kets V in one
@@ -466,6 +466,7 @@ def projector_stack(projectors, dim: int) -> np.ndarray:
     are ``Projector.matrix``'s elementwise spelling: every byte is the
     same. Any other list is stacked from the matrices.
     """
+    dim = _dimension(dim)
     kets = []
     for p in projectors:
         if p.dim != dim:
@@ -483,8 +484,9 @@ def projector_stack(projectors, dim: int) -> np.ndarray:
 
 
 def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
-    """Tr(P_n rho) for every matrix of an (n, d, d) stack, clamped into
-    [0, 1] after an epsilon sanity check on the whole vector.
+    """Tr(P_n rho) for every matrix of an (n, d, d) stack, read by
+    ``_numbers``, clamped into [0, 1] after an epsilon sanity check on the
+    whole vector.
 
     The contraction sum_ij P_ij rho_ji (einsum "nij,ji->n") runs as one
     matrix-vector product of the flattened stack with vec(rho^T), which
@@ -495,7 +497,7 @@ def born_values(stack: np.ndarray, rho: DensityMatrix) -> np.ndarray:
     is built only to raise. np.clip runs only on a value outside [0, 1];
     otherwise a copy gives np.clip's bits, -0.0 included.
     """
-    d = rho.dim
+    stack, d = _numbers(stack, "projector stack"), rho.dim
     if stack.ndim != 3 or stack.shape[1:] != (d, d):
         raise DimensionMismatch(f"projectors of shape {stack.shape[1:]} != state dim {d}")
     t = stack.reshape(len(stack), d * d) @ rho.matrix.T.reshape(d * d)
@@ -546,8 +548,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     anything is drawn.
     """
     dim = _dimension(dim)
-    if dim < 1:
-        raise ValueOutOfRange(f"dimension must be >= 1, got {dim}")
     if dim > MAX_COMPOSITE_DIM:
         raise DimensionOverflow(dim, MAX_COMPOSITE_DIM)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)

@@ -14,6 +14,7 @@ from gleason_lab.errors import (
     ContextualConflict,
     DimensionMismatch,
     UndefinedProjector,
+    UnsupportedDimension,
     UnsupportedRank,
     ValueOutOfRange,
 )
@@ -593,7 +594,7 @@ class TestShapeGate:
         # numpy cannot make an array of these; its ValueError once leaked.
         f = QUBIT_FRAMES[kind](np.random.default_rng(5))
         for bad in ([[[1, 0], [0, 0]], [[1, 0]]], [[[1, 0], [0]]], [P0.matrix, P0.matrix[0]]):
-            with pytest.raises(DimensionMismatch, match=re.escape("projector stack is ragged, not (n, 2, 2)")):
+            with pytest.raises(DimensionMismatch, match="projector stack is ragged"):
                 f.values(bad)
 
 
@@ -610,7 +611,7 @@ class TestDtypeGate:
             for bad in ([[["a", "b"], ["c", "d"]]], eye.astype(bool), eye.astype(object),
                         eye.astype(bytes), eye.astype("datetime64[s]"), eye.astype("timedelta64[s]"),
                         np.zeros((1, 2, 2), dtype="V8")):
-                with pytest.raises(ValueOutOfRange, match="projector stack must be numeric"):
+                with pytest.raises(ValueOutOfRange, match="projector stack holds a value that is not a number"):
                     f.values(bad)
 
     @pytest.mark.parametrize("kind", sorted(QUBIT_FRAMES))
@@ -706,7 +707,7 @@ class TestInduce:
         # can be embedded.
         f2 = born_backed(random_density_matrix(2, rng))
         for dim_a, dim_b in ((2, 1), (-2, -1)):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(UnsupportedDimension):
                 InducedFrameFunction(f2, dim_a, dim_b)
 
 

@@ -16,6 +16,7 @@ from gleason_lab.errors import (
     NotNormalized,
     NotOrthogonal,
     PartitionMismatch,
+    UnsupportedDimension,
 )
 from gleason_lab import measurements, operators
 from gleason_lab.frames import random_qubit_pvm_pair
@@ -343,6 +344,9 @@ class TestMeasurementFamily:
     def test_rejects_unnormalized_psi(self):
         with pytest.raises(NotNormalized):
             measurement_family_mpsi(np.array([1.0, 1.0]))
+        # A NaN norm fails the gate rather than reaching tensor's finite check.
+        with pytest.raises(NotNormalized):
+            measurement_family_mpsi(np.array([np.nan, 0.0]))
 
     def test_complement_phase_is_canonical(self, rng):
         for _ in range(50):
@@ -410,7 +414,7 @@ class TestEmbed:
             embed(rank1_projector(8, rng).matrix[None], 16)
 
     def test_rejects_trivial_ancilla(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UnsupportedDimension):
             embed(P0.matrix[None], 1)
 
     def test_rows_are_the_tensor_with_identity(self, rng):
@@ -433,7 +437,7 @@ class TestEmbed:
 
     def test_stack_gates(self):
         for d_b in (1, 0, -2):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(UnsupportedDimension):
                 embed(np.zeros((1, 2, 2)), d_b)
         for d, d_b in ((8, 9), (33, 2), (2, 33)):
             with pytest.raises(DimensionOverflow) as exc:

@@ -18,9 +18,21 @@ from gleason_lab.errors import (
     UnsupportedDimension,
     ValueOutOfRange,
 )
-from gleason_lab.frames import BornFrameFunction, InducedFrameFunction
-from gleason_lab.marginality import extend_to_composite, spanning_projectors
-from gleason_lab.measurements import embed, embed_pvm, pvm_from_unitary, random_rank_partition
+from gleason_lab.frames import (
+    BornFrameFunction,
+    DeterministicFrameFunction,
+    InducedFrameFunction,
+    definite_xz_table,
+)
+from gleason_lab.marginality import SpanningSet, extend_to_composite, spanning_projectors
+from gleason_lab.measurements import (
+    embed,
+    embed_pvm,
+    measurement_family_mpsi,
+    projector_key,
+    pvm_from_unitary,
+    random_rank_partition,
+)
 from gleason_lab.operators import (
     PAULI_X,
     PAULI_Y,
@@ -36,10 +48,11 @@ from gleason_lab.operators import (
     make_projector,
     partial_trace_b,
     projector_from_ket,
+    projector_stack,
     random_density_matrix,
     tensor,
 )
-
+from gleason_lab.serialization import matrix_to_json
 from gleason_lab.tolerances import MAX_COMPOSITE_DIM, TOL
 
 from conftest import (
@@ -1027,7 +1040,7 @@ class TestRandomUnitary:
         assert np.max(np.abs(off_diag)) <= 1e-12
 
     def test_rejects_dim_zero(self):
-        with pytest.raises(ValueOutOfRange):
+        with pytest.raises(UnsupportedDimension):
             haar_unitary(0, np.random.default_rng(1))
 
 
@@ -1060,10 +1073,12 @@ DIMENSION_CALLS = {
     "InducedFrameFunction dim_a": lambda d: InducedFrameFunction(BornFrameFunction(STATE4), d, 2),
     "InducedFrameFunction dim_b": lambda d: InducedFrameFunction(BornFrameFunction(STATE4), 2, d),
     "random_rank_partition": lambda d: random_rank_partition(d, np.random.default_rng(1)),
+    "projector_stack": lambda d: projector_stack([projector_from_ket([1, 0])], d),
+    "spanning_projectors": spanning_projectors,
 }
 
 
-@pytest.mark.parametrize("dim", [2.0, True, "2", 2.5], ids=repr)
+@pytest.mark.parametrize("dim", [2.0, True, "2", 2.5, 0, -1], ids=repr)
 @pytest.mark.parametrize("call", DIMENSION_CALLS)
 def test_a_dimension_is_an_integer_at_every_boundary(call, dim):
     with pytest.raises(UnsupportedDimension):
@@ -1077,6 +1092,64 @@ def test_a_numpy_integer_dimension_is_read_as_an_int(call):
     assert repr(got) == repr(want)
     if isinstance(want, np.ndarray):
         assert got.tobytes() == want.tobytes()
+
+
+STATE2 = random_density_matrix(2, np.random.default_rng(2))
+
+# Every public call that takes an array, as a function of that one array,
+# with the shape it reads: a matrix, an (n, d, d) stack, or a vector whose
+# nesting is flattened, so that no ndim is wrong for it.
+ARRAY_CALLS = {
+    "make_projector": (make_projector, "matrix"),
+    "make_density": (make_density, "matrix"),
+    "tensor a": (lambda m: tensor(m, np.eye(2)), "matrix"),
+    "tensor b": (lambda m: tensor(np.eye(2), m), "matrix"),
+    "pvm_from_unitary": (lambda m: pvm_from_unitary(m, [1, 1]), "matrix"),
+    "bloch_of_matrix": (bloch_of_matrix, "matrix"),
+    "matrix_to_json": (matrix_to_json, "matrix"),
+    "projector_key": (projector_key, "matrix"),
+    "projector_from_ket": (projector_from_ket, "vector"),
+    "measurement_family_mpsi": (measurement_family_mpsi, "vector"),
+    "born_values": (lambda s: born_values(s, STATE2), "stack"),
+    "embed": (lambda s: embed(s, 2), "stack"),
+    "SpanningSet": (lambda s: SpanningSet(2, s, ("p0",), "sweep"), "stack"),
+    "values born": (BornFrameFunction(STATE2).values, "stack"),
+    "values deterministic": (DeterministicFrameFunction().values, "stack"),
+    "values tabulated": (definite_xz_table().values, "stack"),
+    "values induced": (InducedFrameFunction(BornFrameFunction(STATE4), 2, 2).values, "stack"),
+}
+
+_WELL_FORMED = {"vector": [1, 0], "matrix": [[1, 0], [0, 0]], "stack": [[[1, 0], [0, 0]]]}
+
+
+def _with_first_entry(nested, value):
+    if not isinstance(nested, list):
+        return value
+    return [_with_first_entry(nested[0], value), *nested[1:]]
+
+
+# Each malformed input, as a function of the well-formed one.
+MALFORMED = {
+    "ragged": lambda x: [x, [x]],
+    "str": lambda x: "abc",
+    "numeric str": lambda x: np.asarray(x).astype(str).tolist(),
+    "bool": lambda x: np.asarray(x, dtype=bool),
+    "object": lambda x: np.asarray(x, dtype=object),
+    "None": lambda x: None,
+    "2**70": lambda x: _with_first_entry(x, 2**70),
+    "dict": lambda x: {"a": x},
+    "wrong ndim": lambda x: x[0],
+}
+
+
+@pytest.mark.parametrize("call, bad", [
+    (call, bad) for call, (_, shape) in ARRAY_CALLS.items() for bad in MALFORMED
+    if not (bad == "wrong ndim" and shape == "vector")
+])
+def test_a_malformed_array_ends_as_a_library_error(call, bad):
+    fn, shape = ARRAY_CALLS[call]
+    with pytest.raises(DimensionMismatch if bad == "ragged" else GleasonLabError):
+        fn(MALFORMED[bad](_WELL_FORMED[shape]))
 
 
 @pytest.mark.parametrize("dim", range(1, 65))

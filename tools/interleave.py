@@ -3,15 +3,18 @@
 
     python tools/interleave.py TREE_A TREE_B --workload certify-mix --seconds 20 --seed 11 12 13
 
-Each tree's ``src/gleason_lab`` is copied under its own package name
-(``gleason_lab_a``, ``gleason_lab_b``) into a temporary directory, so
-both load side by side. The ops are those of ``bench/inputs.py`` for
-the workload and seed, block after block, and each op runs on both
-trees one after the other; the tree that runs first alternates from op
-to op. Each result is checked with the workload's oracle from
-``bench/inproc.py``, outside the timed region. Drift of the host's
-speed then falls on both trees alike, so the two columns differ by the
-programs' cost, not by when each ran.
+For each seed, each tree's ``src/gleason_lab`` is copied under its own
+package name (``gleason_lab_a0`` and ``gleason_lab_b0`` for the first
+seed, ``gleason_lab_a1`` and ``gleason_lab_b1`` for the next) into a
+temporary directory, so both load side by side. Tree A is loaded first
+on the first, third, ... seed and tree B on the others, so over an even
+number of seeds neither tree gains from loading first. The ops are
+those of ``bench/inputs.py`` for the workload and seed, block after
+block, and each op runs on both trees one after the other; the tree
+that runs first alternates from op to op. Each result is checked with
+the workload's oracle from ``bench/inproc.py``, outside the timed
+region. Drift of the host's speed then falls on both trees alike, so
+the two columns differ by the programs' cost, not by when each ran.
 
 Each seed given to ``--seed`` is one run, in the order given, and a
 run stops once its ops' summed time, over both trees, reaches
@@ -71,9 +74,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def load_side(tree: str, side: str, workdir: str, workload: str):
-    """The workload bound to tree's package, copied as gleason_lab_<side>."""
-    name = f"gleason_lab_{side}"
+def load_side(tree: str, name: str, workdir: str, workload: str):
+    """The workload bound to tree's package, copied as package ``name``."""
     shutil.copytree(os.path.join(tree, "src", "gleason_lab"), os.path.join(workdir, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
     w = inproc.WORKLOADS[workload]()
@@ -157,11 +159,15 @@ def report(workloads: dict, workload: str, seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    trees = dict(zip(SIDES, (args.tree_a, args.tree_b)))
+    runs = []
     with tempfile.TemporaryDirectory(prefix="interleave-") as workdir:
         sys.path.insert(0, workdir)
-        workloads = {s: load_side(t, s, workdir, args.workload)
-                     for s, t in zip(SIDES, (args.tree_a, args.tree_b))}
-        runs = [report(workloads, args.workload, seed, args.seconds) for seed in args.seed]
+        for i, seed in enumerate(args.seed):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            workloads = {s: load_side(trees[s], f"gleason_lab_{s}{i}", workdir, args.workload)
+                         for s in order}
+            runs.append(report(workloads, args.workload, seed, args.seconds))
     won = sum(r["b"]["ops_per_s"] > r["a"]["ops_per_s"] for r in runs)
     print(f"b beat a on ops_per_s for {won} of {len(runs)} seeds")
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "runs": runs,
